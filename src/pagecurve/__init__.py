@@ -53,6 +53,7 @@ from .montecarlo import (
     estimate_constant_term,
     estimate_entropy_statistics,
     mean_covariance_check,
+    sample_entropies,
     typicality_probe,
 )
 from .weingarten import (

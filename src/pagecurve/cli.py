@@ -267,9 +267,12 @@ def _cmd_variance(args, argv, tol):
         if k.denominator != 1:
             raise _UsageError(f"--ratio {args.ratio} times n={n} is not integral")
         k = int(k)
-        s2, _ = montecarlo._run_entropy_samples(
-            n, (args.squeeze,) * n, (k,), args.samples, args.seed,
-            namespace=i, workers=args.workers, with_s1=False,
+        s2, _ = montecarlo.sample_entropies(
+            montecarlo.RunConfig(
+                n=n, squeezing=SqueezingConfig.equal(n, args.squeeze), subsystem_sizes=(k,),
+                samples=args.samples, master_seed=args.seed, workers=args.workers,
+                stream_namespace=i,
+            )
         )
         col = s2[:, 0]
         rows.append(
@@ -333,10 +336,11 @@ def _cmd_weingarten(args, argv, tol):
     if args.subop == "a-ell":
         columns = ["l", "value", "value_float", "closed_form", "provenance"]
         rows = []
-        for l in range(1, args.max + 1):
+        # largest l first, so that its capacity check runs before any enumeration
+        for l in range(args.max, 0, -1):
             value = weingarten.a_ell_enumeration(l, allow_extended=args.extended)
             closed = Fraction((-1) ** l * 4 ** (l - 1))
-            rows.append([l, value, float(value), closed, "exact"])
+            rows.insert(0, [l, value, float(value), closed, "exact"])
     elif args.subop == "wg":
         if not args.cycle_type or args.n is None:
             raise _UsageError("wg needs --type and --n")

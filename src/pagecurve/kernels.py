@@ -2,7 +2,7 @@
 
 ``BACKEND`` is "cython" or "python"; both backends expose identical
 ``xi_condition_sum`` and ``moment_pair_counts`` functions and are compared in
-benchmarks/bench_kernels.py and in the test suite.
+tests/test_weingarten.py when the extension is built.
 """
 
 try:

@@ -1,9 +1,13 @@
 """Seeded, parallel Monte Carlo estimation of subsystem entropy statistics.
 
-Reproducibility contract: sample j always uses the Philox stream
-(master_seed, namespace * 2^32 + j), regardless of how samples are divided
-among workers, and per-sample results are assembled by global sample index.
-Aggregates are therefore bit-identical for any worker count.
+Every estimator here runs on one sampling loop, `_map_samples`.  It checks
+the sample and worker counts before any draw, keys sample j by the Philox
+stream `haar.derive_substream(SeededStream(master_seed, namespace), j)`, that
+is (master_seed, namespace * 2^32 + j), draws its Haar unitary and applies a
+per-sample kernel.  Samples run in fixed chunks of `_CHUNK`, inline or on one
+process pool, and the kernel's rows come back in global sample order.
+Neither the keys nor the assembly depend on the worker count, so results are
+bit-identical for any number of workers.
 
 Comparisons against asymptotic predictions should allow, besides the usual
 3-sigma statistical band, an additive 2/n for the unquantified order-one
@@ -13,7 +17,7 @@ corrections at finite mode number.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,10 +31,11 @@ from .gaussian import (
     _initial_diagonal,
     _reduced_sigma_from_unitary,
     _renyi2_from_matrix,
+    _subsystem_indices,
     _symplectic_values,
     h1,
 )
-from .haar import RNG_ALGORITHM, SeededStream, _raw_haar_matrix
+from .haar import RNG_ALGORITHM, SeededStream, _raw_haar_matrix, derive_substream
 
 __all__ = [
     "RunConfig",
@@ -39,6 +44,7 @@ __all__ = [
     "TypicalityRecord",
     "DerivativeEstimate",
     "MeanCovarianceResult",
+    "sample_entropies",
     "estimate_entropy_statistics",
     "estimate_constant_term",
     "typicality_probe",
@@ -47,6 +53,44 @@ __all__ = [
 ]
 
 _CHUNK = 256  # fixed chunk size; independent of worker count by design
+
+
+def _check_counts(samples: int, workers: int):
+    if samples < 1:
+        raise InputError(f"samples must be >= 1, got {samples}")
+    if workers < 1:
+        raise InputError(f"workers must be >= 1, got {workers}")
+
+
+def _sample_chunk(args):
+    kernel, n, params, stream, j0, j1 = args
+    rows = []
+    for j in range(j0, j1):
+        u = _raw_haar_matrix(n, derive_substream(stream, j).generator())
+        try:
+            rows.append(kernel(u, *params))
+        except NumericalError as exc:
+            raise NumericalError(f"sample {j} (seed {stream.master_seed}): {exc}") from exc
+    return np.array(rows)
+
+
+def _map_samples(kernel, n, params, samples, seed, namespace, workers) -> np.ndarray:
+    """Stack kernel(U_j, *params) over samples j = 0..samples-1 in sample order.
+
+    U_j is the n x n Haar unitary drawn from substream j of (seed, namespace).
+    `kernel` must be a module-level function so that worker processes can
+    import it.
+    """
+    _check_counts(samples, workers)
+    stream = SeededStream(seed, namespace)
+    chunks = [
+        (kernel, n, params, stream, j0, min(j0 + _CHUNK, samples))
+        for j0 in range(0, samples, _CHUNK)
+    ]
+    if workers == 1 or len(chunks) == 1:
+        return np.concatenate([_sample_chunk(c) for c in chunks])
+    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return np.concatenate(list(pool.map(_sample_chunk, chunks)))
 
 
 @dataclass(frozen=True)
@@ -71,10 +115,7 @@ class RunConfig:
             )
         if any(not 0 <= k <= self.n for k in self.subsystem_sizes):
             raise InputError(f"subsystem sizes must lie in [0, {self.n}]")
-        if self.samples < 1:
-            raise InputError("samples must be >= 1")
-        if self.workers < 1:
-            raise InputError("workers must be >= 1")
+        _check_counts(self.samples, self.workers)
 
 
 @dataclass(frozen=True)
@@ -94,66 +135,49 @@ class CurveEstimate:
 
 
 def _entropies_for_sample(u, diag, n, ks, with_s1):
-    """S2 (and optionally S1) of every requested subsystem for one unitary."""
-    s2 = np.zeros(len(ks))
-    s1 = np.zeros(len(ks)) if with_s1 else None
-    positive = [k for k in ks if k > 0]
+    """S2 (row 0) and, if with_s1, S1 (row 1) of every subsystem size in ks.
+
+    k = 0 and k = n are pure states and stay exactly 0.  The full covariance
+    is formed once when the sizes sum to n or more and some 0 < k < n uses it.
+    """
+    out = np.zeros((2 if with_s1 else 1, len(ks)))
     full = None
-    if sum(positive) >= n and positive:
+    if sum(ks) >= n and any(0 < k < n for k in ks):
         eta = _eta(u)
         full = (eta * diag) @ eta.T
     for i, k in enumerate(ks):
-        if k == 0:
+        if k == 0 or k == n:
             continue
         if full is not None:
-            idx = list(range(k)) + list(range(n, n + k))
+            idx = _subsystem_indices(n, k)
             red = full[np.ix_(idx, idx)]
         else:
             red = _reduced_sigma_from_unitary(u, diag, n, k)
-        s2[i] = _renyi2_from_matrix(red)
+        out[0, i] = _renyi2_from_matrix(red)
         if with_s1:
-            s1[i] = math.fsum(h1(nu) for nu in _symplectic_values(red))
-    return s2, s1
+            out[1, i] = math.fsum(h1(nu) for nu in _symplectic_values(red))
+    return out
 
 
-def _entropy_chunk(args):
-    n, s_values, ks, master_seed, namespace, j0, j1, with_s1 = args
-    diag = _initial_diagonal(s_values)
-    s2 = np.empty((j1 - j0, len(ks)))
-    s1 = np.empty((j1 - j0, len(ks))) if with_s1 else None
-    for j in range(j0, j1):
-        stream = SeededStream(master_seed, (namespace * 2**32 + j) % 2**64)
-        u = _raw_haar_matrix(n, stream.generator())
-        try:
-            row2, row1 = _entropies_for_sample(u, diag, n, ks, with_s1)
-        except NumericalError as exc:
-            raise NumericalError(f"sample {j} (seed {master_seed}): {exc}") from exc
-        s2[j - j0] = row2
-        if with_s1:
-            s1[j - j0] = row1
-    return j0, s2, s1
+def sample_entropies(
+    config: RunConfig, with_s1: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-sample entropies of every subsystem size of `config`.
 
-
-def _run_entropy_samples(n, s_values, ks, samples, master_seed, namespace, workers, with_s1):
-    chunks = [
-        (n, tuple(s_values), tuple(ks), master_seed, namespace, j0, min(j0 + _CHUNK, samples), with_s1)
-        for j0 in range(0, samples, _CHUNK)
-    ]
-    s2 = np.empty((samples, len(ks)))
-    s1 = np.empty((samples, len(ks))) if with_s1 else None
-    if workers == 1 or len(chunks) == 1:
-        results = map(_entropy_chunk, chunks)
-    else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            results = list(pool.map(_entropy_chunk, chunks))
-        finally:
-            pool.shutdown()
-    for j0, chunk2, chunk1 in results:
-        s2[j0 : j0 + len(chunk2)] = chunk2
-        if with_s1:
-            s1[j0 : j0 + len(chunk1)] = chunk1
-    return s2, s1
+    Returns (s2, s1), each of shape (samples, len(subsystem_sizes)) with rows
+    in global sample order; s1 is None unless `with_s1`.  The arrays do not
+    depend on `config.workers`.
+    """
+    rows = _map_samples(
+        _entropies_for_sample,
+        config.n,
+        (_initial_diagonal(config.squeezing.values), config.n, config.subsystem_sizes, with_s1),
+        config.samples,
+        config.master_seed,
+        config.stream_namespace,
+        config.workers,
+    )
+    return rows[:, 0], rows[:, 1] if with_s1 else None
 
 
 def estimate_entropy_statistics(config: RunConfig) -> CurveEstimate:
@@ -163,16 +187,7 @@ def estimate_entropy_statistics(config: RunConfig) -> CurveEstimate:
     subsystem size for every sample; aggregation order is fixed by global
     sample index, so results do not depend on the worker count.
     """
-    s2, s1 = _run_entropy_samples(
-        config.n,
-        config.squeezing.values,
-        config.subsystem_sizes,
-        config.samples,
-        config.master_seed,
-        config.stream_namespace,
-        config.workers,
-        with_s1=True,
-    )
+    s2, s1 = sample_entropies(config, with_s1=True)
     var = s2.var(axis=0, ddof=1) if config.samples > 1 else np.zeros(s2.shape[1])
     return CurveEstimate(
         subsystem_sizes=config.subsystem_sizes,
@@ -235,8 +250,11 @@ def estimate_constant_term(
         k = rq * n
         if k.denominator != 1:
             raise InputError(f"r*n must be integral, got r={r}, n={n}")
-        s2, _ = _run_entropy_samples(
-            n, (s,) * n, (int(k),), samples, seed, namespace=i, workers=workers, with_s1=False
+        s2, _ = sample_entropies(
+            RunConfig(
+                n=n, squeezing=SqueezingConfig.equal(n, s), subsystem_sizes=(int(k),),
+                samples=samples, master_seed=seed, workers=workers, stream_namespace=i,
+            )
         )
         per_point.append(s2[:, 0])
     lam_hat = [n * density - float(col.mean()) for n, col in zip(ladder, per_point)]
@@ -298,8 +316,11 @@ def typicality_probe(
         k = _resolve_k_rule(k_rule, n)
         if not 0 <= k <= n:
             raise InputError(f"k rule produced k={k} outside [0, {n}]")
-        s2, _ = _run_entropy_samples(
-            n, (s,) * n, (k,), samples, seed, namespace=i, workers=workers, with_s1=False
+        s2, _ = sample_entropies(
+            RunConfig(
+                n=n, squeezing=SqueezingConfig.equal(n, s), subsystem_sizes=(k,),
+                samples=samples, master_seed=seed, workers=workers, stream_namespace=i,
+            )
         )
         col = s2[:, 0]
         mean = float(col.mean())
@@ -336,23 +357,10 @@ class DerivativeEstimate:
     samples: int
 
 
-def _derivative_chunk(args):
-    n, s_values, mode_index, k, h_plus, h_minus, master_seed, j0, j1 = args
-    plus = list(s_values)
-    minus = list(s_values)
-    sign = -1.0 if s_values[mode_index] < 0 else 1.0
-    plus[mode_index] = sign * math.sqrt(h_plus)
-    minus[mode_index] = sign * math.sqrt(h_minus)
-    diag_p = _initial_diagonal(plus)
-    diag_m = _initial_diagonal(minus)
-    diffs = np.empty(j1 - j0)
-    for j in range(j0, j1):
-        stream = SeededStream(master_seed, j)
-        u = _raw_haar_matrix(n, stream.generator())
-        s2p = _renyi2_from_matrix(_reduced_sigma_from_unitary(u, diag_p, n, k))
-        s2m = _renyi2_from_matrix(_reduced_sigma_from_unitary(u, diag_m, n, k))
-        diffs[j - j0] = (s2p - s2m) / (h_plus - h_minus)
-    return j0, diffs
+def _derivative_for_sample(u, diag_plus, diag_minus, n, k, dh):
+    s2p = _renyi2_from_matrix(_reduced_sigma_from_unitary(u, diag_plus, n, k))
+    s2m = _renyi2_from_matrix(_reduced_sigma_from_unitary(u, diag_minus, n, k))
+    return (s2p - s2m) / dh
 
 
 def conjecture_probe(
@@ -380,18 +388,13 @@ def conjecture_probe(
     h = config.values[mode_index] ** 2
     h_plus = h + delta
     h_minus = max(h - delta, 0.0)
-    chunks = [
-        (config.n, config.values, mode_index, k, h_plus, h_minus, seed, j0, min(j0 + _CHUNK, samples))
-        for j0 in range(0, samples, _CHUNK)
-    ]
-    diffs = np.empty(samples)
-    if workers == 1 or len(chunks) == 1:
-        results = map(_derivative_chunk, chunks)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_derivative_chunk, chunks))
-    for j0, chunk in results:
-        diffs[j0 : j0 + len(chunk)] = chunk
+    sign = -1.0 if config.values[mode_index] < 0 else 1.0
+    plus = list(config.values)
+    minus = list(config.values)
+    plus[mode_index] = sign * math.sqrt(h_plus)
+    minus[mode_index] = sign * math.sqrt(h_minus)
+    params = (_initial_diagonal(plus), _initial_diagonal(minus), config.n, k, h_plus - h_minus)
+    diffs = _map_samples(_derivative_for_sample, config.n, params, samples, seed, 0, workers)
     std = float(diffs.std(ddof=1)) if samples > 1 else 0.0
     return DerivativeEstimate(
         derivative=float(diffs.mean()),
@@ -415,20 +418,6 @@ class MeanCovarianceResult:
     samples: int
 
 
-def _covariance_chunk(args):
-    n, s_values, k, master_seed, j0, j1 = args
-    diag = _initial_diagonal(s_values)
-    acc = np.zeros((2 * k, 2 * k))
-    acc_sq = np.zeros((2 * k, 2 * k))
-    for j in range(j0, j1):
-        stream = SeededStream(master_seed, j)
-        u = _raw_haar_matrix(n, stream.generator())
-        red = _reduced_sigma_from_unitary(u, diag, n, k)
-        acc += red
-        acc_sq += red * red
-    return j0, acc, acc_sq
-
-
 def mean_covariance_check(
     n: int, config: SqueezingConfig, k: int, samples: int, seed: int, workers: int = 1
 ) -> MeanCovarianceResult:
@@ -441,22 +430,10 @@ def mean_covariance_check(
         raise InputError(f"squeezing has {config.n} entries for n={n}")
     if not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= {n}, got k={k}")
-    chunks = [
-        (n, config.values, k, seed, j0, min(j0 + _CHUNK, samples))
-        for j0 in range(0, samples, _CHUNK)
-    ]
-    acc = np.zeros((2 * k, 2 * k))
-    acc_sq = np.zeros((2 * k, 2 * k))
-    if workers == 1 or len(chunks) == 1:
-        results = map(_covariance_chunk, chunks)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_covariance_chunk, chunks))
-    for _, a, a2 in sorted(results, key=lambda t: t[0]):
-        acc += a
-        acc_sq += a2
-    mean = acc / samples
-    var = np.maximum(acc_sq / samples - mean * mean, 0.0)
+    params = (_initial_diagonal(config.values), n, k)
+    reds = _map_samples(_reduced_sigma_from_unitary, n, params, samples, seed, 0, workers)
+    mean = reds.mean(axis=0)
+    var = np.maximum((reds * reds).mean(axis=0) - mean * mean, 0.0)
     stderr = np.sqrt(var / samples)
     target = math.fsum(math.cosh(2.0 * v) for v in config.values) / n
     deviation = np.abs(mean - target * np.eye(2 * k))

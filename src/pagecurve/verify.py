@@ -197,11 +197,13 @@ def suite_montecarlo(seed: int = 7, samples: int = 500) -> list[CheckResult]:
         )
     )
 
+    # a fixed count spanning three 256-sample chunks, so that workers=2
+    # really runs on the process pool whatever `samples` is
     small = montecarlo.RunConfig(
         n=8,
         squeezing=SqueezingConfig.equal(8, 0.5),
         subsystem_sizes=(2,),
-        samples=min(samples, 64),
+        samples=600,
         master_seed=seed,
     )
     one = montecarlo.estimate_entropy_statistics(small)

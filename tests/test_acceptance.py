@@ -17,7 +17,6 @@ import pagecurve as pc
 from pagecurve.analytic import log_cosh
 from pagecurve.gaussian import PassiveUnitary, equal_squeezing_coupling
 from pagecurve.haar import SeededStream, _raw_haar_matrix
-from pagecurve.montecarlo import _run_entropy_samples
 from pagecurve.verify import F_REFERENCE
 from pagecurve.weingarten import wg_class_table
 
@@ -44,8 +43,11 @@ def plateau_samples():
     """10^4 entropy samples at r=1/2, s=0.75 for n in {20, 40, 80} (criterion 6)."""
     out = {}
     for i, n in enumerate((20, 40, 80)):
-        s2, _ = _run_entropy_samples(
-            n, (0.75,) * n, (n // 2,), 10_000, 606, namespace=i, workers=WORKERS, with_s1=False
+        s2, _ = pc.sample_entropies(
+            pc.RunConfig(
+                n=n, squeezing=pc.SqueezingConfig.equal(n, 0.75), subsystem_sizes=(n // 2,),
+                samples=10_000, master_seed=606, workers=WORKERS, stream_namespace=i,
+            )
         )
         out[n] = s2[:, 0]
     return out
@@ -143,8 +145,11 @@ def test_criterion_6_variance_plateau(plateau_samples):
         pairs.append(f"n={a}/{b}: {gap:.2e} vs {band:.2e}")
         ok = ok and gap <= band
 
-    s2_small, _ = _run_entropy_samples(
-        60, (0.1,) * 60, (30,), 10_000, 661, namespace=0, workers=WORKERS, with_s1=False
+    s2_small, _ = pc.sample_entropies(
+        pc.RunConfig(
+            n=60, squeezing=pc.SqueezingConfig.equal(60, 0.1), subsystem_sizes=(30,),
+            samples=10_000, master_seed=661, workers=WORKERS,
+        )
     )
     observed = float(s2_small[:, 0].var(ddof=1))
     reference = pc.variance_series(0.1, 0.5)  # leading coefficient 1/2 only

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from pagecurve import kernels
 from pagecurve.cli import SCHEMA_VERSION, main
 
 PAGE_CURVE_ANALYTIC_COLUMNS = [
@@ -136,8 +137,13 @@ class TestWeingartenCommand:
         assert cells[0] == "extrapolated"
         assert abs(float(cells[1]) - 0.5) <= 1e-3
 
-    def test_capacity_exit_code(self, capsys):
+    def test_capacity_exit_code(self, capsys, monkeypatch):
+        def no_enumeration(*args):
+            raise AssertionError("enumeration ran before the capacity check")
+
+        monkeypatch.setattr(kernels, "xi_condition_sum", no_enumeration)
         assert main(["weingarten", "a-ell", "--max", "6"]) == 2
+        assert main(["weingarten", "a-ell", "--max", "7", "--extended"]) == 1
 
     def test_missing_flags_usage(self):
         assert main(["weingarten", "moment", "--powers", "1"]) == 1
@@ -154,6 +160,11 @@ class TestVerifyCommand:
 
     def test_unknown_suite_usage(self):
         assert main(["verify", "--suite", "bogus"]) == 1
+
+    def test_montecarlo_suite_passes(self, capsys):
+        assert main(["verify", "--suite", "montecarlo"]) == 0
+        text = capsys.readouterr().out
+        assert "[PASS] worker-count invariance" in text and "[FAIL]" not in text
 
 
 class TestExitCodes:
@@ -191,6 +202,23 @@ class TestVarianceCommand:
         ]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["variance", "--modes", "8", "--squeeze", "0.3"],
+        ["typicality", "--modes", "8", "--squeeze", "0.3", "--epsilon", "0.1"],
+        ["conjecture-probe", "--modes", "4", "--squeeze", "0.3", "--k", "2"],
+    ],
+    ids=["variance", "typicality", "conjecture-probe"],
+)
+@pytest.mark.parametrize("flag", ["--samples", "--workers"])
+def test_sampling_commands_reject_zero_counts(command, flag, capsys):
+    assert main(command + [flag, "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag[2:]} must be >= 1" in captured.err
 
 
 class TestConjectureCommand:

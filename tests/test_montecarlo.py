@@ -1,4 +1,5 @@
 import math
+from concurrent import futures
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from pagecurve import (
     mean_covariance_check,
     page_constant_lambda,
     page_curve_prediction,
+    sample_entropies,
     typicality_probe,
     variance_series,
 )
@@ -25,9 +27,25 @@ from pagecurve.gaussian import (
     renyi2_entropy,
 )
 from pagecurve.haar import SeededStream, sample_haar_unitary
-from pagecurve.montecarlo import _run_entropy_samples
 
 COSH_15 = 2.352409615243247325767668
+
+# more samples than one 256-sample chunk, so that workers=2 uses the pool
+POOLED_SAMPLES = 600
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Worker counts of the process pools started during the test."""
+    starts = []
+
+    class CountingPool(futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            starts.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", CountingPool)
+    return starts
 
 
 def small_config(**overrides):
@@ -49,9 +67,10 @@ class TestDeterminism:
         b = estimate_entropy_statistics(small_config())
         assert a == b
 
-    def test_worker_count_invariance(self):
-        a = estimate_entropy_statistics(small_config())
-        b = estimate_entropy_statistics(small_config(workers=2))
+    def test_worker_count_invariance(self, pool_starts):
+        a = estimate_entropy_statistics(small_config(samples=POOLED_SAMPLES))
+        b = estimate_entropy_statistics(small_config(samples=POOLED_SAMPLES, workers=2))
+        assert pool_starts == [2]
         assert a.mean_s2 == b.mean_s2
         assert a.mean_s1 == b.mean_s1
         assert a.var_s2 == b.var_s2
@@ -75,6 +94,20 @@ class TestTrivialValues:
         assert abs(est.mean_s2[0]) <= 1e-10   # k = 0
         assert abs(est.mean_s2[-1]) <= 1e-9   # k = n
         assert abs(est.mean_s1[-1]) <= 1e-7
+
+    def test_full_system_exactly_pure_at_large_squeezing(self):
+        # the full covariance at s=8 is too ill-conditioned for a
+        # factorization to return 0; k = 0 and k = n are pure by definition
+        n = 20
+        s2, s1 = sample_entropies(
+            RunConfig(
+                n=n, squeezing=SqueezingConfig.equal(n, 8.0), subsystem_sizes=(0, n // 2, n),
+                samples=64, master_seed=1,
+            ),
+            with_s1=True,
+        )
+        assert np.all(s2[:, [0, 2]] == 0.0) and np.all(s1[:, [0, 2]] == 0.0)
+        assert np.all(s2[:, 1] > 0.0)
 
 
 class TestAgainstPrediction:
@@ -106,8 +139,11 @@ class TestAgainstPrediction:
         # at small squeezing the sampled variance approaches the leading
         # series term; the first omitted term is a relative t^2 correction
         n, s, samples = 40, 0.15, 4000
-        s2, _ = _run_entropy_samples(
-            n, (s,) * n, (n // 2,), samples, 17, namespace=0, workers=1, with_s1=False
+        s2, _ = sample_entropies(
+            RunConfig(
+                n=n, squeezing=SqueezingConfig.equal(n, s), subsystem_sizes=(n // 2,),
+                samples=samples, master_seed=17,
+            )
         )
         observed = float(s2[:, 0].var(ddof=1))
         leading = variance_series(s, 0.5)
@@ -156,6 +192,12 @@ class TestTypicality:
             typicality_probe([8], "cubic", 0.5, 0.1, 10, 0)
         with pytest.raises(InputError):
             typicality_probe([8], "ratio:0.5", 0.5, 0.0, 10, 0)
+
+    def test_worker_count_invariance(self, pool_starts):
+        a = typicality_probe([8, 12], "sqrt", 0.6, 0.1, POOLED_SAMPLES, 3, workers=1)
+        b = typicality_probe([8, 12], "sqrt", 0.6, 0.1, POOLED_SAMPLES, 3, workers=2)
+        assert pool_starts == [2, 2]
+        assert a == b
 
 
 class TestConjectureProbe:
@@ -213,6 +255,17 @@ class TestConjectureProbe:
             conjecture_probe(cfg, 4, 1e-3, 10, 0, k=2)
         with pytest.raises(InputError):
             conjecture_probe(cfg, 0, -1e-3, 10, 0, k=2)
+        with pytest.raises(InputError):
+            conjecture_probe(cfg, 0, 1e-3, 0, 0, k=2)
+        with pytest.raises(InputError):
+            conjecture_probe(cfg, 0, 1e-3, 10, 0, k=2, workers=0)
+
+    def test_worker_count_invariance(self, pool_starts):
+        cfg = SqueezingConfig((0.3, 0.8, 0.5, 0.1))
+        a = conjecture_probe(cfg, 1, 1e-3, POOLED_SAMPLES, 19, k=2, workers=1)
+        b = conjecture_probe(cfg, 1, 1e-3, POOLED_SAMPLES, 19, k=2, workers=2)
+        assert pool_starts == [2]
+        assert a == b
 
 
 class TestMeanCovariance:
@@ -229,9 +282,10 @@ class TestMeanCovariance:
         assert res.max_sigma_units <= 3.5
         assert res.max_abs_deviation <= 3.5 * float(res.stderr.max())
 
-    def test_worker_invariance(self):
-        a = mean_covariance_check(6, SqueezingConfig.equal(6, 0.4), 2, 600, 5, workers=1)
-        b = mean_covariance_check(6, SqueezingConfig.equal(6, 0.4), 2, 600, 5, workers=2)
+    def test_worker_invariance(self, pool_starts):
+        a = mean_covariance_check(6, SqueezingConfig.equal(6, 0.4), 2, POOLED_SAMPLES, 5, workers=1)
+        b = mean_covariance_check(6, SqueezingConfig.equal(6, 0.4), 2, POOLED_SAMPLES, 5, workers=2)
+        assert pool_starts == [2]
         assert np.array_equal(a.mean, b.mean)
 
 
