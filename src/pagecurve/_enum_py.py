@@ -11,7 +11,8 @@ import math
 _CATALAN = [math.comb(2 * m, m) // (m + 1) for m in range(16)]
 
 
-def _cycle_lengths(p):
+def cycle_type(p):
+    """Sorted (ascending) cycle lengths of a permutation of 0..len(p)-1."""
     n = len(p)
     seen = [False] * n
     out = []
@@ -24,7 +25,7 @@ def _cycle_lengths(p):
                 j = p[j]
                 ln += 1
             out.append(ln)
-    return out
+    return tuple(sorted(out))
 
 
 def _component_count(n_nodes, edges):
@@ -158,7 +159,7 @@ def moment_pair_counts(powers):
             inv[b] = a
         invs[idx] = tuple(inv)
 
-    type_of = {p: tuple(sorted(_cycle_lengths(p))) for p in perms}
+    type_of = {p: cycle_type(p) for p in perms}
     counts = {}
     for si in range(fact):
         sigma = perms[si]

@@ -261,24 +261,23 @@ def _cmd_variance(args, argv, tol):
     modes = _parse_int_list(args.modes, "--modes")
     ratio = _parse_ratio(args.ratio)
     columns = ["n", "k", "mc_mean", "mc_variance", "analytic_variance_leading", "samples", "provenance"]
-    rows = []
+    configs = []
     for i, n in enumerate(modes):
         k = ratio * n
         if k.denominator != 1:
             raise _UsageError(f"--ratio {args.ratio} times n={n} is not integral")
-        k = int(k)
-        s2, _ = montecarlo.sample_entropies(
-            montecarlo.RunConfig(
-                n=n, squeezing=SqueezingConfig.equal(n, args.squeeze), subsystem_sizes=(k,),
-                samples=args.samples, master_seed=args.seed, workers=args.workers,
-                stream_namespace=i,
-            )
-        )
-        col = s2[:, 0]
+        configs.append(montecarlo.RunConfig(
+            n=n, squeezing=SqueezingConfig.equal(n, args.squeeze), subsystem_sizes=(int(k),),
+            samples=args.samples, master_seed=args.seed, workers=args.workers,
+            stream_namespace=i,
+        ))
+    rows = []
+    for config in configs:
+        col = montecarlo.sample_entropies(config)[0][:, 0]
         rows.append(
             [
-                n,
-                k,
+                config.n,
+                config.subsystem_sizes[0],
                 float(col.mean()),
                 float(col.var(ddof=1)) if args.samples > 1 else 0.0,
                 analytic.variance_series(args.squeeze, ratio),
@@ -366,14 +365,9 @@ def _cmd_weingarten(args, argv, tol):
         ladder = _parse_int_list(args.ladder, "--ladder")
         ratio = _parse_ratio(args.ratio)
         value = weingarten.omega2_extrapolation(ladder, ratio)
+        estimates = weingarten.omega2_estimates(ladder, ratio)
         columns = ["point", "value", "provenance"]
-        rows = []
-        for n in ladder:
-            k = int(ratio * n)
-            first = weingarten.haar_moment_trace_product([1], n, k)
-            second = weingarten.haar_moment_trace_product([1, 1], n, k)
-            est = (Fraction(k, n) * (1 - Fraction(k, n))) ** -2 * (second - first * first) / 4
-            rows.append([f"n={n}", float(est), "exact"])
+        rows = [[f"n={n}", float(est), "exact"] for n, est in zip(ladder, estimates)]
         rows.append(["extrapolated", value, "exact"])
     record = _record(f"weingarten {args.subop}", argv, columns, rows, args.seed, tol, None, started)
     _write_record(record, args.out, args.format)

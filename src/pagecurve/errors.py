@@ -14,7 +14,7 @@ class InputError(PageCurveError, ValueError):
 
 
 class NumericalError(PageCurveError, ArithmeticError):
-    """A numerical contract was violated (non-PD matrix, pairing failure, ...)."""
+    """A numerical contract was violated (non-PD matrix, uncertainty-bound violation, ...)."""
 
 
 class CapacityError(PageCurveError):

@@ -13,6 +13,16 @@ Conventions (fixed everywhere in this package):
 
 Entropies: S2 = (1/2) log det sigma, S1 = sum h1(nu_i) over the symplectic
 spectrum, with h1(x) = ((x+1)/2) log((x+1)/2) - ((x-1)/2) log((x-1)/2).
+
+Both come from an upper-triangular factor R with sigma = R^T R whose rows and
+columns run in the interleaved order x_1, p_1, x_2, p_2, ...  Its leading
+2k x 2k block R_k factors the covariance of the first k modes the same way,
+so S2 of the first k modes is the sum of log|R_ii| over i < 2k, and their
+nu_i are the k positive eigenvalues of the Hermitian matrix i R_k Omega R_k^T
+(Williamson's theorem; Serafini, Quantum Continuous Variables, ch. 3).  The
+Monte Carlo gets R, for every subsystem size at once, from one QR
+factorization of the squeezed rows of eta(U); the public functions get it from
+a Cholesky factorization of the given covariance.
 """
 
 from __future__ import annotations
@@ -48,7 +58,6 @@ __all__ = [
 
 SYMMETRY_RTOL = 1e-12
 UNITARITY_TOL = 1e-12
-PAIR_RTOL = 1e-8          # relative gap allowed when pairing eigenvalues
 PURITY_CLAMP = 1e-9       # nu in [1 - PURITY_CLAMP, 1) clamps to 1
 
 
@@ -169,10 +178,6 @@ def evolve(sigma0: CovarianceMatrix, u: PassiveUnitary) -> CovarianceMatrix:
     return CovarianceMatrix(eta @ sigma0.matrix @ eta.T)
 
 
-def _subsystem_indices(n: int, k: int) -> list[int]:
-    return list(range(k)) + list(range(n, n + k))
-
-
 def reduce_subsystem(sigma: CovarianceMatrix, k: int) -> CovarianceMatrix:
     """Covariance of the first k modes: rows/columns {1..k} and {n+1..n+k}."""
     n = sigma.dim_modes
@@ -180,8 +185,7 @@ def reduce_subsystem(sigma: CovarianceMatrix, k: int) -> CovarianceMatrix:
         raise InputError(f"need 1 <= k <= {n}, got k={k}")
     if k == n:
         return sigma
-    idx = _subsystem_indices(n, k)
-    return CovarianceMatrix(sigma.matrix[np.ix_(idx, idx)])
+    return reduce_modes(sigma, range(k))
 
 
 def reduce_modes(sigma: CovarianceMatrix, modes) -> CovarianceMatrix:
@@ -194,58 +198,46 @@ def reduce_modes(sigma: CovarianceMatrix, modes) -> CovarianceMatrix:
     return CovarianceMatrix(sigma.matrix[np.ix_(idx, idx)])
 
 
-def _symplectic_values(mat: np.ndarray) -> np.ndarray:
-    """Paired positive spectrum of i Omega sigma via the real matrix -(Omega sigma)^2.
+def _cholesky_factor(mat: np.ndarray) -> np.ndarray:
+    """Upper-triangular R with mat = R^T R, in interleaved quadrature order."""
+    m = mat.shape[0] // 2
+    idx = np.arange(2 * m).reshape(2, m).T.ravel()  # x_1, p_1, x_2, p_2, ...
+    try:
+        return np.linalg.cholesky(mat[np.ix_(idx, idx)]).T
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"covariance not positive definite: {exc}") from exc
 
-    The eigenvalues of -(Omega sigma)^2 are the nu_i^2, each twice; they are
-    sorted and paired adjacently.  A relative pair gap above PAIR_RTOL means
-    the input was not a valid covariance matrix (or is too ill-conditioned to
-    analyze) and raises NumericalError.
+
+def _renyi2_values(r: np.ndarray) -> np.ndarray:
+    """S2 of the first 1, 2, ... modes of sigma = R^T R (interleaved order)."""
+    values = np.cumsum(np.log(np.abs(np.diagonal(r))))[1::2]
+    return np.where((values >= -1e-10) & (values < 0.0), 0.0, values)
+
+
+def _symplectic_values(r: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum, descending, of sigma = R^T R (interleaved order).
+
+    i R Omega R^T is Hermitian and similar to i Omega sigma, so its
+    eigenvalues are the +-nu_i.  A nu in [1 - PURITY_CLAMP, 1) clamps to 1;
+    one further below the uncertainty bound raises NumericalError.
     """
-    k = mat.shape[0] // 2
-    kk = symplectic_form(k) @ mat
-    squared = np.linalg.eigvals(-kk @ kk)
-    vals = np.sort(squared.real)
-    nus = np.empty(k)
-    for i in range(k):
-        a, b = vals[2 * i], vals[2 * i + 1]
-        scale = max(abs(a), abs(b), 1.0)
-        if abs(a - b) > PAIR_RTOL * scale:
-            raise NumericalError(
-                f"eigenvalue pairing failure: {a!r} vs {b!r} (relative gap "
-                f"{abs(a - b) / scale:.3e})"
-            )
-        nus[i] = math.sqrt(max((a + b) / 2.0, 0.0))
-    clamped = []
-    for nu in nus:
-        if nu >= 1.0:
-            clamped.append(nu)
-        elif nu >= 1.0 - PURITY_CLAMP:
-            clamped.append(1.0)
-        else:
-            raise NumericalError(f"symplectic eigenvalue {nu!r} below the uncertainty bound")
-    return np.sort(np.array(clamped))[::-1]
+    x, p = r[:, 0::2], r[:, 1::2]
+    nus = np.linalg.eigvalsh(1j * (x @ p.T - p @ x.T))[::-1][: x.shape[1]]
+    if nus[-1] < 1.0 - PURITY_CLAMP:
+        raise NumericalError(
+            f"symplectic eigenvalue {float(nus[-1])!r} below the uncertainty bound"
+        )
+    return np.maximum(nus, 1.0)
 
 
 def symplectic_eigenvalues(sigma: CovarianceMatrix) -> SymplecticSpectrum:
     """Symplectic spectrum of a covariance matrix, one value per mode."""
-    return SymplecticSpectrum(tuple(_symplectic_values(sigma.matrix)))
-
-
-def _renyi2_from_matrix(mat: np.ndarray) -> float:
-    try:
-        chol = np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"covariance not positive definite: {exc}") from exc
-    value = float(np.sum(np.log(np.diagonal(chol))))
-    if -1e-10 <= value < 0.0:
-        return 0.0
-    return value
+    return SymplecticSpectrum(tuple(_symplectic_values(_cholesky_factor(sigma.matrix))))
 
 
 def renyi2_entropy(sigma: CovarianceMatrix) -> float:
     """S2 = (1/2) log det sigma via Cholesky factorization."""
-    return _renyi2_from_matrix(sigma.matrix)
+    return float(_renyi2_values(_cholesky_factor(sigma.matrix))[-1])
 
 
 def h1(x: float) -> float:
@@ -348,12 +340,24 @@ def equal_squeezing_coupling(u: PassiveUnitary, k: int) -> np.ndarray:
     return np.block([[re, im], [im, -re]])
 
 
-def _reduced_sigma_from_unitary(u: np.ndarray, diag: np.ndarray, n: int, k: int) -> np.ndarray:
+def _reduced_sigma_from_unitary(u: np.ndarray, diag: np.ndarray, k: int) -> np.ndarray:
     """Reduced covariance of eta(U) diag eta(U)^T without forming the full state.
 
-    Used by the Monte Carlo hot path: only the 2k needed rows of eta(U) are
-    materialized, so the cost is O(k n^2) instead of O(n^3).
+    Only the 2k needed rows of eta(U) are materialized, so the cost is
+    O(k n^2) instead of O(n^3).
     """
     uk = u[:k]
     rows = np.block([[uk.real, uk.imag], [-uk.imag, uk.real]])
     return (rows * diag) @ rows.T
+
+
+def _squeezed_row_factor(u: np.ndarray, scale: np.ndarray, m: int) -> np.ndarray:
+    """R with R_k^T R_k the reduced covariance of the first k <= m modes.
+
+    The rows of eta(U) for x_1, p_1, ..., x_m, p_m, scaled column-wise by
+    scale = sqrt(diag sigma_0), form a 2m x 2n matrix F with F F^T the reduced
+    covariance of the first m modes; R is the triangular factor of F^T = QR.
+    """
+    uk = u[:m]
+    rows = np.stack([np.hstack([uk.real, uk.imag]), np.hstack([-uk.imag, uk.real])], axis=1)
+    return np.linalg.qr((rows.reshape(2 * m, -1) * scale).T, mode="r")

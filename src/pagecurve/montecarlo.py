@@ -27,11 +27,10 @@ from . import analytic
 from .errors import InputError, NumericalError
 from .gaussian import (
     SqueezingConfig,
-    _eta,
     _initial_diagonal,
     _reduced_sigma_from_unitary,
-    _renyi2_from_matrix,
-    _subsystem_indices,
+    _renyi2_values,
+    _squeezed_row_factor,
     _symplectic_values,
     h1,
 )
@@ -124,7 +123,6 @@ class CurveEstimate:
 
     subsystem_sizes: tuple[int, ...]
     mean_s2: tuple[float, ...]
-    mean_s1: tuple[float, ...]
     var_s2: tuple[float, ...]      # unbiased sample variance
     stderr_s2: tuple[float, ...]   # sqrt(var / samples)
     samples: int
@@ -134,28 +132,25 @@ class CurveEstimate:
     squeezing: tuple[float, ...]
 
 
-def _entropies_for_sample(u, diag, n, ks, with_s1):
+def _entropies_for_sample(u, scale, ks, with_s1):
     """S2 (row 0) and, if with_s1, S1 (row 1) of every subsystem size in ks.
 
-    k = 0 and k = n are pure states and stay exactly 0.  The full covariance
-    is formed once when the sizes sum to n or more and some 0 < k < n uses it.
+    One QR factor R of the first m = max{k < n} modes serves every k, since
+    its leading block R[:2k, :2k] factors the covariance of the first k
+    modes.  k = 0 and k = n are pure states and stay exactly 0.
     """
+    n = len(u)
     out = np.zeros((2 if with_s1 else 1, len(ks)))
-    full = None
-    if sum(ks) >= n and any(0 < k < n for k in ks):
-        eta = _eta(u)
-        full = (eta * diag) @ eta.T
+    m = max((k for k in ks if k < n), default=0)
+    if m == 0:
+        return out
+    r = _squeezed_row_factor(u, scale, m)
+    s2 = _renyi2_values(r)
     for i, k in enumerate(ks):
-        if k == 0 or k == n:
-            continue
-        if full is not None:
-            idx = _subsystem_indices(n, k)
-            red = full[np.ix_(idx, idx)]
-        else:
-            red = _reduced_sigma_from_unitary(u, diag, n, k)
-        out[0, i] = _renyi2_from_matrix(red)
-        if with_s1:
-            out[1, i] = math.fsum(h1(nu) for nu in _symplectic_values(red))
+        if 0 < k < n:
+            out[0, i] = s2[k - 1]
+            if with_s1:
+                out[1, i] = math.fsum(h1(nu) for nu in _symplectic_values(r[: 2 * k, : 2 * k]))
     return out
 
 
@@ -171,7 +166,7 @@ def sample_entropies(
     rows = _map_samples(
         _entropies_for_sample,
         config.n,
-        (_initial_diagonal(config.squeezing.values), config.n, config.subsystem_sizes, with_s1),
+        (np.sqrt(_initial_diagonal(config.squeezing.values)), config.subsystem_sizes, with_s1),
         config.samples,
         config.master_seed,
         config.stream_namespace,
@@ -181,18 +176,17 @@ def sample_entropies(
 
 
 def estimate_entropy_statistics(config: RunConfig) -> CurveEstimate:
-    """Sample Haar interferometers and aggregate subsystem entropies.
+    """Sample Haar interferometers and aggregate the Renyi-2 subsystem entropies.
 
-    Records both the Renyi-2 and von Neumann entropy of every requested
-    subsystem size for every sample; aggregation order is fixed by global
-    sample index, so results do not depend on the worker count.
+    Aggregation order is fixed by global sample index, so results do not
+    depend on the worker count.  `sample_entropies(config, with_s1=True)`
+    gives the von Neumann entropies as well.
     """
-    s2, s1 = sample_entropies(config, with_s1=True)
+    s2, _ = sample_entropies(config)
     var = s2.var(axis=0, ddof=1) if config.samples > 1 else np.zeros(s2.shape[1])
     return CurveEstimate(
         subsystem_sizes=config.subsystem_sizes,
         mean_s2=tuple(float(x) for x in s2.mean(axis=0)),
-        mean_s1=tuple(float(x) for x in s1.mean(axis=0)),
         var_s2=tuple(float(x) for x in var),
         stderr_s2=tuple(float(x) for x in np.sqrt(var / config.samples)),
         samples=config.samples,
@@ -244,19 +238,17 @@ def estimate_constant_term(
     if len(ladder) < 3:
         raise InputError(f"ladder needs at least 3 points, got {ladder}")
     rq = Fraction(r)
-    density = analytic.page_curve_density(s, rq, tol)
-    per_point = []
+    configs = []
     for i, n in enumerate(ladder):
         k = rq * n
         if k.denominator != 1:
             raise InputError(f"r*n must be integral, got r={r}, n={n}")
-        s2, _ = sample_entropies(
-            RunConfig(
-                n=n, squeezing=SqueezingConfig.equal(n, s), subsystem_sizes=(int(k),),
-                samples=samples, master_seed=seed, workers=workers, stream_namespace=i,
-            )
-        )
-        per_point.append(s2[:, 0])
+        configs.append(RunConfig(
+            n=n, squeezing=SqueezingConfig.equal(n, s), subsystem_sizes=(int(k),),
+            samples=samples, master_seed=seed, workers=workers, stream_namespace=i,
+        ))
+    density = analytic.page_curve_density(s, rq, tol)
+    per_point = [sample_entropies(config)[0][:, 0] for config in configs]
     lam_hat = [n * density - float(col.mean()) for n, col in zip(ladder, per_point)]
     value = _extrapolate_intercept(ladder, lam_hat)
 
@@ -311,18 +303,18 @@ def typicality_probe(
     """Frequencies of absolute and relative entropy deviations at each n."""
     if epsilon <= 0:
         raise InputError(f"epsilon must be positive, got {epsilon}")
-    out = []
+    configs = []
     for i, n in enumerate(int(n) for n in n_list):
         k = _resolve_k_rule(k_rule, n)
         if not 0 <= k <= n:
             raise InputError(f"k rule produced k={k} outside [0, {n}]")
-        s2, _ = sample_entropies(
-            RunConfig(
-                n=n, squeezing=SqueezingConfig.equal(n, s), subsystem_sizes=(k,),
-                samples=samples, master_seed=seed, workers=workers, stream_namespace=i,
-            )
-        )
-        col = s2[:, 0]
+        configs.append(RunConfig(
+            n=n, squeezing=SqueezingConfig.equal(n, s), subsystem_sizes=(k,),
+            samples=samples, master_seed=seed, workers=workers, stream_namespace=i,
+        ))
+    out = []
+    for config in configs:
+        col = sample_entropies(config)[0][:, 0]
         mean = float(col.mean())
         strong = float(np.mean(np.abs(col - mean) >= epsilon))
         if abs(mean) < 1e-12:
@@ -333,8 +325,8 @@ def typicality_probe(
             weak = float(np.mean(np.abs(col / mean - 1.0) >= epsilon))
         out.append(
             TypicalityRecord(
-                n=n,
-                k=k,
+                n=config.n,
+                k=config.subsystem_sizes[0],
                 epsilon=epsilon,
                 strong_deviation_frequency=strong,
                 weak_deviation_frequency=weak,
@@ -357,9 +349,9 @@ class DerivativeEstimate:
     samples: int
 
 
-def _derivative_for_sample(u, diag_plus, diag_minus, n, k, dh):
-    s2p = _renyi2_from_matrix(_reduced_sigma_from_unitary(u, diag_plus, n, k))
-    s2m = _renyi2_from_matrix(_reduced_sigma_from_unitary(u, diag_minus, n, k))
+def _derivative_for_sample(u, scale_plus, scale_minus, k, dh):
+    s2p = _renyi2_values(_squeezed_row_factor(u, scale_plus, k))[-1]
+    s2m = _renyi2_values(_squeezed_row_factor(u, scale_minus, k))[-1]
     return (s2p - s2m) / dh
 
 
@@ -393,7 +385,8 @@ def conjecture_probe(
     minus = list(config.values)
     plus[mode_index] = sign * math.sqrt(h_plus)
     minus[mode_index] = sign * math.sqrt(h_minus)
-    params = (_initial_diagonal(plus), _initial_diagonal(minus), config.n, k, h_plus - h_minus)
+    scales = [np.sqrt(_initial_diagonal(values)) for values in (plus, minus)]
+    params = (*scales, k, h_plus - h_minus)
     diffs = _map_samples(_derivative_for_sample, config.n, params, samples, seed, 0, workers)
     std = float(diffs.std(ddof=1)) if samples > 1 else 0.0
     return DerivativeEstimate(
@@ -430,7 +423,7 @@ def mean_covariance_check(
         raise InputError(f"squeezing has {config.n} entries for n={n}")
     if not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= {n}, got k={k}")
-    params = (_initial_diagonal(config.values), n, k)
+    params = (_initial_diagonal(config.values), k)
     reds = _map_samples(_reduced_sigma_from_unitary, n, params, samples, seed, 0, workers)
     mean = reds.mean(axis=0)
     var = np.maximum((reds * reds).mean(axis=0) - mean * mean, 0.0)

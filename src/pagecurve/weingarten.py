@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import kernels
+from ._enum_py import cycle_type as _cycle_type
 from ._enum_py import xi_of as _xi_of
 from .analytic import catalan_number
 from .errors import CapacityError, InputError
@@ -37,6 +38,7 @@ __all__ = [
     "alpha_top_enumeration",
     "haar_moment_trace_product",
     "haar_entry_moment",
+    "omega2_estimates",
     "omega2_extrapolation",
     "DEFAULT_MAX_Q",
     "DEFAULT_MAX_ENUMERATION",
@@ -96,23 +98,9 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
-    def cycles(self) -> list[tuple[int, ...]]:
-        seen = [False] * self.size
-        out = []
-        for s in range(self.size):
-            if not seen[s]:
-                cyc = []
-                j = s
-                while not seen[j]:
-                    seen[j] = True
-                    cyc.append(j + 1)
-                    j = self.images[j] - 1
-                out.append(tuple(cyc))
-        return out
-
     @property
     def cycle_count(self) -> int:
-        return len(self.cycles())
+        return len(cycle_type(self))
 
     @property
     def transposition_distance(self) -> int:
@@ -122,7 +110,7 @@ class Permutation:
 
 def cycle_type(p: Permutation) -> list[int]:
     """Sorted (ascending) cycle lengths; they sum to the permutation size."""
-    return sorted(len(c) for c in p.cycles())
+    return list(_cycle_type([i - 1 for i in p.images]))
 
 
 @lru_cache(maxsize=None)
@@ -141,7 +129,7 @@ def wg_class_table(q: int, n: int) -> dict[tuple[int, ...], Fraction]:
 
     by_type: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for p in itertools.permutations(range(q)):
-        by_type.setdefault(_type_of(p), []).append(p)
+        by_type.setdefault(_cycle_type(p), []).append(p)
     classes = sorted(by_type)
     m = len(classes)
 
@@ -156,7 +144,7 @@ def wg_class_table(q: int, n: int) -> dict[tuple[int, ...], Fraction]:
                 for a, b in enumerate(tau):
                     inv[b] = a
                 comp = tuple(rep[inv[i]] for i in range(q))
-                total += n ** _cycle_count_of(comp)
+                total += n ** len(_cycle_type(comp))
             row.append(Fraction(total))
         rows.append(row)
 
@@ -174,26 +162,6 @@ def wg_class_table(q: int, n: int) -> dict[tuple[int, ...], Fraction]:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return {c: aug[i][m] for i, c in enumerate(classes)}
-
-
-def _type_of(p) -> tuple[int, ...]:
-    n = len(p)
-    seen = [False] * n
-    lens = []
-    for s in range(n):
-        if not seen[s]:
-            ln = 0
-            j = s
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                ln += 1
-            lens.append(ln)
-    return tuple(sorted(lens))
-
-
-def _cycle_count_of(p) -> int:
-    return len(_type_of(p))
 
 
 def wg_exact(p: Permutation, n: int) -> Fraction:
@@ -322,38 +290,44 @@ def haar_entry_moment(rows, cols, conj_rows, conj_cols, n: int) -> Fraction:
             for a, b in enumerate(tau):
                 inv[b] = a
             comp = tuple(sigma[inv[i]] for i in range(q))
-            total += table[_type_of(comp)]
+            total += table[_cycle_type(comp)]
     return total
 
 
-def omega2_extrapolation(n_ladder, r) -> float:
-    """Leading variance coefficient from exact finite-n moments.
-
-    At each ladder point computes Var(Tr W) exactly, forms
-    (r(1-r))^(-2) Var / 4, and extrapolates the sequence to n -> infinity by
-    exact polynomial (Neville) extrapolation in 1/n.  The limit is 1/2.
-    """
-    ladder = sorted(set(int(n) for n in n_ladder))
-    if len(ladder) < 2:
-        raise InputError("need at least two distinct ladder points")
+def omega2_estimates(n_ladder, r) -> list[Fraction]:
+    """Exact finite-n estimates (r(1-r))^(-2) Var(Tr W) / 4 of omega_2, one per
+    ladder entry in the given order; their n -> infinity limit is 1/2."""
+    ladder = [int(n) for n in n_ladder]
     if any(n < 4 for n in ladder):
         raise InputError("ladder entries must be >= 4")
     rq = Fraction(r)
     if not (0 < rq < 1):
         raise InputError(f"r must be in (0, 1), got {r}")
-    xs, ys = [], []
     for n in ladder:
-        k = rq * n
-        if k.denominator != 1:
+        if (rq * n).denominator != 1:
             raise InputError(f"r*n must be integral, got r={r}, n={n}")
-        k = int(k)
+    out = []
+    for n in ladder:
+        k = int(rq * n)
         first = haar_moment_trace_product([1], n, k)
         second = haar_moment_trace_product([1, 1], n, k)
-        variance = second - first * first
-        xs.append(Fraction(1, n))
-        ys.append((rq * (1 - rq)) ** -2 * variance / 4)
+        out.append((rq * (1 - rq)) ** -2 * (second - first * first) / 4)
+    return out
+
+
+def omega2_extrapolation(n_ladder, r) -> float:
+    """Leading variance coefficient from exact finite-n moments.
+
+    Extrapolates the `omega2_estimates` of the distinct ladder points to
+    n -> infinity by exact polynomial (Neville) extrapolation in 1/n.  The
+    limit is 1/2.
+    """
+    ladder = sorted(set(int(n) for n in n_ladder))
+    if len(ladder) < 2:
+        raise InputError("need at least two distinct ladder points")
+    xs = [Fraction(1, n) for n in ladder]
     # Neville tableau evaluated at x = 0, exactly
-    vals = list(ys)
+    vals = omega2_estimates(ladder, r)
     m = len(xs)
     for j in range(1, m):
         for i in range(m - 1, j - 1, -1):

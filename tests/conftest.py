@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pagecurve import montecarlo
 from pagecurve.haar import SeededStream, _raw_haar_matrix
 
 
@@ -12,6 +13,16 @@ def haar_matrix():
         return _raw_haar_matrix(n, SeededStream(seed, index).generator())
 
     return make
+
+
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Fail the test if any Monte Carlo sample is drawn."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before validating every ladder point")
+
+    monkeypatch.setattr(montecarlo, "sample_entropies", refuse)
 
 
 def dense_reduced_covariance(u, s_values, k):

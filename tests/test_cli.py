@@ -203,6 +203,10 @@ class TestVarianceCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
 
+    def test_bad_ladder_point_fails_before_sampling(self, capsys, no_sampling):
+        assert main(["variance", "--modes", "8,9", "--squeeze", "0.3", "--ratio", "1/2"]) == 1
+        assert "n=9 is not integral" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "command",

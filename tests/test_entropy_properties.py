@@ -1,0 +1,124 @@
+"""Entropy properties over random mode counts, subsystem sizes and squeezing
+vectors, for the public Gaussian API and for the sampler.
+
+The sampler never forms a covariance matrix and is checked up to |s_i| = 5.
+The public functions take a covariance that `evolve` has already rounded to
+doubles, and that rounding alone moves the entropies by about
+eps * exp(4 max|s_i|): past |s_i| = 3 the complement defect of the public
+route exceeds 1e-9, and at |s_i| = 5 some spectra fall below the uncertainty
+bound.  So the public API is checked up to |s_i| = 3.
+
+At |s| = 5, S1 - S2 comes within 1e-9 of its strict upper bound k (1 - log 2),
+so the bounds carry that allowance.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pagecurve import (
+    RunConfig,
+    SqueezingConfig,
+    build_initial_covariance,
+    evolve,
+    max_subsystem_entropy,
+    montecarlo,
+    reduce_modes,
+    reduce_subsystem,
+    renyi2_entropy,
+    sample_entropies,
+    sample_haar_unitary,
+    symplectic_eigenvalues,
+    von_neumann_entropy,
+)
+from pagecurve.haar import SeededStream
+
+TOL = 1e-9
+GAP = 1.0 - math.log(2.0)  # sup of S1 - S2 per mode
+PUBLIC_MAX_S = 3.0
+SAMPLER_MAX_S = 5.0
+
+
+@st.composite
+def systems(draw, max_s, equal=False):
+    """(n, k, squeezing, seed) with 2 <= n <= 12, 0 < k < n and |s_i| <= max_s."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, n - 1))
+    strength = st.floats(-max_s, max_s, allow_nan=False)
+    if equal:
+        values = (draw(strength),) * n
+    else:
+        values = tuple(draw(st.lists(strength, min_size=n, max_size=n)))
+    return n, k, SqueezingConfig(values), draw(st.integers(0, 2**32 - 1))
+
+
+def public_entropies(sigma):
+    return renyi2_entropy(sigma), von_neumann_entropy(symplectic_eigenvalues(sigma))
+
+
+def public_state(n, squeezing, seed):
+    u = sample_haar_unitary(n, SeededStream(seed, 0))
+    return evolve(build_initial_covariance(squeezing), u)
+
+
+def sampled(n, k, squeezing, seed, reverse_rows=False):
+    """Per-sample (S2, S1) of the first k and the first n - k modes."""
+    config = RunConfig(
+        n=n, squeezing=squeezing, subsystem_sizes=(k, n - k), samples=4, master_seed=seed
+    )
+    if not reverse_rows:
+        return sample_entropies(config, with_s1=True)
+    draw = montecarlo._raw_haar_matrix
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_raw_haar_matrix", lambda n, gen: draw(n, gen)[::-1])
+        return sample_entropies(config, with_s1=True)
+
+
+def assert_entropy_bounds(s2, s1, k):
+    assert np.all(s2 - TOL <= s1)
+    assert np.all(s1 <= s2 + k * GAP + TOL)
+
+
+class TestPublicApi:
+    @settings(max_examples=60, deadline=None)
+    @given(systems(PUBLIC_MAX_S))
+    def test_complement_and_bounds(self, system):
+        n, k, squeezing, seed = system
+        state = public_state(n, squeezing, seed)
+        s2, s1 = public_entropies(reduce_subsystem(state, k))
+        c2, c1 = public_entropies(reduce_modes(state, range(k, n)))
+        assert abs(s2 - c2) <= TOL and abs(s1 - c1) <= TOL
+        assert_entropy_bounds(np.array(s2), np.array(s1), k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(systems(PUBLIC_MAX_S, equal=True))
+    def test_renyi2_range(self, system):
+        n, k, squeezing, seed = system
+        s2 = renyi2_entropy(reduce_subsystem(public_state(n, squeezing, seed), k))
+        assert 0.0 <= s2 <= max_subsystem_entropy(n, k, squeezing.values[0], 2) + TOL
+
+
+class TestSampler:
+    @settings(max_examples=60, deadline=None)
+    @given(systems(SAMPLER_MAX_S))
+    def test_complement_and_bounds(self, system):
+        # reversing U's rows turns the first n - k modes into the complement
+        # of the first k
+        n, k, squeezing, seed = system
+        s2, s1 = sampled(n, k, squeezing, seed)
+        r2, r1 = sampled(n, k, squeezing, seed, reverse_rows=True)
+        assert np.abs(s2 - r2[:, ::-1]).max() <= TOL
+        assert np.abs(s1 - r1[:, ::-1]).max() <= TOL
+        assert_entropy_bounds(s2[:, 0], s1[:, 0], k)
+        assert_entropy_bounds(s2[:, 1], s1[:, 1], n - k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(systems(SAMPLER_MAX_S, equal=True))
+    def test_renyi2_range(self, system):
+        n, k, squeezing, seed = system
+        s2, _ = sampled(n, k, squeezing, seed)
+        assert np.all(s2 >= 0.0)
+        assert np.all(s2 <= max_subsystem_entropy(n, k, squeezing.values[0], 2) + TOL)

@@ -72,8 +72,11 @@ class TestDeterminism:
         b = estimate_entropy_statistics(small_config(samples=POOLED_SAMPLES, workers=2))
         assert pool_starts == [2]
         assert a.mean_s2 == b.mean_s2
-        assert a.mean_s1 == b.mean_s1
         assert a.var_s2 == b.var_s2
+        a2, a1 = sample_entropies(small_config(samples=POOLED_SAMPLES), with_s1=True)
+        b2, b1 = sample_entropies(small_config(samples=POOLED_SAMPLES, workers=2), with_s1=True)
+        assert pool_starts == [2, 2]
+        assert np.array_equal(a2, b2) and np.array_equal(a1, b1)
 
     def test_seed_changes_results(self):
         a = estimate_entropy_statistics(small_config())
@@ -83,17 +86,17 @@ class TestDeterminism:
 
 class TestTrivialValues:
     def test_vacuum_all_zero(self):
-        est = estimate_entropy_statistics(
-            small_config(squeezing=SqueezingConfig.equal(8, 0.0), samples=50)
+        s2, s1 = sample_entropies(
+            small_config(squeezing=SqueezingConfig.equal(8, 0.0), samples=50), with_s1=True
         )
-        assert max(abs(v) for v in est.mean_s2) <= 1e-10
-        assert max(abs(v) for v in est.mean_s1) <= 1e-10
+        assert np.abs(s2.mean(axis=0)).max() <= 1e-10
+        assert np.abs(s1.mean(axis=0)).max() <= 1e-10
 
     def test_boundary_subsystems_pure(self):
-        est = estimate_entropy_statistics(small_config(samples=50))
-        assert abs(est.mean_s2[0]) <= 1e-10   # k = 0
-        assert abs(est.mean_s2[-1]) <= 1e-9   # k = n
-        assert abs(est.mean_s1[-1]) <= 1e-7
+        s2, s1 = sample_entropies(small_config(samples=50), with_s1=True)
+        assert abs(s2[:, 0].mean()) <= 1e-10   # k = 0
+        assert abs(s2[:, -1].mean()) <= 1e-9   # k = n
+        assert abs(s1[:, -1].mean()) <= 1e-7
 
     def test_full_system_exactly_pure_at_large_squeezing(self):
         # the full covariance at s=8 is too ill-conditioned for a
@@ -108,6 +111,21 @@ class TestTrivialValues:
         )
         assert np.all(s2[:, [0, 2]] == 0.0) and np.all(s1[:, [0, 2]] == 0.0)
         assert np.all(s2[:, 1] > 0.0)
+
+    @pytest.mark.parametrize("n", [8, 24])
+    def test_equal_squeezing_s5_runs(self, n):
+        # s = 5 is inside the analytic domain; the sampler must not fail there
+        k = np.arange(n + 1)
+        s2, s1 = sample_entropies(
+            RunConfig(
+                n=n, squeezing=SqueezingConfig.equal(n, 5.0), subsystem_sizes=tuple(k),
+                samples=32, master_seed=0,
+            ),
+            with_s1=True,
+        )
+        assert np.all(s2[:, 1:-1] > 0.0)
+        assert np.all(s2 - 1e-9 <= s1)
+        assert np.all(s1 <= s2 + k * (1 - math.log(2)) + 1e-9)
 
 
 class TestAgainstPrediction:
@@ -155,10 +173,10 @@ class TestConstantTerm:
         est = estimate_constant_term([8, 12, 16], 0.0, Fraction(1, 2), 100, 3)
         assert abs(est.value) <= max(3 * est.stderr, 1e-9)
 
-    def test_ladder_validation(self):
+    def test_ladder_validation(self, no_sampling):
         with pytest.raises(InputError):
             estimate_constant_term([8, 16], 0.5, Fraction(1, 2), 100, 0)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="n=17"):
             estimate_constant_term([8, 12, 17], 0.5, Fraction(1, 2), 100, 0)
 
     def test_small_ladder_estimate(self):
@@ -187,11 +205,13 @@ class TestTypicality:
         assert freqs[0] >= freqs[1] >= freqs[2]
         assert records[0].k == 4 and records[1].k == 8 and records[2].k == 12
 
-    def test_k_rule_validation(self):
+    def test_k_rule_validation(self, no_sampling):
         with pytest.raises(InputError):
             typicality_probe([8], "cubic", 0.5, 0.1, 10, 0)
         with pytest.raises(InputError):
             typicality_probe([8], "ratio:0.5", 0.5, 0.0, 10, 0)
+        with pytest.raises(InputError, match="k=13"):
+            typicality_probe([8, 12], lambda n: n + 1 if n == 12 else 2, 0.5, 0.1, 10, 0)
 
     def test_worker_count_invariance(self, pool_starts):
         a = typicality_probe([8, 12], "sqrt", 0.6, 0.1, POOLED_SAMPLES, 3, workers=1)
