@@ -1,7 +1,13 @@
-"""Closed forms and series for the average subsystem entropy of squeezed modes.
+"""Closed forms, the Page-curve density and the exact series behind it.
 
 Equal squeezing strength s on every mode, subsystem fraction r = k/n.  The
 asymptotic mean Renyi-2 entropy per mode is
+
+    density(s, r) = r log cosh 2s + (r/2) int log(1 - t^2 x) dmu_r(x),
+
+where t = tanh 2s and mu_r is Wachter's law on [0, lambda_+], lambda_+ =
+4r(1-r) (Wachter, Ann. Stat. 1980; Collins, PTRF 2005).  Expanding the log
+gives the paper's series
 
     density(s, r) = sum_{l>=1} tanh(2s)^(2l) / (2l) * G_l(r),
 
@@ -12,6 +18,16 @@ constant (order-one) deficit of the mean entropy from n*density is
 
     lambda(s, r) = -1/8 * log(1 - 4 r (1-r) tanh^2(2s)).
 
+Two routes compute the density:
+
+* hot path: `page_curve_density` (and `density_quadrature_info`) integrates
+  against Wachter's law with a numpy midpoint rule in theta after
+  x = lambda_+ sin^2 theta, and uses log cosh s at r = 1/2;
+* oracle: `density_series_info` sums the series with G_l evaluated in exact
+  rationals, with a rigorous tail bound.  It costs O(L^2) big-rational
+  operations for L terms and is kept to check the rule, as are `f_polynomial`
+  and `g_exact`.
+
 All polynomial coefficients are held as exact rationals; conversion to float
 happens only when a polynomial is finally evaluated.  The large coefficients
 (f_8 already reaches 27300) cancel catastrophically in floating point.
@@ -19,19 +35,20 @@ happens only when a polynomial is finally evaluated.  The large coefficients
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InputError, TruncationError
 
-try:
-    from gmpy2 import mpq as _mpq  # much faster exact rationals for the series
-except ImportError:  # pragma: no cover - gmpy2 is an optional accelerator
-    _mpq = Fraction
-
 __all__ = [
+    "DENSITY_NODE_CAP",
+    "DENSITY_RULE",
+    "QuadratureInfo",
     "RationalPolynomial",
     "SeriesTolerance",
     "VarianceCoefficients",
@@ -45,6 +62,7 @@ __all__ = [
     "g_half_closed_form",
     "log_cosh",
     "page_curve_density",
+    "density_quadrature_info",
     "density_series_info",
     "page_half_values",
     "page_constant_lambda",
@@ -209,8 +227,7 @@ def g_polynomial(l: int) -> RationalPolynomial:
 def g_exact(l: int, r) -> Fraction:
     """G_l at an exact rational point, exactly."""
     rq = _exact_fraction(r)
-    val = _mpq(rq.numerator, rq.denominator) - _f_value_stream(l, rq)
-    return Fraction(val.numerator, val.denominator)
+    return rq - _f_value_stream(l, rq)
 
 
 def g_function(l: int, r) -> float:
@@ -230,43 +247,24 @@ def _f_value_stream(l, rq):
     """f_l at exact rational rq without materializing the coefficient dict.
 
     Streams the terms T_i = alpha_{l+1+i} r^(l+1+i) via the exact ratio
-    T_{i+1}/T_i = -(l-i-1)(l+i) / ((i+1)(l+i+2)) * r.  Uses gmpy2 rationals
-    when available; values are exact either way.
+    T_{i+1}/T_i = -(l-i-1)(l+i) / ((i+1)(l+i+2)) * r.
     """
-    r = _mpq(rq.numerator, rq.denominator)
-    term = 2 * _mpq(math.comb(2 * l - 1, l - 1), l + 1) * r ** (l + 1)
+    term = 2 * Fraction(math.comb(2 * l - 1, l - 1), l + 1) * rq ** (l + 1)
     total = term
     for i in range(l - 1):
-        term *= _mpq(-(l - i - 1) * (l + i), (i + 1) * (l + i + 2)) * r
+        term *= Fraction(-(l - i - 1) * (l + i), (i + 1) * (l + i + 2)) * rq
         total += term
     return total
 
 
-# Cache of float G_l values keyed by the canonical rational argument.  Entries
-# are append-only lists; reads after construction are thread-safe under the GIL.
-_G_FLOAT_CACHE: dict[tuple[int, int], list[float]] = {}
-_G_CACHE_LOCK = threading.Lock()
-
-
-def _g_floats(rq: Fraction, upto: int) -> list[float]:
-    rq = min(rq, 1 - rq)  # G_l is symmetric; canonicalize for cache reuse
-    key = (rq.numerator, rq.denominator)
-    with _G_CACHE_LOCK:
-        vals = _G_FLOAT_CACHE.setdefault(key, [])
-        have = len(vals)
-    if have < upto:
-        r = _mpq(rq.numerator, rq.denominator)
-        new = [float(r - _f_value_stream(l, rq)) for l in range(have + 1, upto + 1)]
-        with _G_CACHE_LOCK:
-            vals = _G_FLOAT_CACHE[key]
-            if len(vals) < upto:
-                vals.extend(new[len(vals) - have :])
-    return _G_FLOAT_CACHE[key]
-
-
 @dataclass(frozen=True)
 class SeriesTolerance:
-    """Truncation control for the infinite entropy series."""
+    """Accuracy control for the density.
+
+    abs_tol bounds the quadrature's error estimate and the series' tail
+    bound; max_terms caps the series only (the quadrature has the fixed
+    DENSITY_NODE_CAP).
+    """
 
     abs_tol: float = 1e-10
     max_terms: int = 10_000
@@ -360,26 +358,122 @@ def density_series_info(s: float, r, tol: SeriesTolerance | None = None) -> Seri
         )
     mode, terms, bound = choice
 
-    rq = min(rq, 1 - rq)
-    gvals = _g_floats(rq, terms)
+    rq = min(rq, 1 - rq)  # G_l is symmetric
     m = float(rq)
     tp = 1.0
     if mode == "direct":
         acc = 0.0
         for l in range(1, terms + 1):
             tp *= t2
-            acc += tp * gvals[l - 1] / (2 * l)
+            acc += tp * float(g_exact(l, rq)) / (2 * l)
         return SeriesInfo(acc, bound, terms, mode)
     deficit = 0.0
     for l in range(1, terms + 1):
         tp *= t2
-        deficit += tp * (m - gvals[l - 1]) / (2 * l)
+        deficit += tp * (m - float(g_exact(l, rq))) / (2 * l)
     return SeriesInfo(m * log_cosh(2.0 * s) - deficit, bound, terms, mode)
 
 
+DENSITY_RULE = "wachter-midpoint"
+# Largest node count of the density quadrature.  Near r = 1/2 the rule needs
+# about 10/|1 - 2r| nodes, so under the default tolerance the cap covers
+# |1 - 2r| down to about 1e-4 (n up to about 10^4).
+DENSITY_NODE_CAP = 1 << 17
+_MIN_NODES = 16
+
+
+@dataclass(frozen=True)
+class QuadratureInfo:
+    """The density from a midpoint rule of `nodes` nodes, with |Q_nodes - Q_nodes/2|."""
+
+    value: float
+    error_estimate: float
+    nodes: int
+
+
+def _wachter_rule(s: float, m: Fraction, tol: SeriesTolerance) -> QuadratureInfo:
+    """density(s, m) for 0 < m <= 1/2: double N until |Q_2N - Q_N| <= abs_tol.
+
+    Q_N is the midpoint rule with N nodes for (m/2) int log(1 - t^2 x) dmu_m(x)
+    in theta, where x = lam sin^2 theta on [0, pi/2] and dmu_m = lam cos^2
+    theta / (pi m (1 - x)) dtheta.  The integrand is a smooth even function of
+    period pi, so the rule converges geometrically.
+    """
+    lam = float(4 * m * (1 - m))
+    gap = float(1 - 2 * m)
+    t2 = math.tanh(2.0 * s) ** 2
+    e = math.exp(-4.0 * abs(s))
+    sech2 = 4.0 * e / (1.0 + e) ** 2
+
+    def midpoint(nodes: int) -> float:
+        h = 0.5 * math.pi / nodes
+        theta = (np.arange(nodes) + 0.5) * h
+        cos2 = np.cos(theta) ** 2
+        u = t2 * lam * np.sin(theta) ** 2
+        one_minus_x = gap * gap + lam * cos2  # no cancellation near x = 1
+        # 1 - t^2 x = sech^2 2s + t^2 (1 - x) keeps its digits where t^2 x is near 1
+        log_term = np.where(u < 0.5, np.log1p(-u), np.log(sech2 + t2 * one_minus_x))
+        return lam * h / (2.0 * math.pi) * float(np.sum(cos2 / one_minus_x * log_term))
+
+    # cos^2 theta / (1 - x) dips to 0 within about |1 - 2r| of theta = pi/2.
+    # Nodes farther apart than that step over the dip, and N and 2N then agree
+    # on a wrong value, so the rule starts at N >= 1/|1 - 2r|.
+    nodes = _MIN_NODES
+    while nodes * gap < 1.0 and gap > 0.0:
+        nodes *= 2
+    if 2 * nodes > DENSITY_NODE_CAP:
+        raise TruncationError(
+            f"|1 - 2r| = {gap:.3e} is below the spacing of {DENSITY_NODE_CAP} "
+            f"quadrature nodes (s={s}, r={float(m)})",
+            achieved_bound=math.inf,
+            terms=DENSITY_NODE_CAP,
+        )
+    coarse = midpoint(nodes)
+    while True:
+        nodes *= 2
+        fine = midpoint(nodes)
+        error = abs(fine - coarse)
+        if error <= tol.abs_tol:
+            return QuadratureInfo(float(m) * log_cosh(2.0 * s) + fine, error, nodes)
+        if nodes >= DENSITY_NODE_CAP:
+            raise TruncationError(
+                f"density quadrature error estimate {error:.3e} > abs_tol "
+                f"{tol.abs_tol:.3e} at {nodes} nodes (s={s}, r={float(m)})",
+                achieved_bound=error,
+                terms=nodes,
+            )
+        coarse = fine
+
+
+@functools.lru_cache(maxsize=1024)
+def density_quadrature_info(s: float, r, tol: SeriesTolerance | None = None) -> QuadratureInfo:
+    """The density with its error estimate and node count.
+
+    Evaluated at min(r, 1-r); log cosh s (no nodes) at r = 1/2 and 0 at
+    r in {0, 1} or s = 0.  Raises TruncationError when |Q_2N - Q_N| is still
+    above tol.abs_tol at DENSITY_NODE_CAP nodes, or, with an infinite bound,
+    when |1-2r| is finer than the node spacing at the cap.  Results are
+    cached, so a caller that needs the value and the budget of one point pays
+    once.
+    """
+    if tol is None:
+        tol = SeriesTolerance()
+    if not math.isfinite(s):
+        raise InputError(f"squeezing must be finite, got {s}")
+    rq = _exact_fraction(r)
+    if not (0 <= rq <= 1):
+        raise InputError(f"r={r} outside [0, 1]")
+    if s == 0.0 or rq == 0 or rq == 1:
+        return QuadratureInfo(0.0, 0.0, 0)
+    if rq == Fraction(1, 2):
+        return QuadratureInfo(log_cosh(s), 0.0, 0)
+    return _wachter_rule(s, min(rq, 1 - rq), tol)
+
+
 def page_curve_density(s: float, r, tol: SeriesTolerance | None = None) -> float:
-    """Asymptotic mean Renyi-2 entropy per mode at squeezing s, fraction r."""
-    return density_series_info(s, r, tol).value
+    """Asymptotic mean Renyi-2 entropy per mode at squeezing s, fraction r
+    (the value of `density_quadrature_info`)."""
+    return density_quadrature_info(s, r, tol).value
 
 
 def page_half_values(s: float) -> tuple[float, float]:

@@ -227,12 +227,13 @@ def _cmd_page_curve(args, argv, tol):
         columns += ["mc_mean", "mc_stderr", "mc_variance", "samples"]
     columns.append("provenance")
 
-    rows = []
+    rows, quadratures = [], []
     for i, r in enumerate(fractions):
         k = r * n
         k_cell = int(k) if k.denominator == 1 else float(k)
         if equal:
             density = analytic.page_curve_density(s, r, tol)
+            quadratures.append(analytic.density_quadrature_info(s, r, tol))  # cached
             total = n * density - analytic.page_constant_lambda(s, r) if 0 < r < 1 else 0.0
             maximum = n * float(min(r, 1 - r)) * analytic.log_cosh(2.0 * s)
         else:
@@ -251,6 +252,14 @@ def _cmd_page_curve(args, argv, tol):
         rows.append(row)
 
     extra = {"modes": n, "squeezing": list(squeezing.values), "workers": args.workers}
+    if equal:
+        extra["density"] = {
+            "rule": analytic.DENSITY_RULE,
+            "abs_tol": tol.abs_tol,
+            "node_cap": analytic.DENSITY_NODE_CAP,
+            "max_nodes": max(q.nodes for q in quadratures),
+            "max_error_estimate": max(q.error_estimate for q in quadratures),
+        }
     record = _record("page-curve", argv, columns, rows, args.seed, tol, extra, started)
     _write_record(record, args.out, args.format)
     return EXIT_OK

@@ -22,10 +22,11 @@ class CapacityError(PageCurveError):
 
 
 class TruncationError(NumericalError):
-    """A series could not reach the requested tolerance within max_terms.
+    """The density could not reach the requested tolerance within its cap.
 
-    Carries the rigorous bound that *was* achieved so callers can decide
-    whether the partial result is still useful.
+    Carries the bound (series tail) or error estimate (quadrature) that *was*
+    achieved, and the term or node count at which it stopped, so callers can
+    decide whether the partial result is still useful.
     """
 
     def __init__(self, message, achieved_bound, terms):

@@ -52,7 +52,8 @@ def _check(name, passed, observed, expected, tolerance="exact") -> CheckResult:
 
 
 def suite_coefficients(seed: int = 0, samples: int = 0) -> list[CheckResult]:
-    """Exact checks of the polynomial machinery; no randomness involved."""
+    """Exact checks of the polynomial machinery, and the density quadrature
+    against the exact-rational series; no randomness involved."""
     out = []
     for l, ref in F_REFERENCE.items():
         poly = analytic.f_polynomial(l)
@@ -80,6 +81,11 @@ def suite_coefficients(seed: int = 0, samples: int = 0) -> list[CheckResult]:
             for num in range(0, 65, 7)
         )
         out.append(_check(f"f_{l}(r) - f_{l}(1-r) = 2r - 1", holds, holds, True))
+    for s in (0.25, 0.75):
+        for r in (Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(7, 16)):
+            gap = abs(analytic.page_curve_density(s, r) - analytic.density_series_info(s, r).value)
+            out.append(_check(f"density rule vs exact series (s={s}, r={r})", gap <= 1e-10,
+                              f"{gap:.1e}", "<= 1e-10", 1e-10))
     return out
 
 

@@ -23,6 +23,8 @@ from pagecurve import (
     variance_series,
 )
 from pagecurve.analytic import (
+    DENSITY_NODE_CAP,
+    density_quadrature_info,
     density_series_info,
     g_exact,
     g_half_closed_form,
@@ -215,8 +217,15 @@ class TestDensitySeries:
             assert abs(at_80 / target - 1.0) < abs(at_20 / target - 1.0)
 
     def test_truncation_error_carries_bound(self):
+        # |1 - 2r| = 1/20001 needs more than the node cap at this tolerance
         with pytest.raises(TruncationError) as err:
-            page_curve_density(3.0, 0.5, SeriesTolerance(abs_tol=1e-13, max_terms=50))
+            page_curve_density(5.0, Fraction(10000, 20001), SeriesTolerance(abs_tol=1e-13))
+        assert 1e-13 < err.value.achieved_bound < math.inf
+        assert err.value.terms == DENSITY_NODE_CAP
+
+    def test_series_truncation_error_carries_bound(self):
+        with pytest.raises(TruncationError) as err:
+            density_series_info(3.0, 0.5, SeriesTolerance(abs_tol=1e-13, max_terms=50))
         assert err.value.achieved_bound > 1e-13
         assert err.value.terms == 50
 
@@ -230,6 +239,115 @@ class TestDensitySeries:
             SeriesTolerance(abs_tol=0.0)
         with pytest.raises(InputError):
             SeriesTolerance(max_terms=0)
+
+
+def scipy_density(s: float, r: float) -> float:
+    """The density as a scipy quadrature of the Wachter-law integral.
+
+    Wachter's law on [0, 4r(1-r)] has density sqrt(x (4r(1-r) - x)) /
+    (2 pi r x (1 - x)); its square-root factors go into the quadrature
+    weight.  At r = 1/2 the edge meets the 1/(1 - x) pole.
+    """
+    from scipy import integrate
+
+    r = min(r, 1.0 - r)
+    t2 = math.tanh(2.0 * s) ** 2
+    edge = 4.0 * r * (1.0 - r)
+    if r == 0.5:
+        weight, f = (-0.5, -0.5), lambda x: math.log1p(-t2 * x)
+    else:
+        weight, f = (-0.5, 0.5), lambda x: math.log1p(-t2 * x) / (1.0 - x)
+    value, _ = integrate.quad(
+        f, 0.0, edge, weight="alg", wvar=weight, epsabs=1e-14, epsrel=1e-13, limit=200
+    )
+    return r * log_cosh(2.0 * s) + value / (4.0 * math.pi)
+
+
+def closed_form_density(s: float, r: Fraction) -> float:
+    """The Wachter-law integral in closed form.
+
+    With x = lam sin^2(theta), lam = 4m(1-m), m = min(r, 1-r):
+    cos^2/(1 - x) = (1 - (1 - lam)/(1 - x))/lam, int_0^{pi/2} log(1 - a sin^2)
+    = pi log((1 + A)/2) and int_0^{pi/2} log(1 - a sin^2)/(1 - lam sin^2) =
+    (pi/B) log((A + B)/(1 + B)) (differentiate in a), where a = t^2 lam,
+    A = sqrt(1 - a) and B = sqrt(1 - lam) = |1 - 2m|.  So
+    density = m log cosh 2s + log((1 + A)/2)/2 - B log((A + B)/(1 + B))/2.
+    """
+    m = min(r, 1 - r)
+    lam = float(4 * m * (1 - m))
+    b = float(1 - 2 * m)
+    t2 = math.tanh(2.0 * s) ** 2
+    e = math.exp(-4.0 * abs(s))
+    a = math.sqrt(4.0 * e / (1.0 + e) ** 2 + t2 * b * b)  # 1 - t^2 lam = sech^2 + t^2 b^2
+    a_minus_1 = -t2 * lam / (1.0 + a)
+    return (float(m) * log_cosh(2.0 * s) + 0.5 * math.log1p(a_minus_1 / 2.0)
+            - 0.5 * b * math.log1p(a_minus_1 / (1.0 + b)))
+
+
+FIFTIETHS = [Fraction(k, 50) for k in range(1, 50)]
+
+
+class TestDensityRule:
+    def test_matches_exact_series(self):
+        for s in (0.1, 0.25, 0.5, 0.75):
+            for r in FIFTIETHS[:25]:  # both routes are symmetric in r -> 1-r
+                gap = abs(page_curve_density(s, r) - density_series_info(s, r).value)
+                assert gap <= 1e-10, (s, r, gap)
+
+    def test_matches_scipy_quadrature(self):
+        cases = [(1.5, r) for r in FIFTIETHS]
+        cases += [(5.0, Fraction(k, 8)) for k in range(1, 8)]
+        cases += [(5.0, Fraction(k, 24)) for k in range(1, 24)]
+        for s, r in cases:
+            gap = abs(page_curve_density(s, r) - scipy_density(s, float(r)))
+            assert gap <= 1e-10, (s, r, gap)
+
+    def test_matches_closed_form(self):
+        # includes r within 1/(2n) of 1/2 for n up to 10^4, where too coarse
+        # a first node count would pass the N-vs-2N check with a wrong value
+        cases = [(s, r) for s in (1e-3, 0.1, 0.75, 1.5, 5.0, 12.0) for r in FIFTIETHS[:25]]
+        cases += [(s, Fraction(n // 2, n)) for s in (0.1, 0.75, 5.0, 12.0)
+                  for n in (399, 2001, 10001)]
+        for s, r in cases:
+            info = density_quadrature_info(s, r)
+            gap = abs(info.value - closed_form_density(s, r))
+            assert gap <= 1e-12, (s, r, gap)
+            assert info.error_estimate <= 1e-10 and info.nodes <= DENSITY_NODE_CAP
+
+    def test_closed_form_at_half(self):
+        info = density_quadrature_info(5.0, Fraction(1, 2))
+        assert (info.value, info.error_estimate, info.nodes) == (log_cosh(5.0), 0.0, 0)
+
+    def test_gap_below_node_spacing_raises(self):
+        with pytest.raises(TruncationError) as err:
+            page_curve_density(0.75, Fraction(499_999, 1_000_000))
+        assert err.value.achieved_bound == math.inf
+        assert err.value.terms == DENSITY_NODE_CAP
+
+    @settings(max_examples=60, deadline=None)
+    @given(num=st.integers(min_value=1, max_value=199), den=st.integers(min_value=2, max_value=200),
+           s=st.floats(min_value=0.01, max_value=8.0))
+    def test_symmetry_and_bounds(self, num, den, s):
+        r = Fraction(num % den or 1, den)
+        value = page_curve_density(s, r)
+        assert value == page_curve_density(s, 1 - r)
+        assert 0.0 <= value <= float(min(r, 1 - r)) * log_cosh(2.0 * s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(num=st.integers(min_value=1, max_value=99), s=st.floats(min_value=0.01, max_value=6.0),
+           step=st.floats(min_value=1e-3, max_value=2.0))
+    def test_monotone_in_squeezing(self, num, s, step):
+        r = Fraction(num, 100)
+        assert page_curve_density(s + step, r) >= page_curve_density(s, r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(num=st.integers(min_value=1, max_value=199), s=st.floats(min_value=1e-4, max_value=1e-2))
+    def test_small_squeezing_limit(self, num, s):
+        # density = 2 r (1-r) s^2 (1 + c s^2 + ...) with |c| < 2/3
+        r = Fraction(num, 200)
+        value = page_curve_density(s, r, SeriesTolerance(abs_tol=1e-12 * s * s))
+        ratio = value / (2.0 * float(r * (1 - r)) * s * s)
+        assert abs(ratio - 1.0) <= s * s + 1e-9
 
 
 class TestHalfClosedForms:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from pagecurve import kernels
+from pagecurve import analytic, kernels
 from pagecurve.cli import SCHEMA_VERSION, main
 
 PAGE_CURVE_ANALYTIC_COLUMNS = [
@@ -85,6 +85,25 @@ class TestPageCurve:
         assert code == 0
         _, rows = read_csv(out)
         assert len(rows) == 4
+
+    def test_large_squeezing_analytic(self, capsys):
+        # the series could not reach the default tolerance at s = 5, r = 1/8
+        assert main(["page-curve", "--modes", "8", "--squeeze", "5", "--analytic-only"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert float(rows[4].split(",")[2]) == analytic.log_cosh(5.0)
+
+    def test_json_records_density_budget(self, tmp_path):
+        out = tmp_path / "c.json"
+        assert main([
+            "page-curve", "--modes", "24", "--squeeze", "1.5", "--analytic-only",
+            "--tol", "1e-12", "--format", "json", "--out", str(out),
+        ]) == 0
+        budget = json.loads(out.read_text())["metadata"]["density"]
+        assert budget["rule"] == analytic.DENSITY_RULE
+        assert budget["abs_tol"] == 1e-12
+        assert budget["node_cap"] == analytic.DENSITY_NODE_CAP
+        assert 0 < budget["max_nodes"] <= analytic.DENSITY_NODE_CAP
+        assert 0.0 <= budget["max_error_estimate"] <= 1e-12
 
     def test_squeeze_length_mismatch(self):
         assert main(["page-curve", "--modes", "4", "--squeeze", "0.1,0.2"]) == 1
@@ -174,12 +193,15 @@ class TestExitCodes:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
 
-    def test_numerical_error_exit(self):
-        # tolerance unreachable within the term cap -> truncation -> exit 2
+    def test_numerical_error_exit(self, capsys):
+        # r = 10000/20001 needs more quadrature nodes than the cap at this
+        # tolerance -> truncation -> exit 2, with the estimate and node count
         assert main([
-            "page-curve", "--modes", "4", "--squeeze", "5.0",
+            "page-curve", "--modes", "20001", "--squeeze", "5.0",
             "--analytic-only", "--tol", "1e-13",
         ]) == 2
+        err = capsys.readouterr().err
+        assert "error estimate" in err and f"at {analytic.DENSITY_NODE_CAP} nodes" in err
 
 
 class TestTypicalityCommand:

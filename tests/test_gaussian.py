@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -174,6 +175,14 @@ class TestEntropies:
     def test_h1_continuous_at_one(self):
         assert h1(1.0) == 0.0
         assert h1(1.0 + 1e-12) < 1e-10
+
+    def test_h1_against_mpmath(self):
+        mp.mp.dps = 50
+        points = [1.0 + 1e-12, 1.01, 2.0, 10.0] + [math.cosh(2.0 * s) for s in (1, 5, 8, 12, 16)]
+        for x in points:
+            up, dn = (mp.mpf(x) + 1) / 2, (mp.mpf(x) - 1) / 2
+            exact = float(up * mp.log(up) - dn * mp.log(dn))
+            assert abs(h1(x) - exact) <= 1e-15 * max(1.0, exact), x
 
 
 class TestMaxEntropy:
