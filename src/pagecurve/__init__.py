@@ -1,7 +1,7 @@
 """Entanglement statistics of squeezed modes under Haar-random linear optics.
 
-Covariance-matrix simulation, the mean Renyi-2 subsystem entropy (a
-quadrature against Wachter's law, checked by the exact series) and its
+Covariance-matrix simulation, the mean Renyi-2 subsystem entropy (the
+Wachter-law integral in closed form, checked by the exact series) and its
 order-one deficit, a seeded Monte Carlo harness, and an exact
 Weingarten/permutation engine that independently verifies the series
 coefficients.

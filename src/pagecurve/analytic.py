@@ -20,13 +20,12 @@ constant (order-one) deficit of the mean entropy from n*density is
 
 Two routes compute the density:
 
-* hot path: `page_curve_density` (and `density_quadrature_info`) integrates
-  against Wachter's law with a numpy midpoint rule in theta after
-  x = lambda_+ sin^2 theta, and uses log cosh s at r = 1/2;
+* hot path: `page_curve_density` evaluates the Wachter-law integral in closed
+  form, a handful of `math` calls for any r and s;
 * oracle: `density_series_info` sums the series with G_l evaluated in exact
   rationals, with a rigorous tail bound.  It costs O(L^2) big-rational
-  operations for L terms and is kept to check the rule, as are `f_polynomial`
-  and `g_exact`.
+  operations for L terms and is kept to check the closed form, as are
+  `f_polynomial` and `g_exact`.
 
 All polynomial coefficients are held as exact rationals; conversion to float
 happens only when a polynomial is finally evaluated.  The large coefficients
@@ -35,20 +34,15 @@ happens only when a polynomial is finally evaluated.  The large coefficients
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import InputError, TruncationError
 
 __all__ = [
-    "DENSITY_NODE_CAP",
     "DENSITY_RULE",
-    "QuadratureInfo",
     "RationalPolynomial",
     "SeriesTolerance",
     "VarianceCoefficients",
@@ -62,7 +56,6 @@ __all__ = [
     "g_half_closed_form",
     "log_cosh",
     "page_curve_density",
-    "density_quadrature_info",
     "density_series_info",
     "page_half_values",
     "page_constant_lambda",
@@ -259,11 +252,9 @@ def _f_value_stream(l, rq):
 
 @dataclass(frozen=True)
 class SeriesTolerance:
-    """Accuracy control for the density.
+    """Accuracy control for the exact series `density_series_info`.
 
-    abs_tol bounds the quadrature's error estimate and the series' tail
-    bound; max_terms caps the series only (the quadrature has the fixed
-    DENSITY_NODE_CAP).
+    abs_tol bounds the series' tail; max_terms caps its term count.
     """
 
     abs_tol: float = 1e-10
@@ -374,106 +365,41 @@ def density_series_info(s: float, r, tol: SeriesTolerance | None = None) -> Seri
     return SeriesInfo(m * log_cosh(2.0 * s) - deficit, bound, terms, mode)
 
 
-DENSITY_RULE = "wachter-midpoint"
-# Largest node count of the density quadrature.  Near r = 1/2 the rule needs
-# about 10/|1 - 2r| nodes, so under the default tolerance the cap covers
-# |1 - 2r| down to about 1e-4 (n up to about 10^4).
-DENSITY_NODE_CAP = 1 << 17
-_MIN_NODES = 16
+DENSITY_RULE = "wachter-closed-form"
 
 
-@dataclass(frozen=True)
-class QuadratureInfo:
-    """The density from a midpoint rule of `nodes` nodes, with |Q_nodes - Q_nodes/2|."""
+def page_curve_density(s: float, r) -> float:
+    """Asymptotic mean Renyi-2 entropy per mode at squeezing s, fraction r.
 
-    value: float
-    error_estimate: float
-    nodes: int
+    The Wachter-law integral in closed form.  With m = min(r, 1-r),
+    lam = 4m(1-m), t = tanh 2s, A = sqrt(1 - t^2 lam) and B = |1 - 2m|,
 
+        density = m log cosh 2s + log((1 + A)/2)/2 - B log((A + B)/(1 + B))/2.
 
-def _wachter_rule(s: float, m: Fraction, tol: SeriesTolerance) -> QuadratureInfo:
-    """density(s, m) for 0 < m <= 1/2: double N until |Q_2N - Q_N| <= abs_tol.
-
-    Q_N is the midpoint rule with N nodes for (m/2) int log(1 - t^2 x) dmu_m(x)
-    in theta, where x = lam sin^2 theta on [0, pi/2] and dmu_m = lam cos^2
-    theta / (pi m (1 - x)) dtheta.  The integrand is a smooth even function of
-    period pi, so the rule converges geometrically.
+    After x = lam sin^2 theta, dmu_m = lam cos^2 theta / (pi m (1 - x)) dtheta
+    on [0, pi/2], and cos^2 theta/(1 - x) = (1 - B^2/(1 - x))/lam.  The two
+    classical integrals int_0^{pi/2} log(1 - a sin^2) = pi log((1 + A)/2) and
+    int_0^{pi/2} log(1 - a sin^2)/(1 - lam sin^2) = (pi/B) log((A + B)/(1 + B)),
+    with a = t^2 lam, give the formula.  A^2 = sech^2 2s + t^2 B^2 and
+    A - 1 = -a/(1 + A) keep every digit where t^2 lam is near 1.  At r = 1/2
+    (B = 0) the value is log cosh s.
     """
-    lam = float(4 * m * (1 - m))
-    gap = float(1 - 2 * m)
-    t2 = math.tanh(2.0 * s) ** 2
-    e = math.exp(-4.0 * abs(s))
-    sech2 = 4.0 * e / (1.0 + e) ** 2
-
-    def midpoint(nodes: int) -> float:
-        h = 0.5 * math.pi / nodes
-        theta = (np.arange(nodes) + 0.5) * h
-        cos2 = np.cos(theta) ** 2
-        u = t2 * lam * np.sin(theta) ** 2
-        one_minus_x = gap * gap + lam * cos2  # no cancellation near x = 1
-        # 1 - t^2 x = sech^2 2s + t^2 (1 - x) keeps its digits where t^2 x is near 1
-        log_term = np.where(u < 0.5, np.log1p(-u), np.log(sech2 + t2 * one_minus_x))
-        return lam * h / (2.0 * math.pi) * float(np.sum(cos2 / one_minus_x * log_term))
-
-    # cos^2 theta / (1 - x) dips to 0 within about |1 - 2r| of theta = pi/2.
-    # Nodes farther apart than that step over the dip, and N and 2N then agree
-    # on a wrong value, so the rule starts at N >= 1/|1 - 2r|.
-    nodes = _MIN_NODES
-    while nodes * gap < 1.0 and gap > 0.0:
-        nodes *= 2
-    if 2 * nodes > DENSITY_NODE_CAP:
-        raise TruncationError(
-            f"|1 - 2r| = {gap:.3e} is below the spacing of {DENSITY_NODE_CAP} "
-            f"quadrature nodes (s={s}, r={float(m)})",
-            achieved_bound=math.inf,
-            terms=DENSITY_NODE_CAP,
-        )
-    coarse = midpoint(nodes)
-    while True:
-        nodes *= 2
-        fine = midpoint(nodes)
-        error = abs(fine - coarse)
-        if error <= tol.abs_tol:
-            return QuadratureInfo(float(m) * log_cosh(2.0 * s) + fine, error, nodes)
-        if nodes >= DENSITY_NODE_CAP:
-            raise TruncationError(
-                f"density quadrature error estimate {error:.3e} > abs_tol "
-                f"{tol.abs_tol:.3e} at {nodes} nodes (s={s}, r={float(m)})",
-                achieved_bound=error,
-                terms=nodes,
-            )
-        coarse = fine
-
-
-@functools.lru_cache(maxsize=1024)
-def density_quadrature_info(s: float, r, tol: SeriesTolerance | None = None) -> QuadratureInfo:
-    """The density with its error estimate and node count.
-
-    Evaluated at min(r, 1-r); log cosh s (no nodes) at r = 1/2 and 0 at
-    r in {0, 1} or s = 0.  Raises TruncationError when |Q_2N - Q_N| is still
-    above tol.abs_tol at DENSITY_NODE_CAP nodes, or, with an infinite bound,
-    when |1-2r| is finer than the node spacing at the cap.  Results are
-    cached, so a caller that needs the value and the budget of one point pays
-    once.
-    """
-    if tol is None:
-        tol = SeriesTolerance()
     if not math.isfinite(s):
         raise InputError(f"squeezing must be finite, got {s}")
     rq = _exact_fraction(r)
     if not (0 <= rq <= 1):
         raise InputError(f"r={r} outside [0, 1]")
-    if s == 0.0 or rq == 0 or rq == 1:
-        return QuadratureInfo(0.0, 0.0, 0)
-    if rq == Fraction(1, 2):
-        return QuadratureInfo(log_cosh(s), 0.0, 0)
-    return _wachter_rule(s, min(rq, 1 - rq), tol)
-
-
-def page_curve_density(s: float, r, tol: SeriesTolerance | None = None) -> float:
-    """Asymptotic mean Renyi-2 entropy per mode at squeezing s, fraction r
-    (the value of `density_quadrature_info`)."""
-    return density_quadrature_info(s, r, tol).value
+    m = min(rq, 1 - rq)
+    lam = float(4 * m * (1 - m))
+    b = float(1 - 2 * m)
+    t2 = math.tanh(2.0 * s) ** 2
+    e = math.exp(-4.0 * abs(s))
+    a = math.sqrt(4.0 * e / (1.0 + e) ** 2 + t2 * b * b)
+    a_minus_1 = -t2 * lam / (1.0 + a)
+    value = float(m) * log_cosh(2.0 * s) + 0.5 * math.log1p(a_minus_1 / 2.0)
+    if b > 0.0:  # the B term is 0 at B = 0, where log1p would see -1 once t^2 rounds to 1
+        value -= 0.5 * b * math.log1p(a_minus_1 / (1.0 + b))
+    return value
 
 
 def page_half_values(s: float) -> tuple[float, float]:
@@ -494,14 +420,19 @@ def page_constant_lambda(s: float, r) -> float:
     return -0.125 * math.log1p(-4.0 * rr * math.tanh(2.0 * s) ** 2)
 
 
-def page_curve_prediction(n: int, s: float, k: int, tol: SeriesTolerance | None = None) -> float:
-    """Asymptotic mean entropy of a k-of-n subsystem: n * density - lambda."""
+def page_curve_prediction(n: int, s: float, k: int) -> float:
+    """Asymptotic mean entropy of a k-of-n subsystem: n * density - lambda.
+
+    Tested against Monte Carlo for s <= 1.5 only.  At larger squeezing the
+    order-one term is off: at s = 5, n = 24, k = 12 the sampled mean sits
+    1.47 above this prediction.
+    """
     if not (0 <= k <= n) or n < 1:
         raise InputError(f"need 0 <= k <= n with n >= 1, got k={k}, n={n}")
     if k == 0 or k == n or s == 0.0:
         return 0.0
     r = Fraction(k, n)
-    return n * page_curve_density(s, r, tol) - page_constant_lambda(s, r)
+    return n * page_curve_density(s, r) - page_constant_lambda(s, r)
 
 
 @dataclass

@@ -2,8 +2,8 @@
 
 Subcommands: page-curve, variance, typicality, conjecture-probe, weingarten,
 verify.  Every run emits a versioned record (CSV or JSON) whose metadata
-carries the seed, the RNG algorithm, the tolerances, and the exact command
-line needed to regenerate the numeric columns byte-for-byte.
+carries the seed, the RNG algorithm, the kernel backend, the wall time and the
+exact command line needed to regenerate the numeric columns byte-for-byte.
 
 Exit codes: 0 success, 1 usage error, 2 numerical/capacity error,
 3 verification or tolerance failure.
@@ -72,13 +72,11 @@ def _write_record(record: dict, out: str | None, fmt: str):
         sys.stdout.write(payload)
 
 
-def _record(command, argv, columns, rows, seed, tol, extra_metadata=None, started=None):
+def _record(command, argv, columns, rows, seed, extra_metadata=None, started=None):
     metadata = {
         "seed": seed,
         "rng_algorithm": RNG_ALGORITHM,
         "kernel_backend": BACKEND,
-        "abs_tol": tol.abs_tol,
-        "max_terms": tol.max_terms,
         "wall_time_s": None if started is None else round(time.perf_counter() - started, 6),
     }
     if extra_metadata:
@@ -103,7 +101,6 @@ def _add_common(sub):
     )
     sub.add_argument("--out", help="output file (default: stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--tol", type=float, default=1e-10, help="series truncation tolerance")
 
 
 def _parse_squeeze(text: str, n: int) -> SqueezingConfig:
@@ -189,7 +186,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_page_curve(args, argv, tol):
+def _cmd_page_curve(args, argv):
     started = time.perf_counter()
     n = args.modes
     if n < 1:
@@ -202,9 +199,11 @@ def _cmd_page_curve(args, argv, tol):
         raise _UsageError("--grid-step applies to analytic-only runs")
 
     if args.grid_step is not None:
-        if not 0 < args.grid_step <= 1:
-            raise _UsageError(f"--grid-step must be in (0, 1], got {args.grid_step}")
-        steps = round(1.0 / args.grid_step)
+        steps = round(1.0 / args.grid_step) if 0 < args.grid_step <= 1 else 0
+        if steps < 1 or abs(steps * args.grid_step - 1.0) > 1e-9:
+            raise _UsageError(
+                f"--grid-step must be 1/m for an integer m >= 1, got {args.grid_step}"
+            )
         fractions = [Fraction(i, steps) for i in range(steps + 1)]
     else:
         fractions = [Fraction(k, n) for k in range(n + 1)]
@@ -227,13 +226,12 @@ def _cmd_page_curve(args, argv, tol):
         columns += ["mc_mean", "mc_stderr", "mc_variance", "samples"]
     columns.append("provenance")
 
-    rows, quadratures = [], []
+    rows = []
     for i, r in enumerate(fractions):
         k = r * n
         k_cell = int(k) if k.denominator == 1 else float(k)
         if equal:
-            density = analytic.page_curve_density(s, r, tol)
-            quadratures.append(analytic.density_quadrature_info(s, r, tol))  # cached
+            density = analytic.page_curve_density(s, r)
             total = n * density - analytic.page_constant_lambda(s, r) if 0 < r < 1 else 0.0
             maximum = n * float(min(r, 1 - r)) * analytic.log_cosh(2.0 * s)
         else:
@@ -253,19 +251,13 @@ def _cmd_page_curve(args, argv, tol):
 
     extra = {"modes": n, "squeezing": list(squeezing.values), "workers": args.workers}
     if equal:
-        extra["density"] = {
-            "rule": analytic.DENSITY_RULE,
-            "abs_tol": tol.abs_tol,
-            "node_cap": analytic.DENSITY_NODE_CAP,
-            "max_nodes": max(q.nodes for q in quadratures),
-            "max_error_estimate": max(q.error_estimate for q in quadratures),
-        }
-    record = _record("page-curve", argv, columns, rows, args.seed, tol, extra, started)
+        extra["density"] = {"rule": analytic.DENSITY_RULE}
+    record = _record("page-curve", argv, columns, rows, args.seed, extra, started)
     _write_record(record, args.out, args.format)
     return EXIT_OK
 
 
-def _cmd_variance(args, argv, tol):
+def _cmd_variance(args, argv):
     started = time.perf_counter()
     modes = _parse_int_list(args.modes, "--modes")
     ratio = _parse_ratio(args.ratio)
@@ -294,12 +286,12 @@ def _cmd_variance(args, argv, tol):
                 "mc",
             ]
         )
-    record = _record("variance", argv, columns, rows, args.seed, tol, {"squeeze": args.squeeze}, started)
+    record = _record("variance", argv, columns, rows, args.seed, {"squeeze": args.squeeze}, started)
     _write_record(record, args.out, args.format)
     return EXIT_OK
 
 
-def _cmd_typicality(args, argv, tol):
+def _cmd_typicality(args, argv):
     started = time.perf_counter()
     modes = _parse_int_list(args.modes, "--modes")
     records = montecarlo.typicality_probe(
@@ -315,14 +307,14 @@ def _cmd_typicality(args, argv, tol):
         for t in records
     ]
     record = _record(
-        "typicality", argv, columns, rows, args.seed, tol,
+        "typicality", argv, columns, rows, args.seed,
         {"k_rule": args.k_rule, "squeeze": args.squeeze}, started,
     )
     _write_record(record, args.out, args.format)
     return EXIT_OK
 
 
-def _cmd_conjecture_probe(args, argv, tol):
+def _cmd_conjecture_probe(args, argv):
     started = time.perf_counter()
     squeezing = _parse_squeeze(args.squeeze, args.modes)
     est = montecarlo.conjecture_probe(
@@ -334,12 +326,12 @@ def _cmd_conjecture_probe(args, argv, tol):
     ]
     rows = [[args.modes, args.k, args.mode_index, args.delta, est.derivative,
              est.stderr, est.negative_fraction, args.samples, "mc"]]
-    record = _record("conjecture-probe", argv, columns, rows, args.seed, tol, None, started)
+    record = _record("conjecture-probe", argv, columns, rows, args.seed, None, started)
     _write_record(record, args.out, args.format)
     return EXIT_OK
 
 
-def _cmd_weingarten(args, argv, tol):
+def _cmd_weingarten(args, argv):
     started = time.perf_counter()
     if args.subop == "a-ell":
         columns = ["l", "value", "value_float", "closed_form", "provenance"]
@@ -378,12 +370,12 @@ def _cmd_weingarten(args, argv, tol):
         columns = ["point", "value", "provenance"]
         rows = [[f"n={n}", float(est), "exact"] for n, est in zip(ladder, estimates)]
         rows.append(["extrapolated", value, "exact"])
-    record = _record(f"weingarten {args.subop}", argv, columns, rows, args.seed, tol, None, started)
+    record = _record(f"weingarten {args.subop}", argv, columns, rows, args.seed, None, started)
     _write_record(record, args.out, args.format)
     return EXIT_OK
 
 
-def _cmd_verify(args, argv, tol):
+def _cmd_verify(args, argv):
     started = time.perf_counter()
     try:
         results = verify.run_suite(args.suite, seed=args.seed, samples=args.samples)
@@ -399,9 +391,9 @@ def _cmd_verify(args, argv, tol):
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     record = _record(
         f"verify {args.suite}", argv,
-        ["name", "passed", "observed", "expected", "tolerance"],
-        [[r.name, r.passed, r.observed, r.expected, r.tolerance] for r in results],
-        args.seed, tol, {"suite": args.suite}, started,
+        ["name", "passed", "observed", "expected", "tolerance", "seconds"],
+        [[r.name, r.passed, r.observed, r.expected, r.tolerance, r.seconds] for r in results],
+        args.seed, {"suite": args.suite}, started,
     )
     if args.out:
         _write_record(record, args.out, "json" if args.format == "csv" else args.format)
@@ -423,10 +415,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.tol <= 0:
-            raise _UsageError(f"--tol must be positive, got {args.tol}")
-        tol = analytic.SeriesTolerance(abs_tol=args.tol)
-        return _COMMANDS[args.subcommand](args, argv, tol)
+        return _COMMANDS[args.subcommand](args, argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

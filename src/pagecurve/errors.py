@@ -22,11 +22,11 @@ class CapacityError(PageCurveError):
 
 
 class TruncationError(NumericalError):
-    """The density could not reach the requested tolerance within its cap.
+    """The exact density series could not reach the requested tolerance within
+    its term cap.
 
-    Carries the bound (series tail) or error estimate (quadrature) that *was*
-    achieved, and the term or node count at which it stopped, so callers can
-    decide whether the partial result is still useful.
+    Carries the tail bound that *was* achieved and the term count at which it
+    stopped, so callers can decide whether the partial result is still useful.
     """
 
     def __init__(self, message, achieved_bound, terms):

@@ -226,7 +226,6 @@ def estimate_constant_term(
     seed: int,
     workers: int = 1,
     bootstrap_resamples: int = 1000,
-    tol: analytic.SeriesTolerance | None = None,
 ) -> ConstantEstimate:
     """Estimate the order-one deficit lambda by ladder extrapolation.
 
@@ -247,7 +246,7 @@ def estimate_constant_term(
             n=n, squeezing=SqueezingConfig.equal(n, s), subsystem_sizes=(int(k),),
             samples=samples, master_seed=seed, workers=workers, stream_namespace=i,
         ))
-    density = analytic.page_curve_density(s, rq, tol)
+    density = analytic.page_curve_density(s, rq)
     per_point = [sample_entropies(config)[0][:, 0] for config in configs]
     lam_hat = [n * density - float(col.mean()) for n, col in zip(ladder, per_point)]
     value = _extrapolate_intercept(ladder, lam_hat)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -42,55 +43,66 @@ class CheckResult:
     observed: str
     expected: str
     tolerance: str
+    seconds: float  # wall time spent on this check
 
     def as_dict(self):
         return asdict(self)
 
 
-def _check(name, passed, observed, expected, tolerance="exact") -> CheckResult:
-    return CheckResult(name, bool(passed), str(observed), str(expected), str(tolerance))
+class _Checks(list):
+    """A suite's CheckResults; each is timed from the one before it."""
+
+    def __init__(self):
+        super().__init__()
+        self._last = time.perf_counter()
+
+    def add(self, name, passed, observed, expected, tolerance="exact"):
+        now = time.perf_counter()
+        self.append(CheckResult(name, bool(passed), str(observed), str(expected), str(tolerance),
+                                now - self._last))
+        self._last = now
 
 
 def suite_coefficients(seed: int = 0, samples: int = 0) -> list[CheckResult]:
-    """Exact checks of the polynomial machinery, and the density quadrature
+    """Exact checks of the polynomial machinery, and the closed-form density
     against the exact-rational series; no randomness involved."""
-    out = []
+    out = _Checks()
     for l, ref in F_REFERENCE.items():
         poly = analytic.f_polynomial(l)
         expected = {d: Fraction(c) for d, c in ref.items()}
-        out.append(
-            _check(
-                f"f_{l} coefficients",
-                poly.coefficients == expected,
-                dict(sorted(poly.coefficients.items())),
-                dict(sorted(expected.items())),
-            )
+        out.add(
+            f"f_{l} coefficients",
+            poly.coefficients == expected,
+            dict(sorted(poly.coefficients.items())),
+            dict(sorted(expected.items())),
         )
     for l in range(1, 5):
         value = weingarten.a_ell_enumeration(l)
         closed = Fraction((-1) ** l * 4 ** (l - 1))
-        out.append(_check(f"a^({l}) enumeration", value == closed, value, closed))
+        out.add(f"a^({l}) enumeration", value == closed, value, closed)
     for l in range(1, 11):
         observed = analytic.g_exact(l, Fraction(1, 2))
         closed = analytic.g_half_closed_form(l)
-        out.append(_check(f"G_{l}(1/2) closed form", observed == closed, observed, closed))
+        out.add(f"G_{l}(1/2) closed form", observed == closed, observed, closed)
     for l in range(1, 11):
         f = analytic.f_polynomial(l)
         holds = all(
             f(Fraction(num, 64)) - f(1 - Fraction(num, 64)) == 2 * Fraction(num, 64) - 1
             for num in range(0, 65, 7)
         )
-        out.append(_check(f"f_{l}(r) - f_{l}(1-r) = 2r - 1", holds, holds, True))
-    for s in (0.25, 0.75):
-        for r in (Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(7, 16)):
-            gap = abs(analytic.page_curve_density(s, r) - analytic.density_series_info(s, r).value)
-            out.append(_check(f"density rule vs exact series (s={s}, r={r})", gap <= 1e-10,
-                              f"{gap:.1e}", "<= 1e-10", 1e-10))
+        out.add(f"f_{l}(r) - f_{l}(1-r) = 2r - 1", holds, holds, True)
+    points = [(s, r) for s in (0.25, 0.75)
+              for r in (Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(7, 16))]
+    points.append((0.75, Fraction(5000, 10001)))  # |1 - 2r| = 1/10001
+    for s, r in points:
+        gap = abs(analytic.page_curve_density(s, r) - analytic.density_series_info(s, r).value)
+        out.add(f"closed form vs exact series (s={s}, r={r})", gap <= 1e-10,
+                f"{gap:.1e}", "<= 1e-10", 1e-10)
     return out
 
 
 def suite_weingarten(seed: int = 7, samples: int = 2000) -> list[CheckResult]:
-    out = []
+    out = _Checks()
     for q in (2, 3, 4):
         for n in (5, 9):
             table = weingarten.wg_class_table(q, n)
@@ -109,16 +121,16 @@ def suite_weingarten(seed: int = 7, samples: int = 2000) -> list[CheckResult]:
                 if total != (1 if p_sigma.transposition_distance == 0 else 0):
                     ok = False
                     break
-            out.append(_check(f"orthogonality q={q} n={n}", ok, ok, True))
+            out.add(f"orthogonality q={q} n={n}", ok, ok, True)
 
     swap = weingarten.Permutation((2, 1))
     exact = weingarten.wg_exact(swap, 50)
     asym = weingarten.wg_asymptotic(swap, 50)
     gap = abs(asym / float(exact) - 1.0)
-    out.append(_check("asymptotic Wg gap (transposition, n=50)", gap <= 5e-4, gap, "<= 5e-4", 5e-4))
+    out.add("asymptotic Wg gap (transposition, n=50)", gap <= 5e-4, gap, "<= 5e-4", 5e-4)
 
     moment = weingarten.haar_moment_trace_product([1], 6, 3)
-    out.append(_check("E Tr W (n=6, k=3)", moment == Fraction(12, 7), moment, Fraction(12, 7)))
+    out.add("E Tr W (n=6, k=3)", moment == Fraction(12, 7), moment, Fraction(12, 7))
 
     traces = np.empty(samples)
     for j in range(samples):
@@ -126,20 +138,18 @@ def suite_weingarten(seed: int = 7, samples: int = 2000) -> list[CheckResult]:
         traces[j] = gaussian.trace_W_powers(u, 3, 1)[0]
     stderr = traces.std(ddof=1) / math.sqrt(samples)
     dev = abs(traces.mean() - float(moment))
-    out.append(
-        _check(
-            f"MC Tr W agreement ({samples} samples)",
-            dev <= 3 * stderr,
-            f"dev={dev:.4g}",
-            f"<= 3*stderr={3 * stderr:.4g}",
-            "3 sigma",
-        )
+    out.add(
+        f"MC Tr W agreement ({samples} samples)",
+        dev <= 3 * stderr,
+        f"dev={dev:.4g}",
+        f"<= 3*stderr={3 * stderr:.4g}",
+        "3 sigma",
     )
     return out
 
 
 def suite_montecarlo(seed: int = 7, samples: int = 500) -> list[CheckResult]:
-    out = []
+    out = _Checks()
     n = 12
     vacuum = montecarlo.estimate_entropy_statistics(
         montecarlo.RunConfig(
@@ -151,7 +161,7 @@ def suite_montecarlo(seed: int = 7, samples: int = 500) -> list[CheckResult]:
         )
     )
     worst = max(abs(v) for v in vacuum.mean_s2)
-    out.append(_check("vacuum entropies vanish", worst <= 1e-10, worst, "<= 1e-10", 1e-10))
+    out.add("vacuum entropies vanish", worst <= 1e-10, worst, "<= 1e-10", 1e-10)
 
     k = 4
     comp_dev = 0.0
@@ -163,9 +173,7 @@ def suite_montecarlo(seed: int = 7, samples: int = 500) -> list[CheckResult]:
         first = gaussian.renyi2_entropy(gaussian.reduce_subsystem(state, k))
         rest = gaussian.renyi2_entropy(gaussian.reduce_modes(state, range(k, n)))
         comp_dev = max(comp_dev, abs(first - rest))
-    out.append(
-        _check("complement symmetry per sample", comp_dev <= 1e-9, comp_dev, "<= 1e-9", 1e-9)
-    )
+    out.add("complement symmetry per sample", comp_dev <= 1e-9, comp_dev, "<= 1e-9", 1e-9)
 
     n2 = 20
     est = montecarlo.estimate_entropy_statistics(
@@ -180,27 +188,23 @@ def suite_montecarlo(seed: int = 7, samples: int = 500) -> list[CheckResult]:
     predicted = analytic.page_curve_prediction(n2, 0.75, n2 // 2)
     band = 5 * est.stderr_s2[0] + 2.0 / n2
     dev = abs(est.mean_s2[0] - predicted)
-    out.append(
-        _check(
-            f"mean S2 vs asymptotic prediction (n={n2}, {samples} samples)",
-            dev <= band,
-            f"dev={dev:.4g}",
-            f"<= {band:.4g}",
-            "5 sigma + 2/n",
-        )
+    out.add(
+        f"mean S2 vs asymptotic prediction (n={n2}, {samples} samples)",
+        dev <= band,
+        f"dev={dev:.4g}",
+        f"<= {band:.4g}",
+        "5 sigma + 2/n",
     )
 
     cov = montecarlo.mean_covariance_check(
         8, SqueezingConfig.equal(8, 0.75), 3, samples, seed
     )
-    out.append(
-        _check(
-            "mean reduced covariance vs (Tr B / n) I",
-            cov.max_sigma_units <= 5.0,
-            f"{cov.max_sigma_units:.3g} sigma",
-            "<= 5 sigma",
-            "5 sigma",
-        )
+    out.add(
+        "mean reduced covariance vs (Tr B / n) I",
+        cov.max_sigma_units <= 5.0,
+        f"{cov.max_sigma_units:.3g} sigma",
+        "<= 5 sigma",
+        "5 sigma",
     )
 
     # a fixed count spanning three 256-sample chunks, so that workers=2
@@ -217,7 +221,7 @@ def suite_montecarlo(seed: int = 7, samples: int = 500) -> list[CheckResult]:
         montecarlo.RunConfig(**{**small.__dict__, "workers": 2})
     )
     same = one.mean_s2 == two.mean_s2 and one.var_s2 == two.var_s2
-    out.append(_check("worker-count invariance", same, same, True))
+    out.add("worker-count invariance", same, same, True)
     return out
 
 

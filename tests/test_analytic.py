@@ -23,8 +23,6 @@ from pagecurve import (
     variance_series,
 )
 from pagecurve.analytic import (
-    DENSITY_NODE_CAP,
-    density_quadrature_info,
     density_series_info,
     g_exact,
     g_half_closed_form,
@@ -208,20 +206,12 @@ class TestDensitySeries:
     def test_large_squeezing_limit(self):
         # density/s -> 2 min(r, 1-r); the gap decays like 1/s and is still
         # ~3.5% at s=20 (r=1/2), dropping below 1% only near s ~ 70
-        tol = SeriesTolerance(abs_tol=5e-2, max_terms=10_000)
         for r, target in ((Fraction(1, 2), 1.0), (Fraction(1, 5), 0.4)):
-            at_20 = page_curve_density(20.0, r, tol) / 20.0
-            at_80 = page_curve_density(80.0, r, tol) / 80.0
+            at_20 = page_curve_density(20.0, r) / 20.0
+            at_80 = page_curve_density(80.0, r) / 80.0
             assert abs(at_80 / target - 1.0) < 0.01
             assert abs(at_20 / target - 1.0) < 0.05
             assert abs(at_80 / target - 1.0) < abs(at_20 / target - 1.0)
-
-    def test_truncation_error_carries_bound(self):
-        # |1 - 2r| = 1/20001 needs more than the node cap at this tolerance
-        with pytest.raises(TruncationError) as err:
-            page_curve_density(5.0, Fraction(10000, 20001), SeriesTolerance(abs_tol=1e-13))
-        assert 1e-13 < err.value.achieved_bound < math.inf
-        assert err.value.terms == DENSITY_NODE_CAP
 
     def test_series_truncation_error_carries_bound(self):
         with pytest.raises(TruncationError) as err:
@@ -263,27 +253,6 @@ def scipy_density(s: float, r: float) -> float:
     return r * log_cosh(2.0 * s) + value / (4.0 * math.pi)
 
 
-def closed_form_density(s: float, r: Fraction) -> float:
-    """The Wachter-law integral in closed form.
-
-    With x = lam sin^2(theta), lam = 4m(1-m), m = min(r, 1-r):
-    cos^2/(1 - x) = (1 - (1 - lam)/(1 - x))/lam, int_0^{pi/2} log(1 - a sin^2)
-    = pi log((1 + A)/2) and int_0^{pi/2} log(1 - a sin^2)/(1 - lam sin^2) =
-    (pi/B) log((A + B)/(1 + B)) (differentiate in a), where a = t^2 lam,
-    A = sqrt(1 - a) and B = sqrt(1 - lam) = |1 - 2m|.  So
-    density = m log cosh 2s + log((1 + A)/2)/2 - B log((A + B)/(1 + B))/2.
-    """
-    m = min(r, 1 - r)
-    lam = float(4 * m * (1 - m))
-    b = float(1 - 2 * m)
-    t2 = math.tanh(2.0 * s) ** 2
-    e = math.exp(-4.0 * abs(s))
-    a = math.sqrt(4.0 * e / (1.0 + e) ** 2 + t2 * b * b)  # 1 - t^2 lam = sech^2 + t^2 b^2
-    a_minus_1 = -t2 * lam / (1.0 + a)
-    return (float(m) * log_cosh(2.0 * s) + 0.5 * math.log1p(a_minus_1 / 2.0)
-            - 0.5 * b * math.log1p(a_minus_1 / (1.0 + b)))
-
-
 FIFTIETHS = [Fraction(k, 50) for k in range(1, 50)]
 
 
@@ -303,26 +272,17 @@ class TestDensityRule:
             assert gap <= 1e-10, (s, r, gap)
 
     def test_matches_closed_form(self):
-        # includes r within 1/(2n) of 1/2 for n up to 10^4, where too coarse
-        # a first node count would pass the N-vs-2N check with a wrong value
-        cases = [(s, r) for s in (1e-3, 0.1, 0.75, 1.5, 5.0, 12.0) for r in FIFTIETHS[:25]]
-        cases += [(s, Fraction(n // 2, n)) for s in (0.1, 0.75, 5.0, 12.0)
-                  for n in (399, 2001, 10001)]
-        for s, r in cases:
-            info = density_quadrature_info(s, r)
-            gap = abs(info.value - closed_form_density(s, r))
-            assert gap <= 1e-12, (s, r, gap)
-            assert info.error_estimate <= 1e-10 and info.nodes <= DENSITY_NODE_CAP
+        # the series at r within 1/(2n) of 1/2, where B = |1 - 2r| is small
+        for s in (0.1, 0.75):
+            for n in (399, 2001, 10001):
+                r = Fraction(n // 2, n)
+                gap = abs(page_curve_density(s, r) - density_series_info(s, r).value)
+                assert gap <= 1e-10, (s, n, gap)
 
     def test_closed_form_at_half(self):
-        info = density_quadrature_info(5.0, Fraction(1, 2))
-        assert (info.value, info.error_estimate, info.nodes) == (log_cosh(5.0), 0.0, 0)
-
-    def test_gap_below_node_spacing_raises(self):
-        with pytest.raises(TruncationError) as err:
-            page_curve_density(0.75, Fraction(499_999, 1_000_000))
-        assert err.value.achieved_bound == math.inf
-        assert err.value.terms == DENSITY_NODE_CAP
+        # B = 0: log cosh s from the formula itself, also where tanh^2 2s rounds to 1
+        for s in (1e-3, 0.75, 5.0, 19.0, 25.0, 100.0, 400.0):
+            assert abs(page_curve_density(s, Fraction(1, 2)) - log_cosh(s)) <= 1e-13, s
 
     @settings(max_examples=60, deadline=None)
     @given(num=st.integers(min_value=1, max_value=199), den=st.integers(min_value=2, max_value=200),
@@ -345,7 +305,7 @@ class TestDensityRule:
     def test_small_squeezing_limit(self, num, s):
         # density = 2 r (1-r) s^2 (1 + c s^2 + ...) with |c| < 2/3
         r = Fraction(num, 200)
-        value = page_curve_density(s, r, SeriesTolerance(abs_tol=1e-12 * s * s))
+        value = page_curve_density(s, r)
         ratio = value / (2.0 * float(r * (1 - r)) * s * s)
         assert abs(ratio - 1.0) <= s * s + 1e-9
 
@@ -393,9 +353,7 @@ class TestPrediction:
         assert page_curve_prediction(10, 0.0, 5) == 0.0
 
     def test_value(self):
-        # series error enters as n * abs_tol, so tighten the tolerance here
-        tight = SeriesTolerance(abs_tol=1e-12)
-        assert page_curve_prediction(50, 0.75, 25, tight) == pytest.approx(
+        assert page_curve_prediction(50, 0.75, 25) == pytest.approx(
             PREDICTION_50, abs=1e-9
         )
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from pagecurve import analytic, kernels
+from pagecurve import NumericalError, analytic, kernels
 from pagecurve.cli import SCHEMA_VERSION, main
 
 PAGE_CURVE_ANALYTIC_COLUMNS = [
@@ -96,14 +96,37 @@ class TestPageCurve:
         out = tmp_path / "c.json"
         assert main([
             "page-curve", "--modes", "24", "--squeeze", "1.5", "--analytic-only",
-            "--tol", "1e-12", "--format", "json", "--out", str(out),
+            "--format", "json", "--out", str(out),
         ]) == 0
-        budget = json.loads(out.read_text())["metadata"]["density"]
-        assert budget["rule"] == analytic.DENSITY_RULE
-        assert budget["abs_tol"] == 1e-12
-        assert budget["node_cap"] == analytic.DENSITY_NODE_CAP
-        assert 0 < budget["max_nodes"] <= analytic.DENSITY_NODE_CAP
-        assert 0.0 <= budget["max_error_estimate"] <= 1e-12
+        metadata = json.loads(out.read_text())["metadata"]
+        assert metadata["density"] == {"rule": analytic.DENSITY_RULE}
+        assert "abs_tol" not in metadata and "max_terms" not in metadata
+
+    def test_large_n_near_half(self, capsys):
+        # |1 - 2r| = 1/20001 at r = 10000/20001: large n next to r = 1/2
+        assert main(["page-curve", "--modes", "20001", "--squeeze", "1", "--analytic-only"]) == 0
+        row = capsys.readouterr().out.splitlines()[1 + 10000].split(",")
+        assert row[1] == "10000"
+        assert abs(float(row[2]) - (analytic.log_cosh(1.0) - 1.7262e-9)) <= 1e-12
+
+    @pytest.mark.parametrize("step", ["0.3", "0.7", "0", "1.5"])
+    def test_grid_step_must_divide_one(self, step, capsys):
+        assert main([
+            "page-curve", "--modes", "10", "--squeeze", "0.5", "--analytic-only",
+            "--grid-step", step,
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--grid-step" in captured.err
+
+    @pytest.mark.parametrize("step, points", [("0.1", 11), ("0.25", 5), ("1", 2)])
+    def test_grid_step_points(self, step, points, capsys):
+        assert main([
+            "page-curve", "--modes", "10", "--squeeze", "0.5", "--analytic-only",
+            "--grid-step", step,
+        ]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        grid = [float(row.split(",")[0]) for row in rows]
+        assert grid == [i / (points - 1) for i in range(points)]
 
     def test_squeeze_length_mismatch(self):
         assert main(["page-curve", "--modes", "4", "--squeeze", "0.1,0.2"]) == 1
@@ -175,7 +198,11 @@ class TestVerifyCommand:
         text = capsys.readouterr().out
         assert "[PASS]" in text and "[FAIL]" not in text
         report = json.loads(out.read_text())
+        assert report["columns"][1] == "passed" and report["columns"][-1] == "seconds"
         assert all(row[1] for row in report["rows"])
+        seconds = [row[-1] for row in report["rows"]]
+        assert all(isinstance(x, float) and x >= 0.0 for x in seconds)
+        assert sum(seconds) <= report["metadata"]["wall_time_s"]
 
     def test_unknown_suite_usage(self):
         assert main(["verify", "--suite", "bogus"]) == 1
@@ -193,15 +220,15 @@ class TestExitCodes:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
 
-    def test_numerical_error_exit(self, capsys):
-        # r = 10000/20001 needs more quadrature nodes than the cap at this
-        # tolerance -> truncation -> exit 2, with the estimate and node count
-        assert main([
-            "page-curve", "--modes", "20001", "--squeeze", "5.0",
-            "--analytic-only", "--tol", "1e-13",
-        ]) == 2
-        err = capsys.readouterr().err
-        assert "error estimate" in err and f"at {analytic.DENSITY_NODE_CAP} nodes" in err
+    def test_numerical_error_exit(self, capsys, monkeypatch):
+        # no known input makes the closed form fail, so stand one in
+        def fail(*args):
+            raise NumericalError("density failed")
+
+        monkeypatch.setattr(analytic, "page_curve_density", fail)
+        assert main(["page-curve", "--modes", "8", "--squeeze", "0.5", "--analytic-only"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "numerical error: density failed" in captured.err
 
 
 class TestTypicalityCommand:
