@@ -48,13 +48,16 @@ from .gaussian import (
 from .haar import RNG_ALGORITHM, SeededStream, derive_substream, sample_haar_unitary
 from .kernels import BACKEND as KERNEL_BACKEND
 from .montecarlo import (
+    SAMPLER,
     CurveEstimate,
+    Experiment,
     RunConfig,
     conjecture_probe,
     estimate_constant_term,
     estimate_entropy_statistics,
     mean_covariance_check,
     sample_entropies,
+    stream_namespace,
     typicality_probe,
 )
 from .weingarten import (

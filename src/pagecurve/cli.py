@@ -2,8 +2,8 @@
 
 Subcommands: page-curve, variance, typicality, conjecture-probe, weingarten,
 verify.  Every run emits a versioned record (CSV or JSON) whose metadata
-carries the seed, the RNG algorithm, the kernel backend, the wall time and the
-exact command line needed to regenerate the numeric columns byte-for-byte.
+carries the seed, the RNG algorithm, the sampler id, the kernel backend, the
+wall time and the exact command line needed to regenerate the numeric columns byte-for-byte.
 
 Exit codes: 0 success, 1 usage error, 2 numerical/capacity error,
 3 verification or tolerance failure.
@@ -76,6 +76,7 @@ def _record(command, argv, columns, rows, seed, extra_metadata=None, started=Non
     metadata = {
         "seed": seed,
         "rng_algorithm": RNG_ALGORITHM,
+        "sampler": montecarlo.SAMPLER,
         "kernel_backend": BACKEND,
         "wall_time_s": None if started is None else round(time.perf_counter() - started, 6),
     }
@@ -89,6 +90,9 @@ def _record(command, argv, columns, rows, seed, extra_metadata=None, started=Non
         "rows": [list(r) for r in rows],
         "metadata": metadata,
     }
+
+
+_SAMPLING = {"blas_threads": montecarlo.SAMPLING_BLAS_THREADS}  # metadata of sampling commands
 
 
 def _add_common(sub):
@@ -250,6 +254,8 @@ def _cmd_page_curve(args, argv):
         rows.append(row)
 
     extra = {"modes": n, "squeezing": list(squeezing.values), "workers": args.workers}
+    if with_mc:
+        extra.update(_SAMPLING)
     if equal:
         extra["density"] = {"rule": analytic.DENSITY_RULE}
     record = _record("page-curve", argv, columns, rows, args.seed, extra, started)
@@ -270,7 +276,7 @@ def _cmd_variance(args, argv):
         configs.append(montecarlo.RunConfig(
             n=n, squeezing=SqueezingConfig.equal(n, args.squeeze), subsystem_sizes=(int(k),),
             samples=args.samples, master_seed=args.seed, workers=args.workers,
-            stream_namespace=i,
+            stream_namespace=montecarlo.stream_namespace(montecarlo.Experiment.VARIANCE, i),
         ))
     rows = []
     for config in configs:
@@ -286,7 +292,10 @@ def _cmd_variance(args, argv):
                 "mc",
             ]
         )
-    record = _record("variance", argv, columns, rows, args.seed, {"squeeze": args.squeeze}, started)
+    record = _record(
+        "variance", argv, columns, rows, args.seed,
+        {"squeeze": args.squeeze, **_SAMPLING}, started,
+    )
     _write_record(record, args.out, args.format)
     return EXIT_OK
 
@@ -308,7 +317,7 @@ def _cmd_typicality(args, argv):
     ]
     record = _record(
         "typicality", argv, columns, rows, args.seed,
-        {"k_rule": args.k_rule, "squeeze": args.squeeze}, started,
+        {"k_rule": args.k_rule, "squeeze": args.squeeze, **_SAMPLING}, started,
     )
     _write_record(record, args.out, args.format)
     return EXIT_OK
@@ -326,7 +335,7 @@ def _cmd_conjecture_probe(args, argv):
     ]
     rows = [[args.modes, args.k, args.mode_index, args.delta, est.derivative,
              est.stderr, est.negative_fraction, args.samples, "mc"]]
-    record = _record("conjecture-probe", argv, columns, rows, args.seed, None, started)
+    record = _record("conjecture-probe", argv, columns, rows, args.seed, _SAMPLING, started)
     _write_record(record, args.out, args.format)
     return EXIT_OK
 
@@ -393,7 +402,9 @@ def _cmd_verify(args, argv):
         f"verify {args.suite}", argv,
         ["name", "passed", "observed", "expected", "tolerance", "seconds"],
         [[r.name, r.passed, r.observed, r.expected, r.tolerance, r.seconds] for r in results],
-        args.seed, {"suite": args.suite}, started,
+        args.seed,
+        {"suite": args.suite, **(_SAMPLING if args.suite in ("montecarlo", "all") else {})},
+        started,
     )
     if args.out:
         _write_record(record, args.out, "json" if args.format == "csv" else args.format)

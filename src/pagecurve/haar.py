@@ -1,9 +1,15 @@
-"""Deterministic, seedable sampling of Haar-random unitaries.
+"""Deterministic, seedable sampling of Haar-random unitaries and row frames.
 
 Randomness comes from numpy's counter-based Philox generator (algorithm
 identifier "philox4x64"), keyed by the pair (master_seed, stream_index).
 Identical keys reproduce identical byte streams on any machine and for any
 worker layout; distinct stream indices give statistically independent streams.
+
+One routine, `_haar_frame`, draws both: the QR factor of an n x m complex
+Ginibre block with Mezzadri's phase fix has the law of the first m columns of
+a Haar unitary.  Since U^T is Haar whenever U is, its transpose is an m x n
+block of orthonormal rows with the law of the first m rows of U, which is all
+the Monte Carlo sampler needs.  `sample_haar_unitary` is the case m = n.
 """
 
 from __future__ import annotations
@@ -51,35 +57,30 @@ def derive_substream(stream: SeededStream, worker: int) -> SeededStream:
     return SeededStream(stream.master_seed, mixed)
 
 
-def ginibre_matrix(n: int, generator: np.random.Generator) -> np.ndarray:
-    """n x n matrix of independent standard complex Gaussians."""
-    re = generator.standard_normal((n, n))
-    im = generator.standard_normal((n, n))
-    return (re + 1j * im) / np.sqrt(2.0)
+def _haar_frame(
+    n: int, m: int, generator: np.random.Generator, phase_fix: bool = True
+) -> np.ndarray:
+    """n x m matrix whose orthonormal columns are the first m columns of a Haar U.
 
-
-def sample_haar_unitary(n: int, stream: SeededStream, phase_fix: bool = True) -> PassiveUnitary:
-    """Draw an exactly Haar-distributed n x n unitary.
-
-    QR-orthonormalizes a Ginibre matrix and rescales each column by the unit
-    phase of the corresponding diagonal entry of R.  Without the phase fix the
-    QR convention biases the distribution (diagnostic switch only).
+    QR-orthonormalizes an n x m block of independent standard complex
+    Gaussians (real parts drawn first, then imaginary parts) and rescales
+    each column by the unit phase of the matching diagonal entry of R
+    (Mezzadri, Notices AMS 54, 2007).  Without that fix LAPACK's sign
+    convention biases the distribution (diagnostic switch only).  The cost is
+    O(n m^2); at m = n this is the full unitary.
     """
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    z = ginibre_matrix(n, stream.generator())
+    re = generator.standard_normal((n, m))
+    z = (re + 1j * generator.standard_normal((n, m))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    if phase_fix:
-        d = np.diagonal(r).copy()
-        d[d == 0] = 1.0
-        q = q * (d / np.abs(d))
-    return PassiveUnitary(q)
-
-
-def _raw_haar_matrix(n: int, generator: np.random.Generator) -> np.ndarray:
-    """Haar matrix without the PassiveUnitary validation (hot path)."""
-    z = ginibre_matrix(n, generator)
-    q, r = np.linalg.qr(z)
+    if not phase_fix:
+        return q
     d = np.diagonal(r).copy()
     d[d == 0] = 1.0
     return q * (d / np.abs(d))
+
+
+def sample_haar_unitary(n: int, stream: SeededStream, phase_fix: bool = True) -> PassiveUnitary:
+    """Draw an exactly Haar-distributed n x n unitary: `_haar_frame` at m = n."""
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
+    return PassiveUnitary(_haar_frame(n, n, stream.generator(), phase_fix))

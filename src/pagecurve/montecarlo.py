@@ -3,11 +3,21 @@
 Every estimator here runs on one sampling loop, `_map_samples`.  It checks
 the sample and worker counts before any draw, keys sample j by the Philox
 stream `haar.derive_substream(SeededStream(master_seed, namespace), j)`, that
-is (master_seed, namespace * 2^32 + j), draws its Haar unitary and applies a
-per-sample kernel.  Samples run in fixed chunks of `_CHUNK`, inline or on one
-process pool, and the kernel's rows come back in global sample order.
-Neither the keys nor the assembly depend on the worker count, so results are
-bit-identical for any number of workers.
+is (master_seed, namespace * 2^32 + j), and applies a per-sample kernel.
+Each experiment and ladder point owns its namespace through one injective
+rule, `stream_namespace`, so no two of them share a stream.  Samples run in
+fixed chunks of `_CHUNK`, inline or on one process pool, and the kernel's
+rows come back in global sample order.  Neither the keys nor the assembly
+depend on the worker count, so results are bit-identical for any number of
+workers.
+
+The draw (sampler id `SAMPLER`) is a Haar row frame: the kernels receive an
+m x n block of orthonormal rows, the transpose of `haar._haar_frame(n, m)`,
+which has the law of the first m rows of a Haar unitary.  Each caller passes
+the m it needs (the largest subsystem size below n for the entropies, k for
+the probes), so a draw costs O(n m^2) instead of O(n^3).  The full page
+curve needs m = n - 1, which costs the same as a full unitary, so there is
+no switch back to the full draw.
 
 Comparisons against asymptotic predictions should allow, besides the usual
 3-sigma statistical band, an additive 2/n for the unquantified order-one
@@ -17,6 +27,7 @@ corrections at finite mode number.
 from __future__ import annotations
 
 import ctypes
+import enum
 import math
 from concurrent import futures
 from dataclasses import dataclass
@@ -35,9 +46,13 @@ from .gaussian import (
     _symplectic_values,
     h1,
 )
-from .haar import RNG_ALGORITHM, SeededStream, _raw_haar_matrix, derive_substream
+from .haar import RNG_ALGORITHM, SeededStream, _haar_frame, derive_substream
 
 __all__ = [
+    "SAMPLER",
+    "SAMPLING_BLAS_THREADS",
+    "Experiment",
+    "stream_namespace",
     "RunConfig",
     "CurveEstimate",
     "ConstantEstimate",
@@ -52,7 +67,10 @@ __all__ = [
     "mean_covariance_check",
 ]
 
+SAMPLER = "haar-row-frame"  # names the draw and the stream-key rule in every record
+SAMPLING_BLAS_THREADS = 1
 _CHUNK = 256  # fixed chunk size; independent of worker count by design
+_POINT_BITS = 16
 _BLAS_PREFIXES = ("openblas", "scipy_openblas")  # with "64_" for 64-bit integer builds
 
 
@@ -99,6 +117,31 @@ def _set_blas_threads(counts) -> list[int]:
     return previous
 
 
+class Experiment(enum.IntEnum):
+    """Owner of one block of 2^16 stream namespaces (see `stream_namespace`)."""
+
+    ENTROPY = 0  # `sample_entropies` and `estimate_entropy_statistics`
+    CONSTANT_TERM = 1
+    BOOTSTRAP = 2
+    TYPICALITY = 3
+    VARIANCE = 4  # the CLI `variance` command
+    CONJECTURE = 5
+    MEAN_COVARIANCE = 6
+
+
+def stream_namespace(experiment: Experiment, point: int = 0) -> int:
+    """Namespace experiment * 2^16 + point of one ladder point of an experiment.
+
+    Injective over points < 2^16, and below 2^32, so with the sample index
+    in the low 32 bits of the stream index no two (experiment, point,
+    sample) with sample < 2^32 share a key.  The default `RunConfig`
+    namespace 0 is point 0 of `Experiment.ENTROPY`.
+    """
+    if not 0 <= point < 2**_POINT_BITS:
+        raise InputError(f"ladder point must lie in [0, 2^{_POINT_BITS}), got {point}")
+    return Experiment(experiment) << _POINT_BITS | point
+
+
 def _check_counts(samples: int, workers: int):
     if samples < 1:
         raise InputError(f"samples must be >= 1, got {samples}")
@@ -107,10 +150,10 @@ def _check_counts(samples: int, workers: int):
 
 
 def _sample_chunk(args):
-    kernel, n, params, stream, j0, j1 = args
+    kernel, n, m, params, stream, j0, j1 = args
     rows = []
     for j in range(j0, j1):
-        u = _raw_haar_matrix(n, derive_substream(stream, j).generator())
+        u = _haar_frame(n, m, derive_substream(stream, j).generator()).T
         try:
             rows.append(kernel(u, *params))
         except NumericalError as exc:
@@ -118,27 +161,27 @@ def _sample_chunk(args):
     return np.array(rows)
 
 
-def _map_samples(kernel, n, params, samples, seed, namespace, workers) -> np.ndarray:
-    """Stack kernel(U_j, *params) over samples j = 0..samples-1 in sample order.
+def _map_samples(kernel, n, m, params, samples, seed, namespace, workers) -> np.ndarray:
+    """Stack kernel(V_j, *params) over samples j = 0..samples-1 in sample order.
 
-    U_j is the n x n Haar unitary drawn from substream j of (seed, namespace).
-    `kernel` must be a module-level function so that worker processes can
-    import it.
+    V_j is an m x n Haar row frame, distributed as the first m rows of a Haar
+    unitary, drawn from substream j of (seed, namespace).  `kernel` must be a
+    module-level function so that worker processes can import it.
     """
     _check_counts(samples, workers)
     stream = SeededStream(seed, namespace)
     chunks = [
-        (kernel, n, params, stream, j0, min(j0 + _CHUNK, samples))
+        (kernel, n, m, params, stream, j0, min(j0 + _CHUNK, samples))
         for j0 in range(0, samples, _CHUNK)
     ]
     if workers == 1 or len(chunks) == 1:
-        previous = _set_blas_threads(1)
+        previous = _set_blas_threads(SAMPLING_BLAS_THREADS)
         try:
             return np.concatenate([_sample_chunk(c) for c in chunks])
         finally:
             _set_blas_threads(previous)
     with futures.ProcessPoolExecutor(
-        max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
+        max_workers=workers, initializer=_set_blas_threads, initargs=(SAMPLING_BLAS_THREADS,)
     ) as pool:
         return np.concatenate(list(pool.map(_sample_chunk, chunks)))
 
@@ -153,7 +196,7 @@ class RunConfig:
     samples: int
     master_seed: int = 0
     workers: int = 1
-    stream_namespace: int = 0
+    stream_namespace: int = 0  # `stream_namespace(...)`; 0 is point 0 of Experiment.ENTROPY
 
     def __post_init__(self):
         object.__setattr__(self, "subsystem_sizes", tuple(int(k) for k in self.subsystem_sizes))
@@ -179,20 +222,27 @@ class CurveEstimate:
     samples: int
     master_seed: int
     rng_algorithm: str
+    sampler: str
     n: int
     squeezing: tuple[float, ...]
+
+
+def _frame_rows(ks, n: int) -> int:
+    """m = max{k < n}: the rows of U that the entropies of sizes ks need."""
+    return max((k for k in ks if k < n), default=0)
 
 
 def _entropies_for_sample(u, scale, ks, with_s1):
     """S2 (row 0) and, if with_s1, S1 (row 1) of every subsystem size in ks.
 
-    One QR factor R of the first m = max{k < n} modes serves every k, since
-    its leading block R[:2k, :2k] factors the covariance of the first k
-    modes.  k = 0 and k = n are pure states and stay exactly 0.
+    u holds at least the first m = max{k < n} rows of an n-mode unitary.  One
+    QR factor R of those m modes serves every k, since its leading block
+    R[:2k, :2k] factors the covariance of the first k modes.  k = 0 and
+    k = n are pure states and stay exactly 0.
     """
-    n = len(u)
+    n = u.shape[1]
     out = np.zeros((2 if with_s1 else 1, len(ks)))
-    m = max((k for k in ks if k < n), default=0)
+    m = _frame_rows(ks, n)
     if m == 0:
         return out
     r = _squeezed_row_factor(u, scale, m)
@@ -217,6 +267,7 @@ def sample_entropies(
     rows = _map_samples(
         _entropies_for_sample,
         config.n,
+        _frame_rows(config.subsystem_sizes, config.n),
         (np.sqrt(_initial_diagonal(config.squeezing.values)), config.subsystem_sizes, with_s1),
         config.samples,
         config.master_seed,
@@ -243,6 +294,7 @@ def estimate_entropy_statistics(config: RunConfig) -> CurveEstimate:
         samples=config.samples,
         master_seed=config.master_seed,
         rng_algorithm=RNG_ALGORITHM,
+        sampler=SAMPLER,
         n=config.n,
         squeezing=config.squeezing.values,
     )
@@ -259,6 +311,7 @@ class ConstantEstimate:
     samples: int
     master_seed: int
     rng_algorithm: str
+    sampler: str
 
 
 def _extrapolate_intercept(ns, values):
@@ -295,14 +348,17 @@ def estimate_constant_term(
             raise InputError(f"r*n must be integral, got r={r}, n={n}")
         configs.append(RunConfig(
             n=n, squeezing=SqueezingConfig.equal(n, s), subsystem_sizes=(int(k),),
-            samples=samples, master_seed=seed, workers=workers, stream_namespace=i,
+            samples=samples, master_seed=seed, workers=workers,
+            stream_namespace=stream_namespace(Experiment.CONSTANT_TERM, i),
         ))
     density = analytic.page_curve_density(s, rq)
     per_point = [sample_entropies(config)[0][:, 0] for config in configs]
     lam_hat = [n * density - float(col.mean()) for n, col in zip(ladder, per_point)]
     value = _extrapolate_intercept(ladder, lam_hat)
 
-    boot_stream = SeededStream(seed, 0xB007).generator()
+    boot_stream = derive_substream(
+        SeededStream(seed, stream_namespace(Experiment.BOOTSTRAP)), 0
+    ).generator()
     boots = np.empty(bootstrap_resamples)
     for b in range(bootstrap_resamples):
         resampled = []
@@ -318,6 +374,7 @@ def estimate_constant_term(
         samples=samples,
         master_seed=seed,
         rng_algorithm=RNG_ALGORITHM,
+        sampler=SAMPLER,
     )
 
 
@@ -360,7 +417,8 @@ def typicality_probe(
             raise InputError(f"k rule produced k={k} outside [0, {n}]")
         configs.append(RunConfig(
             n=n, squeezing=SqueezingConfig.equal(n, s), subsystem_sizes=(k,),
-            samples=samples, master_seed=seed, workers=workers, stream_namespace=i,
+            samples=samples, master_seed=seed, workers=workers,
+            stream_namespace=stream_namespace(Experiment.TYPICALITY, i),
         ))
     out = []
     for config in configs:
@@ -437,7 +495,10 @@ def conjecture_probe(
     minus[mode_index] = sign * math.sqrt(h_minus)
     scales = [np.sqrt(_initial_diagonal(values)) for values in (plus, minus)]
     params = (*scales, k, h_plus - h_minus)
-    diffs = _map_samples(_derivative_for_sample, config.n, params, samples, seed, 0, workers)
+    diffs = _map_samples(
+        _derivative_for_sample, config.n, k, params, samples, seed,
+        stream_namespace(Experiment.CONJECTURE), workers,
+    )
     std = float(diffs.std(ddof=1)) if samples > 1 else 0.0
     return DerivativeEstimate(
         derivative=float(diffs.mean()),
@@ -474,7 +535,10 @@ def mean_covariance_check(
     if not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= {n}, got k={k}")
     params = (_initial_diagonal(config.values), k)
-    reds = _map_samples(_reduced_sigma_from_unitary, n, params, samples, seed, 0, workers)
+    reds = _map_samples(
+        _reduced_sigma_from_unitary, n, k, params, samples, seed,
+        stream_namespace(Experiment.MEAN_COVARIANCE), workers,
+    )
     mean = reds.mean(axis=0)
     var = np.maximum((reds * reds).mean(axis=0) - mean * mean, 0.0)
     stderr = np.sqrt(var / samples)

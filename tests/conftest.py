@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from pagecurve import montecarlo
-from pagecurve.haar import SeededStream, _raw_haar_matrix
+from pagecurve.haar import SeededStream, _haar_frame
 
 
 @pytest.fixture
 def haar_matrix():
-    """Raw Haar matrix factory keyed by (seed, index)."""
+    """Full n x n Haar matrix (the frame at m = n) keyed by (seed, index)."""
 
     def make(n, seed=0, index=0):
-        return _raw_haar_matrix(n, SeededStream(seed, index).generator())
+        return _haar_frame(n, n, SeededStream(seed, index).generator())
 
     return make
 

@@ -16,7 +16,7 @@ import pytest
 import pagecurve as pc
 from pagecurve.analytic import log_cosh
 from pagecurve.gaussian import PassiveUnitary, equal_squeezing_coupling
-from pagecurve.haar import SeededStream, _raw_haar_matrix
+from pagecurve.haar import SeededStream, _haar_frame
 from pagecurve.verify import F_REFERENCE
 from pagecurve.weingarten import wg_class_table
 
@@ -191,7 +191,7 @@ def test_criterion_8_entropy_bounds_suite():
     n2 = 10
     sigma0 = pc.build_initial_covariance(pc.SqueezingConfig.equal(n2, 0.8))
     for j in range(1000):
-        u = PassiveUnitary(_raw_haar_matrix(n2, SeededStream(808, j).generator()))
+        u = PassiveUnitary(_haar_frame(n2, n2, SeededStream(808, j).generator()))
         sigma = pc.evolve(sigma0, u)
         k = 1 + j % (n2 - 1)
         red = pc.reduce_subsystem(sigma, k)
@@ -233,7 +233,7 @@ def test_criterion_9_weingarten_engine():
     samples = 2000
     traces = np.empty(samples)
     for j in range(samples):
-        u = _raw_haar_matrix(6, SeededStream(909, j).generator())
+        u = _haar_frame(6, 6, SeededStream(909, j).generator())
         traces[j] = pc.trace_W_powers(PassiveUnitary(u), 3, 1)[0]
     stderr = traces.std(ddof=1) / math.sqrt(samples)
     mc_gap = abs(traces.mean() - float(moment))
@@ -253,7 +253,7 @@ def test_criterion_10_property_suite():
         n, s = 9, 0.7
         sigma = pc.evolve(
             pc.build_initial_covariance(pc.SqueezingConfig.equal(n, s)),
-            PassiveUnitary(_raw_haar_matrix(n, SeededStream(seed, 0).generator())),
+            PassiveUnitary(_haar_frame(n, n, SeededStream(seed, 0).generator())),
         )
         for k in (2, 4):
             a = pc.renyi2_entropy(pc.reduce_subsystem(sigma, k))
@@ -263,7 +263,7 @@ def test_criterion_10_property_suite():
         # series vs direct entropy at |tanh 2s| <= 0.5
         n2, k2, s2v = 8, 3, 0.25
         t = math.tanh(2 * s2v)
-        u = PassiveUnitary(_raw_haar_matrix(n2, SeededStream(seed, 1).generator()))
+        u = PassiveUnitary(_haar_frame(n2, n2, SeededStream(seed, 1).generator()))
         state = pc.evolve(pc.build_initial_covariance(pc.SqueezingConfig.equal(n2, s2v)), u)
         direct = pc.renyi2_entropy(pc.reduce_subsystem(state, k2))
         L = 40

@@ -145,6 +145,8 @@ class TestJsonRoundTrip:
         assert record["schema_version"] == SCHEMA_VERSION
         assert record["metadata"]["seed"] == 3
         assert record["metadata"]["rng_algorithm"] == "philox4x64"
+        assert record["metadata"]["sampler"] == "haar-row-frame"
+        assert record["metadata"]["blas_threads"] == 1
 
         out2 = tmp_path / "b.json"
         replay = list(record["command_line"])
@@ -272,6 +274,23 @@ def test_sampling_commands_reject_zero_counts(command, flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{flag[2:]} must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["variance", "--modes", "8", "--squeeze", "0.3"],
+        ["typicality", "--modes", "8", "--squeeze", "0.3", "--epsilon", "0.1"],
+        ["conjecture-probe", "--modes", "4", "--squeeze", "0.3", "--k", "2"],
+    ],
+    ids=["variance", "typicality", "conjecture-probe"],
+)
+def test_sampling_records_name_sampler(command, capsys):
+    assert main(command + ["--samples", "5", "--workers", "1", "--format", "json"]) == 0
+    metadata = json.loads(capsys.readouterr().out)["metadata"]
+    assert metadata["rng_algorithm"] == "philox4x64"
+    assert metadata["sampler"] == "haar-row-frame"
+    assert metadata["blas_threads"] == 1
 
 
 class TestConjectureCommand:

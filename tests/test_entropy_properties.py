@@ -15,7 +15,6 @@ so the bounds carry that allowance.
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,9 +22,9 @@ from pagecurve import (
     RunConfig,
     SqueezingConfig,
     build_initial_covariance,
+    derive_substream,
     evolve,
     max_subsystem_entropy,
-    montecarlo,
     reduce_modes,
     reduce_subsystem,
     renyi2_entropy,
@@ -34,7 +33,9 @@ from pagecurve import (
     symplectic_eigenvalues,
     von_neumann_entropy,
 )
-from pagecurve.haar import SeededStream
+from pagecurve.gaussian import _initial_diagonal
+from pagecurve.haar import SeededStream, _haar_frame
+from pagecurve.montecarlo import _entropies_for_sample
 
 TOL = 1e-9
 GAP = 1.0 - math.log(2.0)  # sup of S1 - S2 per mode
@@ -64,17 +65,23 @@ def public_state(n, squeezing, seed):
     return evolve(build_initial_covariance(squeezing), u)
 
 
-def sampled(n, k, squeezing, seed, reverse_rows=False):
-    """Per-sample (S2, S1) of the first k and the first n - k modes."""
+def sampled(n, k, squeezing, seed):
+    """The sampler's per-sample (S2, S1) of the first k and the first n - k modes."""
     config = RunConfig(
         n=n, squeezing=squeezing, subsystem_sizes=(k, n - k), samples=4, master_seed=seed
     )
-    if not reverse_rows:
-        return sample_entropies(config, with_s1=True)
-    draw = montecarlo._raw_haar_matrix
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(montecarlo, "_raw_haar_matrix", lambda n, gen: draw(n, gen)[::-1])
-        return sample_entropies(config, with_s1=True)
+    return sample_entropies(config, with_s1=True)
+
+
+def kernel_on_unitaries(n, k, squeezing, seed, reverse_rows=False):
+    """The sampler's kernel on the full Haar unitaries of samples 0-3 of (seed, namespace 0)."""
+    scale = np.sqrt(_initial_diagonal(squeezing.values))
+    rows = []
+    for j in range(4):
+        u = _haar_frame(n, n, derive_substream(SeededStream(seed, 0), j).generator())
+        rows.append(_entropies_for_sample(u[::-1] if reverse_rows else u, scale, (k, n - k), True))
+    rows = np.array(rows)
+    return rows[:, 0], rows[:, 1]
 
 
 def assert_entropy_bounds(s2, s1, k):
@@ -108,8 +115,8 @@ class TestSampler:
         # reversing U's rows turns the first n - k modes into the complement
         # of the first k
         n, k, squeezing, seed = system
-        s2, s1 = sampled(n, k, squeezing, seed)
-        r2, r1 = sampled(n, k, squeezing, seed, reverse_rows=True)
+        s2, s1 = kernel_on_unitaries(n, k, squeezing, seed)
+        r2, r1 = kernel_on_unitaries(n, k, squeezing, seed, reverse_rows=True)
         assert np.abs(s2 - r2[:, ::-1]).max() <= TOL
         assert np.abs(s1 - r1[:, ::-1]).max() <= TOL
         assert_entropy_bounds(s2[:, 0], s1[:, 0], k)

@@ -4,8 +4,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pagecurve import InputError, SeededStream, derive_substream, sample_haar_unitary
-from pagecurve.haar import RNG_ALGORITHM, _raw_haar_matrix
+from pagecurve import (
+    InputError,
+    RunConfig,
+    SeededStream,
+    SqueezingConfig,
+    derive_substream,
+    sample_entropies,
+    sample_haar_unitary,
+)
+from pagecurve.gaussian import _initial_diagonal
+from pagecurve.haar import RNG_ALGORITHM, _haar_frame
+from pagecurve.montecarlo import _entropies_for_sample
 
 
 def test_rng_algorithm_identifier():
@@ -54,7 +64,7 @@ def test_first_moment():
     n, samples = 4, 10_000
     vals = np.empty(samples)
     for j in range(samples):
-        u = _raw_haar_matrix(n, SeededStream(11, j).generator())
+        u = _haar_frame(n, n, SeededStream(11, j).generator())
         vals[j] = abs(u[0, 0]) ** 2
     stderr = vals.std(ddof=1) / math.sqrt(samples)
     assert abs(vals.mean() - 1.0 / n) <= 3 * stderr
@@ -64,13 +74,13 @@ def test_left_invariance_proxy():
     # Tr(VU) and Tr(U) must be identically distributed for fixed V
     n, samples = 4, 10_000
     rng = np.random.default_rng(5)
-    v = _raw_haar_matrix(n, SeededStream(99, 0).generator())
+    v = _haar_frame(n, n, SeededStream(99, 0).generator())
     plain = np.empty(samples)
     rotated = np.empty(samples)
     for j in range(samples):
-        u = _raw_haar_matrix(n, SeededStream(21, j).generator())
+        u = _haar_frame(n, n, SeededStream(21, j).generator())
         plain[j] = np.trace(u).real
-        u2 = _raw_haar_matrix(n, SeededStream(22, j).generator())
+        u2 = _haar_frame(n, n, SeededStream(22, j).generator())
         rotated[j] = np.trace(v @ u2).real
     assert stats.ks_2samp(plain, rotated).pvalue > 0.01
     del rng
@@ -99,9 +109,74 @@ def test_pooled_substreams_match_single_stream():
     for worker in range(10):
         gen = derive_substream(base, worker).generator()
         for _ in range(per_stream):
-            pooled.append(abs(_raw_haar_matrix(n, gen)[0, 0]) ** 2)
+            pooled.append(abs(_haar_frame(n, n, gen)[0, 0]) ** 2)
     single_gen = SeededStream(78, 0).generator()
     single = [
-        abs(_raw_haar_matrix(n, single_gen)[0, 0]) ** 2 for _ in range(10 * per_stream)
+        abs(_haar_frame(n, n, single_gen)[0, 0]) ** 2 for _ in range(10 * per_stream)
     ]
     assert stats.ks_2samp(np.array(pooled), np.array(single)).pvalue > 0.01
+
+
+def full_draw_reference(n, stream, phase_fix=True):
+    """The n x n draw as written before the frame helper: Ginibre, QR, phase fix."""
+    generator = stream.generator()
+    re = generator.standard_normal((n, n))
+    im = generator.standard_normal((n, n))
+    q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2.0))
+    if phase_fix:
+        d = np.diagonal(r).copy()
+        d[d == 0] = 1.0
+        q = q * (d / np.abs(d))
+    return q
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (8, 3), (50, 7), (400, 20), (12, 12)])
+def test_frame_rows_orthonormal(n, m):
+    v = _haar_frame(n, m, SeededStream(13, n).generator()).T
+    assert v.shape == (m, n)
+    assert np.abs(v @ v.conj().T - np.eye(m)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n,seed,index", [(1, 0, 0), (4, 7, 3), (9, 2024, 17), (30, 5, 2**40)])
+def test_unitary_draw_unchanged(n, seed, index):
+    # the m = n frame consumes the same normals in the same order as the
+    # former full draw, so public unitaries are bit-identical
+    stream = SeededStream(seed, index)
+    for phase_fix in (True, False):
+        drawn = sample_haar_unitary(n, stream, phase_fix=phase_fix).matrix
+        assert np.array_equal(drawn, full_draw_reference(n, stream, phase_fix))
+
+
+def test_frame_entry_moments():
+    # each entry of a Haar row frame has |V_ij|^2 ~ Beta(1, n - 1):
+    # E |V_ij|^2 = 1/n and E |V_ij|^4 = 2 / (n (n + 1))
+    n, m, samples = 8, 3, 20_000
+    base = SeededStream(41, 0)
+    sq = np.empty((samples, m, n))
+    for j in range(samples):
+        sq[j] = np.abs(_haar_frame(n, m, derive_substream(base, j).generator()).T) ** 2
+    fourth = sq**2
+    checks = [
+        (sq[:, 0, 0], 1.0 / n),
+        (sq[:, m - 1, n - 1], 1.0 / n),
+        (fourth[:, 0, 0], 2.0 / (n * (n + 1))),
+        (fourth[:, m - 1, n - 1], 2.0 / (n * (n + 1))),
+        (fourth.mean(axis=(1, 2)), 2.0 / (n * (n + 1))),
+    ]
+    for values, expected in checks:
+        stderr = values.std(ddof=1) / math.sqrt(samples)
+        assert abs(values.mean() - expected) <= 3 * stderr
+
+
+def test_frame_entropies_match_full_unitaries():
+    # per-sample S2 of k = 10 of n = 100 modes: the sampler's 10-row frames
+    # against the first 10 rows of full Haar unitaries
+    n, k, samples = 100, 10, 500
+    squeezing = SqueezingConfig.equal(n, 0.75)
+    framed, _ = sample_entropies(
+        RunConfig(n=n, squeezing=squeezing, subsystem_sizes=(k,), samples=samples, master_seed=51)
+    )
+    scale = np.sqrt(_initial_diagonal(squeezing.values))
+    rows = [_haar_frame(n, n, SeededStream(52, j).generator()).T for j in range(samples)]
+    full = np.array([_entropies_for_sample(u, scale, (k,), False)[0, 0] for u in rows])
+    assert stats.ks_2samp(framed[:, 0], full).pvalue > 0.01

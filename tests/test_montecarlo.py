@@ -7,6 +7,8 @@ import pytest
 
 from pagecurve import (
     InputError,
+    cli,
+    montecarlo,
     RunConfig,
     SqueezingConfig,
     conjecture_probe,
@@ -26,7 +28,8 @@ from pagecurve.gaussian import (
     reduce_subsystem,
     renyi2_entropy,
 )
-from pagecurve.haar import SeededStream, sample_haar_unitary
+from pagecurve.haar import SeededStream, derive_substream, sample_haar_unitary
+from pagecurve.montecarlo import Experiment, stream_namespace
 
 COSH_15 = 2.352409615243247325767668
 
@@ -77,6 +80,18 @@ class TestDeterminism:
         b2, b1 = sample_entropies(small_config(samples=POOLED_SAMPLES, workers=2), with_s1=True)
         assert pool_starts == [2, 2]
         assert np.array_equal(a2, b2) and np.array_equal(a1, b1)
+
+    def test_worker_count_invariance_large_n(self, pool_starts):
+        # at n = 400 the thread count of a multi-threaded BLAS would change
+        # the last bits of the QR; every sampling process runs on one thread
+        config = RunConfig(
+            n=400, squeezing=SqueezingConfig.equal(400, 0.75), subsystem_sizes=(20,),
+            samples=POOLED_SAMPLES, master_seed=8,
+        )
+        a, _ = sample_entropies(config)
+        b, _ = sample_entropies(RunConfig(**{**config.__dict__, "workers": 2}))
+        assert pool_starts == [2]
+        assert np.array_equal(a, b)
 
     def test_seed_changes_results(self):
         a = estimate_entropy_statistics(small_config())
@@ -323,3 +338,63 @@ class TestRunConfigValidation:
             small_config(samples=0)
         with pytest.raises(InputError):
             small_config(workers=0)
+
+
+class TestStreamKeys:
+    def test_key_blocks_are_disjoint(self):
+        # the key of (experiment, point, sample) is increasing in
+        # (experiment, point, sample) for points < 2^16 and samples < 2^32,
+        # so the last key of each experiment lies below the first of the next
+        def key(experiment, point, sample):
+            stream = SeededStream(0, stream_namespace(experiment, point))
+            return derive_substream(stream, sample).stream_index
+
+        experiments = sorted(Experiment)
+        assert [int(e) for e in experiments] == list(range(len(experiments)))
+        for e in experiments:
+            assert key(e, 0, 0) < key(e, 0, 2**32 - 1) < key(e, 1, 0)
+            assert key(e, 2**16 - 2, 2**32 - 1) < key(e, 2**16 - 1, 0)
+        for lower, upper in zip(experiments, experiments[1:]):
+            assert key(lower, 2**16 - 1, 2**32 - 1) < key(upper, 0, 0)
+        assert key(experiments[-1], 2**16 - 1, 2**32 - 1) < 2**64
+        for point in (-1, 2**16):
+            with pytest.raises(InputError):
+                stream_namespace(Experiment.ENTROPY, point)
+
+    def test_each_experiment_draws_in_its_own_block(self, monkeypatch, capsys):
+        keys = []
+
+        def recording(stream, j):
+            sub = derive_substream(stream, j)
+            keys.append(sub.stream_index)
+            return sub
+
+        monkeypatch.setattr(montecarlo, "derive_substream", recording)
+        sq = SqueezingConfig.equal(4, 0.5)
+        runs = {
+            Experiment.ENTROPY: lambda: sample_entropies(
+                RunConfig(n=4, squeezing=sq, subsystem_sizes=(2,), samples=3)
+            ),
+            Experiment.CONSTANT_TERM: lambda: estimate_constant_term(
+                [4, 8, 12], 0.5, Fraction(1, 2), 3, 0, bootstrap_resamples=2
+            ),
+            Experiment.TYPICALITY: lambda: typicality_probe([4, 8, 12], "sqrt", 0.5, 0.1, 3, 0),
+            Experiment.VARIANCE: lambda: cli.main([
+                "variance", "--modes", "4,8,12", "--squeeze", "0.5", "--samples", "3",
+                "--workers", "1",
+            ]),
+            Experiment.CONJECTURE: lambda: conjecture_probe(sq, 0, 1e-3, 3, 0, k=2),
+            Experiment.MEAN_COVARIANCE: lambda: mean_covariance_check(4, sq, 2, 3, 0),
+        }
+        ladders = (Experiment.CONSTANT_TERM, Experiment.TYPICALITY, Experiment.VARIANCE)
+        for experiment, run in runs.items():
+            keys.clear()
+            run()
+            blocks = {key >> 48 for key in keys if key >> 48 != Experiment.BOOTSTRAP}
+            assert blocks == {experiment}
+            points = {(key >> 32) & 0xFFFF for key in keys}
+            assert points == ({0, 1, 2} if experiment in ladders else {0})
+            bootstrap = [key for key in keys if key >> 48 == Experiment.BOOTSTRAP]
+            assert bootstrap == ([stream_namespace(Experiment.BOOTSTRAP) << 32]
+                                 if experiment == Experiment.CONSTANT_TERM else [])
+        capsys.readouterr()
