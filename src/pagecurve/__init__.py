@@ -46,7 +46,6 @@ from .gaussian import (
     von_neumann_entropy,
 )
 from .haar import RNG_ALGORITHM, SeededStream, derive_substream, sample_haar_unitary
-from .kernels import BACKEND as KERNEL_BACKEND
 from .montecarlo import (
     SAMPLER,
     CurveEstimate,

@@ -2,8 +2,13 @@
 
 Subcommands: page-curve, variance, typicality, conjecture-probe, weingarten,
 verify.  Every run emits a versioned record (CSV or JSON) whose metadata
-carries the seed, the RNG algorithm, the sampler id, the kernel backend, the
-wall time and the exact command line needed to regenerate the numeric columns byte-for-byte.
+carries the seed, the RNG algorithm, the sampler id, the wall time and the
+exact command line needed to regenerate the numeric columns byte-for-byte.
+The exact engine has a single pure-Python implementation, so records name no
+kernel backend.
+
+`weingarten a-ell` accepts 1 <= --max <= 5 and checks the cap before it
+enumerates; `weingarten wg --type` takes cycle lengths >= 1.
 
 Exit codes: 0 success, 1 usage error, 2 numerical/capacity error,
 3 verification or tolerance failure.
@@ -24,7 +29,6 @@ from . import analytic, montecarlo, verify, weingarten
 from .errors import CapacityError, InputError, NumericalError, PageCurveError
 from .gaussian import SqueezingConfig
 from .haar import RNG_ALGORITHM
-from .kernels import BACKEND
 
 SCHEMA_VERSION = "1"
 
@@ -77,7 +81,6 @@ def _record(command, argv, columns, rows, seed, extra_metadata=None, started=Non
         "seed": seed,
         "rng_algorithm": RNG_ALGORITHM,
         "sampler": montecarlo.SAMPLER,
-        "kernel_backend": BACKEND,
         "wall_time_s": None if started is None else round(time.perf_counter() - started, 6),
     }
     if extra_metadata:
@@ -173,7 +176,6 @@ def build_parser() -> _Parser:
     wg = subs.add_parser("weingarten", help="exact permutation/moment tables")
     wg.add_argument("subop", choices=("a-ell", "wg", "moment", "omega2"))
     wg.add_argument("--max", type=int, default=4, help="a-ell: largest l")
-    wg.add_argument("--extended", action="store_true", help="allow l above the default cap")
     wg.add_argument("--type", dest="cycle_type", help="wg: cycle type, e.g. 2,1,1")
     wg.add_argument("--n", type=int, help="matrix dimension")
     wg.add_argument("--k", type=int, help="subsystem size")
@@ -343,17 +345,22 @@ def _cmd_conjecture_probe(args, argv):
 def _cmd_weingarten(args, argv):
     started = time.perf_counter()
     if args.subop == "a-ell":
+        if args.max < 1:
+            raise _UsageError(f"--max must be >= 1, got {args.max}")
         columns = ["l", "value", "value_float", "closed_form", "provenance"]
         rows = []
         # largest l first, so that its capacity check runs before any enumeration
         for l in range(args.max, 0, -1):
-            value = weingarten.a_ell_enumeration(l, allow_extended=args.extended)
+            value = weingarten.a_ell_enumeration(l)
             closed = Fraction((-1) ** l * 4 ** (l - 1))
             rows.insert(0, [l, value, float(value), closed, "exact"])
     elif args.subop == "wg":
         if not args.cycle_type or args.n is None:
             raise _UsageError("wg needs --type and --n")
         lengths = _parse_int_list(args.cycle_type, "--type")
+        bad = [ln for ln in lengths if ln < 1]
+        if bad:
+            raise _UsageError(f"--type cycle lengths must be >= 1, got {bad[0]}")
         q = sum(lengths)
         cycles, start = [], 1
         for ln in lengths:

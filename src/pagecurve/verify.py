@@ -20,7 +20,7 @@ from . import analytic, gaussian, montecarlo, weingarten
 from .gaussian import SqueezingConfig
 from .haar import SeededStream, sample_haar_unitary
 
-__all__ = ["CheckResult", "run_suite", "SUITES"]
+__all__ = ["CheckResult", "run_suite", "SUITES", "wg_orthogonality"]
 
 # Reference coefficients for the low-order mean-overlap polynomials,
 # transcribed independently of the generating code.
@@ -101,26 +101,30 @@ def suite_coefficients(seed: int = 0, samples: int = 0) -> list[CheckResult]:
     return out
 
 
+def wg_orthogonality(q: int, n: int) -> bool:
+    """Exact orthogonality of the Weingarten table of S_q at dimension n:
+    sum_tau Wg(sigma tau^-1, n) n^{#cycles(tau)} = [sigma == id] for every sigma."""
+    table = weingarten.wg_class_table(q, n)
+    for sigma in itertools.permutations(range(1, q + 1)):
+        total = Fraction(0)
+        for tau in itertools.permutations(range(1, q + 1)):
+            inv = [0] * q
+            for a, b in enumerate(tau):
+                inv[b - 1] = a + 1
+            comp = weingarten.Permutation(tuple(sigma[inv[i] - 1] for i in range(q)))
+            total += table[tuple(weingarten.cycle_type(comp))] * (
+                n ** weingarten.Permutation(tau).cycle_count
+            )
+        if total != (1 if weingarten.Permutation(sigma).transposition_distance == 0 else 0):
+            return False
+    return True
+
+
 def suite_weingarten(seed: int = 7, samples: int = 2000) -> list[CheckResult]:
     out = _Checks()
     for q in (2, 3, 4):
         for n in (5, 9):
-            table = weingarten.wg_class_table(q, n)
-            ok = True
-            for sigma in itertools.permutations(range(1, q + 1)):
-                p_sigma = weingarten.Permutation(sigma)
-                total = Fraction(0)
-                for tau in itertools.permutations(range(1, q + 1)):
-                    p_tau = weingarten.Permutation(tau)
-                    inv = [0] * q
-                    for a, b in enumerate(tau):
-                        inv[b - 1] = a + 1
-                    comp = tuple(sigma[inv[i] - 1] for i in range(q))
-                    ctype = tuple(weingarten.cycle_type(weingarten.Permutation(comp)))
-                    total += table[ctype] * n ** p_tau.cycle_count
-                if total != (1 if p_sigma.transposition_distance == 0 else 0):
-                    ok = False
-                    break
+            ok = wg_orthogonality(q, n)
             out.add(f"orthogonality q={q} n={n}", ok, ok, True)
 
     swap = weingarten.Permutation((2, 1))

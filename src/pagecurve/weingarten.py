@@ -7,9 +7,11 @@ subsystem overlap matrix W are assembled from integer pair counts, and the
 enumeration sums over S_{2l} verify the coefficient closed forms
 independently of the series machinery in pagecurve.analytic.
 
-Capacity limits keep runtimes desk-scale: moments allow q = 2*sum(powers) up
-to 6 (override with the PAGECURVE_MAX_Q environment variable), enumerations
-allow l up to 5 (l = 6 needs allow_extended=True and streams S_12).
+Capacity limits keep runtimes desk-scale and are checked before any work
+starts: moments allow q = 2*sum(powers) up to 6 (override with the
+PAGECURVE_MAX_Q environment variable), and the enumerations over S_{2l} allow
+1 <= l <= 5 (InputError below, CapacityError above).  The permutation loops
+live in pagecurve.kernels and are called through that module's attributes.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import kernels
-from ._enum_py import cycle_type as _cycle_type
-from ._enum_py import xi_of as _xi_of
+from .kernels import cycle_type as _cycle_type
+from .kernels import xi_of as _xi_of
 from .analytic import catalan_number
 from .errors import CapacityError, InputError
 
@@ -198,34 +200,34 @@ def xi_statistic(p: Permutation) -> int:
     return _xi_of(tuple(i - 1 for i in p.images))
 
 
-def _check_enumeration_limit(l: int, hi: int, allow_extended: bool, name: str):
-    if l < 1 or l > hi:
-        raise InputError(f"{name} supports 1 <= l <= {hi}, got {l}")
-    if l > DEFAULT_MAX_ENUMERATION and not allow_extended:
+def _check_enumeration_limit(l: int, name: str):
+    if l < 1:
+        raise InputError(f"{name} needs l >= 1, got {l}")
+    if l > DEFAULT_MAX_ENUMERATION:
         raise CapacityError(
-            f"{name}(l={l}) streams S_{2 * l} "
-            f"({math.factorial(2 * l):,} permutations); pass allow_extended=True"
+            f"{name}(l={l}) would stream S_{2 * l} ({math.factorial(2 * l):,} permutations); "
+            f"capacity is l <= {DEFAULT_MAX_ENUMERATION}"
         )
 
 
-def a_ell_enumeration(l: int, allow_extended: bool = False) -> Fraction:
+def a_ell_enumeration(l: int) -> Fraction:
     """Constant-order coefficient by direct enumeration over S_{2l}.
 
     Sums (-1)^(#cycles) prod C_{len-1} over permutations whose pairing-graph
     component count equals the transposition distance.  Matches the closed
     form (-1)^l 4^(l-1).
     """
-    _check_enumeration_limit(l, 6, allow_extended, "a_ell_enumeration")
+    _check_enumeration_limit(l, "a_ell_enumeration")
     return Fraction(kernels.xi_condition_sum(l, 0))
 
 
-def alpha_top_enumeration(l: int, allow_extended: bool = False) -> Fraction:
+def alpha_top_enumeration(l: int) -> Fraction:
     """Leading polynomial coefficient by enumeration: condition xi = |tau| + 1.
 
     Equals (-1)^(l+1) C(2l-1, l-1) / (2l-1), the top coefficient of the
     order-l polynomial from pagecurve.analytic.
     """
-    _check_enumeration_limit(l, 5, allow_extended, "alpha_top_enumeration")
+    _check_enumeration_limit(l, "alpha_top_enumeration")
     return Fraction(kernels.xi_condition_sum(l, 1))
 
 

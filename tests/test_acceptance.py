@@ -17,8 +17,7 @@ import pagecurve as pc
 from pagecurve.analytic import log_cosh
 from pagecurve.gaussian import PassiveUnitary, equal_squeezing_coupling
 from pagecurve.haar import SeededStream, _haar_frame
-from pagecurve.verify import F_REFERENCE
-from pagecurve.weingarten import wg_class_table
+from pagecurve.verify import F_REFERENCE, wg_orthogonality
 
 WORKERS = 2
 
@@ -207,22 +206,7 @@ def test_criterion_8_entropy_bounds_suite():
 
 def test_criterion_9_weingarten_engine():
     # exact orthogonality sum_tau Wg(sigma tau^-1) n^{#tau} = [sigma = id]
-    orth_ok = True
-    for q in (2, 3, 4):
-        identity = tuple(range(1, q + 1))
-        for n in (5, 9):
-            table = wg_class_table(q, n)
-            for sigma in itertools.permutations(range(1, q + 1)):
-                total = Fraction(0)
-                for tau in itertools.permutations(range(1, q + 1)):
-                    inv = [0] * q
-                    for pos, img in enumerate(tau):
-                        inv[img - 1] = pos + 1
-                    comp = pc.Permutation(tuple(sigma[inv[i] - 1] for i in range(q)))
-                    total += table[tuple(pc.cycle_type(comp))] * Fraction(n) ** (
-                        pc.Permutation(tau).cycle_count
-                    )
-                orth_ok = orth_ok and total == (1 if sigma == identity else 0)
+    orth_ok = all(wg_orthogonality(q, n) for q in (2, 3, 4) for n in (5, 9))
 
     swap = pc.Permutation((2, 1))
     gap = abs(pc.wg_asymptotic(swap, 50) / float(pc.wg_exact(swap, 50)) - 1.0)

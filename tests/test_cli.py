@@ -187,7 +187,19 @@ class TestWeingartenCommand:
 
         monkeypatch.setattr(kernels, "xi_condition_sum", no_enumeration)
         assert main(["weingarten", "a-ell", "--max", "6"]) == 2
-        assert main(["weingarten", "a-ell", "--max", "7", "--extended"]) == 1
+        assert main(["weingarten", "a-ell", "--max", "7"]) == 2
+
+    @pytest.mark.parametrize("bad", ["0", "-1"])
+    def test_a_ell_max_below_one_usage(self, capsys, bad):
+        assert main(["weingarten", "a-ell", "--max", bad]) == 1
+        assert f"--max must be >= 1, got {bad}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("types, bad", [("3,-1", "-1"), ("2,0", "0")])
+    def test_wg_bad_cycle_length_usage(self, capsys, types, bad):
+        assert main(["weingarten", "wg", "--type", types, "--n", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cycle lengths must be >= 1, got {bad}" in captured.err
 
     def test_missing_flags_usage(self):
         assert main(["weingarten", "moment", "--powers", "1"]) == 1

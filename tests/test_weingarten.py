@@ -23,13 +23,9 @@ from pagecurve import (
     wg_exact,
     xi_statistic,
 )
-from pagecurve import _enum_py
-from pagecurve.weingarten import haar_entry_moment, wg_class_table
-
-try:
-    from pagecurve import _enumeration as _accel
-except ImportError:
-    _accel = None
+from pagecurve import kernels
+from pagecurve.verify import wg_orthogonality
+from pagecurve.weingarten import haar_entry_moment
 
 
 class TestPermutation:
@@ -133,17 +129,7 @@ class TestOrthogonality:
     @pytest.mark.parametrize("q", [2, 3, 4])
     @pytest.mark.parametrize("n", [5, 9])
     def test_exact_orthogonality(self, q, n):
-        table = wg_class_table(q, n)
-        for sigma in itertools.permutations(range(1, q + 1)):
-            total = Fraction(0)
-            for tau in itertools.permutations(range(1, q + 1)):
-                inv = [0] * q
-                for pos, img in enumerate(tau):
-                    inv[img - 1] = pos + 1
-                comp = Permutation(tuple(sigma[inv[i] - 1] for i in range(q)))
-                total += table[tuple(cycle_type(comp))] * Fraction(n) ** Permutation(tau).cycle_count
-            expected = 1 if sigma == tuple(range(1, q + 1)) else 0
-            assert total == expected
+        assert wg_orthogonality(q, n)
 
 
 class TestWgAsymptotic:
@@ -226,26 +212,44 @@ class TestEnumerations:
             assert alpha_top_enumeration(l) == closed
 
     def test_capacity(self):
-        with pytest.raises(CapacityError):
-            a_ell_enumeration(6)
-        with pytest.raises(InputError):
-            a_ell_enumeration(7, allow_extended=True)
-        with pytest.raises(InputError):
-            alpha_top_enumeration(6)
+        for l in (6, 7):
+            with pytest.raises(CapacityError):
+                a_ell_enumeration(l)
+            with pytest.raises(CapacityError):
+                alpha_top_enumeration(l)
+        for l in (0, -1):
+            with pytest.raises(InputError):
+                a_ell_enumeration(l)
+            with pytest.raises(InputError):
+                alpha_top_enumeration(l)
 
 
-@pytest.mark.skipif(_accel is None, reason="compiled kernels not built")
-class TestKernelBackendsAgree:
-    def test_xi_condition_sum(self):
-        for half in (1, 2, 3, 4):
-            for offset in (0, 1):
-                assert _accel.xi_condition_sum(half, offset) == _enum_py.xi_condition_sum(
-                    half, offset
-                )
+def _brute_force_pair_counts(powers):
+    """Oracle for the coset-reduced count: visit every pair of S_q x S_q."""
+    q = 2 * sum(powers)
+    i_edges, j_edges = kernels._structural_edges(powers)
+    perms = list(itertools.permutations(range(q)))
+    comp_a, comp_b, invs = [], [], []
+    for p in perms:
+        sigma_edges = [(m, q + p[m]) for m in range(q)]
+        comp_a.append(kernels._component_count(2 * q, i_edges + sigma_edges))
+        comp_b.append(kernels._component_count(2 * q, j_edges + sigma_edges))
+        inv = [0] * q
+        for a, b in enumerate(p):
+            inv[b] = a
+        invs.append(inv)
+    counts = {}
+    for sigma, a in zip(perms, comp_a):
+        for inv, b in zip(invs, comp_b):
+            key = (kernels.cycle_type([sigma[inv[m]] for m in range(q)]), a, b)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
 
-    def test_moment_pair_counts(self):
-        for powers in ((1,), (2,), (1, 1)):
-            assert _accel.moment_pair_counts(powers) == _enum_py.moment_pair_counts(powers)
+
+class TestPairCounts:
+    @pytest.mark.parametrize("powers", [(1,), (2,), (1, 1), (3,), (1, 2), (2, 1), (1, 1, 1)])
+    def test_matches_brute_force(self, powers):
+        assert kernels.moment_pair_counts(powers) == _brute_force_pair_counts(powers)
 
 
 class TestTraceMoments:
