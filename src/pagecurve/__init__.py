@@ -9,7 +9,6 @@ coefficients.
 
 from .analytic import (
     RationalPolynomial,
-    SeriesTolerance,
     VarianceCoefficients,
     alpha_coefficient,
     catalan_number,

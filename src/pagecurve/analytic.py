@@ -23,7 +23,9 @@ Two routes compute the density:
 * hot path: `page_curve_density` evaluates the Wachter-law integral in closed
   form, a handful of `math` calls for any r and s;
 * oracle: `density_series_info` sums the series with G_l evaluated in exact
-  rationals, with a rigorous tail bound.  It costs O(L^2) big-rational
+  rationals, with a rigorous tail bound.  Its budget is fixed: the tail
+  bound must reach SERIES_ABS_TOL = 1e-10 within SERIES_MAX_TERMS = 10 000
+  terms, or it raises TruncationError.  It costs O(L^2) big-rational
   operations for L terms and is kept to check the closed form, as are
   `f_polynomial` and `g_exact`.
 
@@ -35,16 +37,15 @@ happens only when a polynomial is finally evaluated.  The large coefficients
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InputError, TruncationError
 
 __all__ = [
     "DENSITY_RULE",
     "RationalPolynomial",
-    "SeriesTolerance",
     "VarianceCoefficients",
     "catalan_number",
     "alpha_coefficient",
@@ -189,27 +190,16 @@ def hypergeometric_poly(m: int, b: int, c: int) -> RationalPolynomial:
     return RationalPolynomial(coeffs)
 
 
-_F_CACHE: dict[int, RationalPolynomial] = {}
-_F_CACHE_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def f_polynomial(l: int) -> RationalPolynomial:
     """Polynomial limit of the mean normalized trace of the l-th subsystem
     overlap power: degrees l+1 through 2l, built from the terminating
     hypergeometric expansion r^(l+1) C_l 2F1(1-l, l; l+2; r)."""
     if l < 1:
         raise InputError(f"l must be >= 1, got {l}")
-    with _F_CACHE_LOCK:
-        poly = _F_CACHE.get(l)
-    if poly is None:
-        hyp = hypergeometric_poly(l - 1, l, l + 2)
-        cl = catalan_number(l)
-        poly = RationalPolynomial(
-            {a + l + 1: cl * coef for a, coef in hyp.coefficients.items()}
-        )
-        with _F_CACHE_LOCK:
-            _F_CACHE[l] = poly
-    return poly
+    hyp = hypergeometric_poly(l - 1, l, l + 2)
+    cl = catalan_number(l)
+    return RationalPolynomial({a + l + 1: cl * coef for a, coef in hyp.coefficients.items()})
 
 
 def g_polynomial(l: int) -> RationalPolynomial:
@@ -250,21 +240,8 @@ def _f_value_stream(l, rq):
     return total
 
 
-@dataclass(frozen=True)
-class SeriesTolerance:
-    """Accuracy control for the exact series `density_series_info`.
-
-    abs_tol bounds the series' tail; max_terms caps its term count.
-    """
-
-    abs_tol: float = 1e-10
-    max_terms: int = 10_000
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0):
-            raise InputError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_terms < 1:
-            raise InputError(f"max_terms must be >= 1, got {self.max_terms}")
+SERIES_ABS_TOL = 1e-10  # the tail bound `density_series_info` must reach
+SERIES_MAX_TERMS = 10_000  # within this many terms
 
 
 @dataclass(frozen=True)
@@ -288,9 +265,9 @@ def _log_tail_kink(L: int, log_t2: float) -> float:
     return (L + 1) * log_t2 - math.log(2.0 * math.sqrt(math.pi * L))
 
 
-def _choose_terms(log_t2: float, t2: float, tol: SeriesTolerance):
-    """Smallest term count meeting abs_tol under either tail bound, or None."""
-    log_tol = math.log(tol.abs_tol)
+def _choose_terms(log_t2: float, t2: float):
+    """Smallest term count meeting SERIES_ABS_TOL under either tail bound, or None."""
+    log_tol = math.log(SERIES_ABS_TOL)
     best = None
     for mode in ("direct", "kink"):
 
@@ -299,7 +276,7 @@ def _choose_terms(log_t2: float, t2: float, tol: SeriesTolerance):
                 return _log_tail_direct(L, log_t2, t2)
             return _log_tail_kink(L, log_t2)
 
-        lo, hi = 1, tol.max_terms
+        lo, hi = 1, SERIES_MAX_TERMS
         if logb(hi) > log_tol:
             continue
         while lo < hi:  # bounds are monotone in L; bisect for the minimum
@@ -313,7 +290,7 @@ def _choose_terms(log_t2: float, t2: float, tol: SeriesTolerance):
     return best
 
 
-def density_series_info(s: float, r, tol: SeriesTolerance | None = None) -> SeriesInfo:
+def density_series_info(s: float, r) -> SeriesInfo:
     """Evaluate the mean-entropy density series with a rigorous tail bound.
 
     Two summation routes cover the whole squeezing range:
@@ -323,9 +300,11 @@ def density_series_info(s: float, r, tol: SeriesTolerance | None = None) -> Seri
       min(r,1-r) - G_l, whose terms decay like l^(-3/2) even as t -> 1.
       The deficit bound (1/2) 4^(-l) C(2l,l), attained at r = 1/2, makes this
       route usable at squeezing values where t^2 rounds to 1 in floats.
+
+    The route with fewer terms wins.  If neither tail bound reaches
+    SERIES_ABS_TOL within SERIES_MAX_TERMS terms, TruncationError is raised
+    before any term is summed.
     """
-    if tol is None:
-        tol = SeriesTolerance()
     if not math.isfinite(s):
         raise InputError(f"squeezing must be finite, got {s}")
     rq = _exact_fraction(r)
@@ -337,15 +316,15 @@ def density_series_info(s: float, r, tol: SeriesTolerance | None = None) -> Seri
     t = math.tanh(2.0 * s)
     t2 = t * t
     log_t2 = 2.0 * math.log(abs(t)) if t2 < 1.0 else 0.0
-    choice = _choose_terms(log_t2, t2, tol)
+    choice = _choose_terms(log_t2, t2)
     if choice is None:
-        achieved = math.exp(min(_log_tail_direct(tol.max_terms, log_t2, t2),
-                                _log_tail_kink(tol.max_terms, log_t2)))
+        achieved = math.exp(min(_log_tail_direct(SERIES_MAX_TERMS, log_t2, t2),
+                                _log_tail_kink(SERIES_MAX_TERMS, log_t2)))
         raise TruncationError(
-            f"series tail bound {achieved:.3e} > abs_tol {tol.abs_tol:.3e} "
-            f"after {tol.max_terms} terms (s={s}, r={float(rq)})",
+            f"series tail bound {achieved:.3e} > abs_tol {SERIES_ABS_TOL:.3e} "
+            f"after {SERIES_MAX_TERMS} terms (s={s}, r={float(rq)})",
             achieved_bound=achieved,
-            terms=tol.max_terms,
+            terms=SERIES_MAX_TERMS,
         )
     mode, terms, bound = choice
 

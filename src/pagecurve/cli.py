@@ -10,6 +10,11 @@ kernel backend.
 `weingarten a-ell` accepts 1 <= --max <= 5 and checks the cap before it
 enumerates; `weingarten wg --type` takes cycle lengths >= 1.
 
+Only the sampling commands (page-curve, variance, typicality,
+conjecture-probe) take --workers; weingarten and verify have no worker pool
+to size.  `page-curve --samples` is 0 for an analytic-only curve or a
+positive count.
+
 Exit codes: 0 success, 1 usage error, 2 numerical/capacity error,
 3 verification or tolerance failure.
 """
@@ -100,14 +105,18 @@ _SAMPLING = {"blas_threads": montecarlo.SAMPLING_BLAS_THREADS}  # metadata of sa
 
 def _add_common(sub):
     sub.add_argument("--seed", type=int, default=0, help="64-bit master seed (default 0)")
+    sub.add_argument("--out", help="output file (default: stdout)")
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _add_sampling(sub):
+    _add_common(sub)
     sub.add_argument(
         "--workers",
         type=int,
         default=os.cpu_count() or 1,
         help="worker processes for sampling (default: hardware parallelism)",
     )
-    sub.add_argument("--out", help="output file (default: stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _parse_squeeze(text: str, n: int) -> SqueezingConfig:
@@ -147,14 +156,14 @@ def build_parser() -> _Parser:
     pc.add_argument("--samples", type=int, default=0, help="Monte Carlo samples (0: analytic only)")
     pc.add_argument("--analytic-only", action="store_true")
     pc.add_argument("--grid-step", type=float, default=None, help="r grid step (analytic only)")
-    _add_common(pc)
+    _add_sampling(pc)
 
     var = subs.add_parser("variance", help="sampled entropy variance vs the leading series")
     var.add_argument("--modes", required=True, help="comma list of mode counts")
     var.add_argument("--squeeze", type=float, required=True)
     var.add_argument("--ratio", default="1/2", help="subsystem fraction (rational)")
     var.add_argument("--samples", type=int, default=1000)
-    _add_common(var)
+    _add_sampling(var)
 
     typ = subs.add_parser("typicality", help="entropy deviation frequencies")
     typ.add_argument("--modes", required=True, help="comma list of mode counts")
@@ -162,7 +171,7 @@ def build_parser() -> _Parser:
     typ.add_argument("--squeeze", type=float, required=True)
     typ.add_argument("--epsilon", type=float, required=True)
     typ.add_argument("--samples", type=int, default=1000)
-    _add_common(typ)
+    _add_sampling(typ)
 
     cp = subs.add_parser("conjecture-probe", help="derivative of mean entropy in one s_i^2")
     cp.add_argument("--modes", type=int, required=True)
@@ -171,7 +180,7 @@ def build_parser() -> _Parser:
     cp.add_argument("--mode-index", type=int, default=0)
     cp.add_argument("--delta", type=float, default=1e-3)
     cp.add_argument("--samples", type=int, default=1000)
-    _add_common(cp)
+    _add_sampling(cp)
 
     wg = subs.add_parser("weingarten", help="exact permutation/moment tables")
     wg.add_argument("subop", choices=("a-ell", "wg", "moment", "omega2"))
@@ -200,6 +209,8 @@ def _cmd_page_curve(args, argv):
     squeezing = _parse_squeeze(args.squeeze, n)
     equal = len(set(squeezing.values)) == 1
     s = squeezing.values[0]
+    if args.samples < 0:
+        raise _UsageError(f"--samples must be >= 0, got {args.samples}")
     with_mc = args.samples > 0 and not args.analytic_only
     if args.grid_step is not None and with_mc:
         raise _UsageError("--grid-step applies to analytic-only runs")

@@ -22,7 +22,7 @@ class CapacityError(PageCurveError):
 
 
 class TruncationError(NumericalError):
-    """The exact density series could not reach the requested tolerance within
+    """The exact density series could not reach its fixed tail bound within
     its term cap.
 
     Carries the tail bound that *was* achieved and the term count at which it

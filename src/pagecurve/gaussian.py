@@ -40,7 +40,6 @@ __all__ = [
     "CovarianceMatrix",
     "PassiveUnitary",
     "SymplecticSpectrum",
-    "symplectic_form",
     "build_initial_covariance",
     "evolve",
     "reduce_subsystem",
@@ -51,7 +50,6 @@ __all__ = [
     "max_subsystem_entropy",
     "build_max_entangling_unitary",
     "trace_W_powers",
-    "mode_overlap_powers",
     "equal_squeezing_coupling",
     "h1",
 ]
@@ -149,13 +147,6 @@ class SymplecticSpectrum:
         object.__setattr__(self, "values", vals)
 
 
-def symplectic_form(m: int) -> np.ndarray:
-    """Omega = [[0, I], [-I, 0]] for m modes."""
-    eye = np.eye(m)
-    zero = np.zeros((m, m))
-    return np.block([[zero, eye], [-eye, zero]])
-
-
 def _initial_diagonal(values) -> np.ndarray:
     z = np.exp(2.0 * np.asarray(values, dtype=float))
     return np.concatenate([z, 1.0 / z])
@@ -227,15 +218,22 @@ def _renyi2_values(r: np.ndarray) -> np.ndarray:
     return np.where((values >= -1e-10) & (values < 0.0), 0.0, values)
 
 
-def _symplectic_values(r: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum, descending, of sigma = R^T R (interleaved order).
+def _symplectic_spectrum(r: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum, descending and unchecked, of sigma = R^T R
+    (interleaved order).
 
     i R Omega R^T is Hermitian and similar to i Omega sigma, so its
-    eigenvalues are the +-nu_i.  A nu in [1 - PURITY_CLAMP, 1) clamps to 1;
-    one further below the uncertainty bound raises NumericalError.
+    eigenvalues are the +-nu_i.
     """
     x, p = r[:, 0::2], r[:, 1::2]
-    nus = np.linalg.eigvalsh(1j * (x @ p.T - p @ x.T))[::-1][: x.shape[1]]
+    return np.linalg.eigvalsh(1j * (x @ p.T - p @ x.T))[::-1][: x.shape[1]]
+
+
+def _purity_clamp(nus: np.ndarray) -> np.ndarray:
+    """Descending nus with those in [1 - PURITY_CLAMP, 1) clamped to 1.
+
+    A nu further below the uncertainty bound raises NumericalError.
+    """
     if nus[-1] < 1.0 - PURITY_CLAMP:
         raise NumericalError(
             f"symplectic eigenvalue {float(nus[-1])!r} below the uncertainty bound"
@@ -250,7 +248,9 @@ def symplectic_eigenvalues(sigma: CovarianceMatrix) -> SymplecticSpectrum:
     eps * e^{4 max|s_i|} (tested to |s_i| <= 3); beyond that a nu can fall
     below 1 - PURITY_CLAMP and raise NumericalError.
     """
-    return SymplecticSpectrum(tuple(_symplectic_values(_cholesky_factor(sigma.matrix))))
+    return SymplecticSpectrum(
+        tuple(_purity_clamp(_symplectic_spectrum(_cholesky_factor(sigma.matrix))))
+    )
 
 
 def renyi2_entropy(sigma: CovarianceMatrix) -> float:
@@ -332,10 +332,15 @@ def build_max_entangling_unitary(n: int, k: int) -> PassiveUnitary:
     return PassiveUnitary(rows)
 
 
-def mode_overlap_powers(u: np.ndarray, k: int, max_power: int) -> list[float]:
-    """Traces of powers of W = Pi U U^T Pi conj(U U^T) Pi for a raw matrix."""
-    c = u @ u.T
-    ck = c[:k, :k]
+def trace_W_powers(u: PassiveUnitary, k: int, max_power: int) -> list[float]:
+    """[Tr W, Tr W^2, ..., Tr W^max_power] of W = Pi U U^T Pi conj(U U^T) Pi;
+    W is positive semidefinite, so all entries are real and nonnegative up to
+    rounding."""
+    if not (1 <= k <= u.dim):
+        raise InputError(f"need 1 <= k <= {u.dim}, got k={k}")
+    if max_power < 1:
+        raise InputError(f"max_power must be >= 1, got {max_power}")
+    ck = (u.matrix @ u.matrix.T)[:k, :k]
     w = ck @ ck.conj()
     out = []
     p = w
@@ -343,16 +348,6 @@ def mode_overlap_powers(u: np.ndarray, k: int, max_power: int) -> list[float]:
         out.append(float(np.trace(p).real))
         p = p @ w
     return out
-
-
-def trace_W_powers(u: PassiveUnitary, k: int, max_power: int) -> list[float]:
-    """[Tr W, Tr W^2, ..., Tr W^max_power]; W is positive semidefinite, so all
-    entries are real and nonnegative up to rounding."""
-    if not (1 <= k <= u.dim):
-        raise InputError(f"need 1 <= k <= {u.dim}, got k={k}")
-    if max_power < 1:
-        raise InputError(f"max_power must be >= 1, got {max_power}")
-    return mode_overlap_powers(u.matrix, k, max_power)
 
 
 def equal_squeezing_coupling(u: PassiveUnitary, k: int) -> np.ndarray:

@@ -10,6 +10,7 @@ Ginibre block with Mezzadri's phase fix has the law of the first m columns of
 a Haar unitary.  Since U^T is Haar whenever U is, its transpose is an m x n
 block of orthonormal rows with the law of the first m rows of U, which is all
 the Monte Carlo sampler needs.  `sample_haar_unitary` is the case m = n.
+Both always apply the phase fix; the draw has no switch.
 """
 
 from __future__ import annotations
@@ -57,30 +58,26 @@ def derive_substream(stream: SeededStream, worker: int) -> SeededStream:
     return SeededStream(stream.master_seed, mixed)
 
 
-def _haar_frame(
-    n: int, m: int, generator: np.random.Generator, phase_fix: bool = True
-) -> np.ndarray:
+def _haar_frame(n: int, m: int, generator: np.random.Generator) -> np.ndarray:
     """n x m matrix whose orthonormal columns are the first m columns of a Haar U.
 
     QR-orthonormalizes an n x m block of independent standard complex
     Gaussians (real parts drawn first, then imaginary parts) and rescales
     each column by the unit phase of the matching diagonal entry of R
-    (Mezzadri, Notices AMS 54, 2007).  Without that fix LAPACK's sign
-    convention biases the distribution (diagnostic switch only).  The cost is
-    O(n m^2); at m = n this is the full unitary.
+    (Mezzadri, Notices AMS 54, 2007); without that fix LAPACK's sign
+    convention would bias the distribution, so the draw has no switch to
+    skip it.  The cost is O(n m^2); at m = n this is the full unitary.
     """
     re = generator.standard_normal((n, m))
     z = (re + 1j * generator.standard_normal((n, m))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    if not phase_fix:
-        return q
     d = np.diagonal(r).copy()
     d[d == 0] = 1.0
     return q * (d / np.abs(d))
 
 
-def sample_haar_unitary(n: int, stream: SeededStream, phase_fix: bool = True) -> PassiveUnitary:
+def sample_haar_unitary(n: int, stream: SeededStream) -> PassiveUnitary:
     """Draw an exactly Haar-distributed n x n unitary: `_haar_frame` at m = n."""
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    return PassiveUnitary(_haar_frame(n, n, stream.generator(), phase_fix))
+    return PassiveUnitary(_haar_frame(n, n, stream.generator()))

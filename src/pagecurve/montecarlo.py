@@ -40,10 +40,11 @@ from .errors import InputError, NumericalError
 from .gaussian import (
     SqueezingConfig,
     _initial_diagonal,
+    _purity_clamp,
     _reduced_sigma_from_unitary,
     _renyi2_values,
     _squeezed_row_factor,
-    _symplectic_values,
+    _symplectic_spectrum,
     h1,
 )
 from .haar import RNG_ALGORITHM, SeededStream, _haar_frame, derive_substream
@@ -239,6 +240,12 @@ def _entropies_for_sample(u, scale, ks, with_s1):
     QR factor R of those m modes serves every k, since its leading block
     R[:2k, :2k] factors the covariance of the first k modes.  k = 0 and
     k = n are pure states and stay exactly 0.
+
+    S1 sums h1 over the top min(k, n - k) symplectic eigenvalues only, and
+    only those are checked against the uncertainty bound.  The state is pure,
+    so for k > n/2 the other k - (n - k) values are exactly 1; in floating
+    point they round below 1 by up to about eps * e^{4 max|s_i|}, which
+    passes 1 - PURITY_CLAMP from s ~ 8 on.
     """
     n = u.shape[1]
     out = np.zeros((2 if with_s1 else 1, len(ks)))
@@ -251,7 +258,8 @@ def _entropies_for_sample(u, scale, ks, with_s1):
         if 0 < k < n:
             out[0, i] = s2[k - 1]
             if with_s1:
-                out[1, i] = math.fsum(h1(nu) for nu in _symplectic_values(r[: 2 * k, : 2 * k]))
+                nus = _symplectic_spectrum(r[: 2 * k, : 2 * k])[: min(k, n - k)]
+                out[1, i] = math.fsum(h1(nu) for nu in _purity_clamp(nus))
     return out
 
 
@@ -397,7 +405,10 @@ def _resolve_k_rule(k_rule, n: int) -> int:
     if k_rule == "sqrt":
         return math.isqrt(n - 1) + 1 if n > 1 else 1  # ceil(sqrt(n))
     if isinstance(k_rule, str) and k_rule.startswith("ratio:"):
-        ratio = float(k_rule.split(":", 1)[1])
+        try:
+            ratio = float(k_rule.split(":", 1)[1])
+        except ValueError:
+            raise InputError(f"k rule {k_rule!r} needs a number after 'ratio:'") from None
         if not 0 <= ratio <= 1:
             raise InputError(f"ratio must be in [0, 1], got {ratio}")
         return round(ratio * n)
@@ -408,8 +419,8 @@ def typicality_probe(
     n_list, k_rule, s: float, epsilon: float, samples: int, seed: int, workers: int = 1
 ) -> list[TypicalityRecord]:
     """Frequencies of absolute and relative entropy deviations at each n."""
-    if epsilon <= 0:
-        raise InputError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise InputError(f"epsilon must be positive and finite, got {epsilon}")
     configs = []
     for i, n in enumerate(int(n) for n in n_list):
         k = _resolve_k_rule(k_rule, n)
@@ -481,8 +492,8 @@ def conjecture_probe(
     """
     if not 0 <= mode_index < config.n:
         raise InputError(f"mode_index {mode_index} outside [0, {config.n})")
-    if delta <= 0:
-        raise InputError(f"delta must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        raise InputError(f"delta must be positive and finite, got {delta}")
     if not 1 <= k <= config.n:
         raise InputError(f"need 1 <= k <= {config.n}, got k={k}")
     h = config.values[mode_index] ** 2

@@ -8,17 +8,17 @@ enumeration sums over S_{2l} verify the coefficient closed forms
 independently of the series machinery in pagecurve.analytic.
 
 Capacity limits keep runtimes desk-scale and are checked before any work
-starts: moments allow q = 2*sum(powers) up to 6 (override with the
-PAGECURVE_MAX_Q environment variable), and the enumerations over S_{2l} allow
-1 <= l <= 5 (InputError below, CapacityError above).  The permutation loops
-live in pagecurve.kernels and are called through that module's attributes.
+starts.  They are fixed constants; no environment variable is read.
+Weingarten values and moments allow q <= DEFAULT_MAX_Q = 6 (q = 2*sum(powers)
+for a trace moment), and the enumerations over S_{2l} allow 1 <= l <= 5
+(InputError below, CapacityError above).  The permutation loops live in
+pagecurve.kernels and are called through that module's attributes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -48,17 +48,12 @@ __all__ = [
 
 DEFAULT_MAX_Q = 6
 DEFAULT_MAX_ENUMERATION = 5
-_MAX_Q_ENV = "PAGECURVE_MAX_Q"
 
 
-def _max_q() -> int:
-    raw = os.environ.get(_MAX_Q_ENV)
-    if raw is None:
-        return DEFAULT_MAX_Q
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InputError(f"{_MAX_Q_ENV} must be an integer, got {raw!r}") from exc
+def _check_q(q: int, what: str):
+    """CapacityError for q beyond DEFAULT_MAX_Q, before any table is built."""
+    if q > DEFAULT_MAX_Q:
+        raise CapacityError(f"{what} needs q = {q} > capacity q <= {DEFAULT_MAX_Q}")
 
 
 @dataclass(frozen=True)
@@ -169,11 +164,7 @@ def wg_class_table(q: int, n: int) -> dict[tuple[int, ...], Fraction]:
 def wg_exact(p: Permutation, n: int) -> Fraction:
     """Exact Weingarten function Wg(p, n); depends only on the cycle type."""
     q = p.size
-    cap = _max_q()
-    if q > cap:
-        raise CapacityError(
-            f"Weingarten capacity is q <= {cap} (set {_MAX_Q_ENV} to override), got q={q}"
-        )
+    _check_q(q, "Weingarten value")
     return wg_class_table(q, n)[tuple(cycle_type(p))]
 
 
@@ -248,12 +239,7 @@ def haar_moment_trace_product(powers, n: int, k: int) -> Fraction:
     if not powers or any(x < 1 for x in powers):
         raise InputError(f"powers must be positive integers, got {powers}")
     q = 2 * sum(powers)
-    cap = _max_q()
-    if q > cap:
-        raise CapacityError(
-            f"moment needs q = 2*sum(powers) = {q} > capacity {cap} "
-            f"(set {_MAX_Q_ENV} to override)"
-        )
+    _check_q(q, f"moment of powers {powers}")
     if not (1 <= k <= n):
         raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
     table = wg_class_table(q, n)
@@ -275,9 +261,7 @@ def haar_entry_moment(rows, cols, conj_rows, conj_cols, n: int) -> Fraction:
     q = len(rows)
     if not (len(cols) == len(conj_rows) == len(conj_cols) == q):
         raise InputError("index tuples must have equal lengths")
-    cap = _max_q()
-    if q > cap:
-        raise CapacityError(f"entry moment q={q} > capacity {cap}")
+    _check_q(q, "entry moment")
     if n < q:
         raise InputError(f"need n >= q, got n={n} < q={q}")
     table = wg_class_table(q, n)

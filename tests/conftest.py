@@ -23,6 +23,7 @@ def no_sampling(monkeypatch):
         raise AssertionError("sampled before validating every ladder point")
 
     monkeypatch.setattr(montecarlo, "sample_entropies", refuse)
+    monkeypatch.setattr(montecarlo, "_map_samples", refuse)
 
 
 def dense_reduced_covariance(u, s_values, k):

@@ -289,6 +289,49 @@ def test_sampling_commands_reject_zero_counts(command, flag, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, message",
+    [
+        (["typicality", "--modes", "8", "--squeeze", "0.3", "--epsilon", "0.1",
+          "--k-rule", "ratio:abc"], "'ratio:abc'"),
+        (["typicality", "--modes", "8", "--squeeze", "0.3", "--epsilon", "0.1",
+          "--k-rule", "ratio:"], "'ratio:'"),
+        (["typicality", "--modes", "8", "--squeeze", "0.3", "--epsilon", "nan"], "epsilon"),
+        (["typicality", "--modes", "8", "--squeeze", "0.3", "--epsilon", "inf"], "epsilon"),
+        (["conjecture-probe", "--modes", "4", "--squeeze", "0.3", "--k", "2",
+          "--delta", "nan"], "delta"),
+        (["conjecture-probe", "--modes", "4", "--squeeze", "0.3", "--k", "2",
+          "--delta", "inf"], "delta"),
+        (["page-curve", "--modes", "4", "--squeeze", "0.3", "--samples", "-3"],
+         "--samples must be >= 0, got -3"),
+        (["page-curve", "--modes", "4", "--squeeze", "0.3", "--samples", "-3",
+          "--analytic-only"], "--samples must be >= 0, got -3"),
+    ],
+    ids=["ratio-abc", "ratio-empty", "epsilon-nan", "epsilon-inf", "delta-nan", "delta-inf",
+         "negative-samples", "negative-samples-analytic-only"],
+)
+def test_bad_sampling_inputs_rejected_before_sampling(command, message, capsys, no_sampling):
+    assert main(command + ["--workers", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["weingarten", "a-ell", "--max", "2"],
+        ["verify", "--suite", "coefficients"],
+    ],
+    ids=["weingarten", "verify"],
+)
+def test_commands_without_sampling_take_no_workers(command, capsys):
+    assert main(command + ["--workers", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --workers 2" in captured.err
+
+
+@pytest.mark.parametrize(
     "command",
     [
         ["variance", "--modes", "8", "--squeeze", "0.3"],

@@ -15,6 +15,7 @@ so the bounds carry that allowance.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -129,3 +130,18 @@ class TestSampler:
         s2, _ = sampled(n, k, squeezing, seed)
         assert np.all(s2 >= 0.0)
         assert np.all(s2 <= max_subsystem_entropy(n, k, squeezing.values[0], 2) + TOL)
+
+    @pytest.mark.parametrize("s", [8.0, 12.0])
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_s1_at_large_squeezing(self, s, k):
+        # past s ~ 8 the k - (n - k) symplectic eigenvalues that purity pins
+        # to 1 round below 1 - PURITY_CLAMP; S1 uses only the top min(k, n - k)
+        n, squeezing = 8, SqueezingConfig.equal(8, s)
+        s2, s1 = kernel_on_unitaries(n, k, squeezing, 11)
+        _, r1 = kernel_on_unitaries(n, k, squeezing, 11, reverse_rows=True)
+        assert np.abs(s1 - r1[:, ::-1]).max() <= TOL * np.abs(s1).max()
+        for col, size in ((0, k), (1, n - k)):
+            assert np.all(s2[:, col] <= s1[:, col])
+            assert np.all(s1[:, col] <= max_subsystem_entropy(n, size, s, 1))
+        s2, s1 = sampled(n, k, squeezing, 11)
+        assert np.all(s2 <= s1)

@@ -225,6 +225,12 @@ class TestTypicality:
             typicality_probe([8], "cubic", 0.5, 0.1, 10, 0)
         with pytest.raises(InputError):
             typicality_probe([8], "ratio:0.5", 0.5, 0.0, 10, 0)
+        for rule in ("ratio:abc", "ratio:"):
+            with pytest.raises(InputError, match=rule):
+                typicality_probe([8], rule, 0.5, 0.1, 10, 0)
+        for epsilon in (math.nan, math.inf):
+            with pytest.raises(InputError, match="epsilon"):
+                typicality_probe([8], "ratio:0.5", 0.5, epsilon, 10, 0)
         with pytest.raises(InputError, match="k=13"):
             typicality_probe([8, 12], lambda n: n + 1 if n == 12 else 2, 0.5, 0.1, 10, 0)
 
@@ -289,11 +295,14 @@ class TestConjectureProbe:
         with pytest.raises(InputError):
             conjecture_probe(cfg, 4, 1e-3, 10, 0, k=2)
         with pytest.raises(InputError):
-            conjecture_probe(cfg, 0, -1e-3, 10, 0, k=2)
-        with pytest.raises(InputError):
             conjecture_probe(cfg, 0, 1e-3, 0, 0, k=2)
         with pytest.raises(InputError):
             conjecture_probe(cfg, 0, 1e-3, 10, 0, k=2, workers=0)
+
+    @pytest.mark.parametrize("delta", [-1e-3, 0.0, math.nan, math.inf])
+    def test_delta_validation(self, delta, no_sampling):
+        with pytest.raises(InputError, match="delta"):
+            conjecture_probe(SqueezingConfig.equal(4, 0.1), 0, delta, 10, 0, k=2)
 
     def test_worker_count_invariance(self, pool_starts):
         cfg = SqueezingConfig((0.3, 0.8, 0.5, 0.1))

@@ -120,10 +120,6 @@ class TestWgExact:
         with pytest.raises(CapacityError):
             wg_exact(Permutation.identity(7), 30)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("PAGECURVE_MAX_Q", "7")
-        assert wg_exact(Permutation.identity(7), 30) > 0
-
 
 class TestOrthogonality:
     @pytest.mark.parametrize("q", [2, 3, 4])
