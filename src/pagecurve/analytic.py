@@ -32,6 +32,10 @@ Two routes compute the density:
 All polynomial coefficients are held as exact rationals; conversion to float
 happens only when a polynomial is finally evaluated.  The large coefficients
 (f_8 already reaches 27300) cancel catastrophically in floating point.
+
+The module needs only `math` and `fractions`, so it also holds
+`SqueezingConfig`, the per-mode strengths that the CLI parses before it
+knows whether a command samples; `gaussian` re-exports it.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .errors import InputError, TruncationError
 
 __all__ = [
     "DENSITY_RULE",
+    "SqueezingConfig",
     "RationalPolynomial",
     "VarianceCoefficients",
     "catalan_number",
@@ -64,6 +69,33 @@ __all__ = [
     "variance_series",
     "unequal_small_s_prediction",
 ]
+
+
+@dataclass(frozen=True)
+class SqueezingConfig:
+    """Per-mode squeezing strengths s_i (dimensionless)."""
+
+    values: tuple[float, ...]
+
+    def __post_init__(self):
+        values = tuple(float(v) for v in self.values)
+        if len(values) < 1:
+            raise InputError("need at least one mode")
+        if not all(math.isfinite(v) for v in values):
+            raise InputError(f"squeezing values must be finite, got {values}")
+        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def equal(cls, n: int, s: float) -> "SqueezingConfig":
+        return cls((float(s),) * n)
+
+    @property
+    def n(self) -> int:
+        return len(self.values)
+
+    @property
+    def mean_boson_number(self) -> float:
+        return math.fsum(math.sinh(v) ** 2 for v in self.values) / self.n
 
 
 def catalan_number(m: int) -> int:
@@ -156,6 +188,26 @@ def _exact_fraction(r):
             raise InputError(f"non-finite value {r!r}")
         return Fraction(r)
     raise InputError(f"expected a real number, got {type(r).__name__}")
+
+
+def _unit_ratio(r) -> tuple[int, int]:
+    """(p, q) with r = p/q exactly and q > 0, checked to lie in [0, 1].
+
+    The hot paths turn rationals of p and q into floats as int/int true
+    divisions, which round correctly and so equal float() of the Fraction,
+    without building intermediate Fractions.
+    """
+    rq = _exact_fraction(r)
+    p, q = rq.numerator, rq.denominator
+    if not 0 <= p <= q:
+        raise InputError(f"r={r} outside [0, 1]")
+    return p, q
+
+
+def _share_product(r) -> float:
+    """r (1 - r) as a correctly rounded float."""
+    p, q = _unit_ratio(r)
+    return p * (q - p) / (q * q)
 
 
 def alpha_coefficient(l: int, d: int) -> Fraction:
@@ -365,17 +417,15 @@ def page_curve_density(s: float, r) -> float:
     """
     if not math.isfinite(s):
         raise InputError(f"squeezing must be finite, got {s}")
-    rq = _exact_fraction(r)
-    if not (0 <= rq <= 1):
-        raise InputError(f"r={r} outside [0, 1]")
-    m = min(rq, 1 - rq)
-    lam = float(4 * m * (1 - m))
-    b = float(1 - 2 * m)
+    p, q = _unit_ratio(r)
+    mp = min(p, q - p)  # m = mp / q
+    lam = 4 * mp * (q - mp) / (q * q)
+    b = (q - 2 * mp) / q
     t2 = math.tanh(2.0 * s) ** 2
     e = math.exp(-4.0 * abs(s))
     a = math.sqrt(4.0 * e / (1.0 + e) ** 2 + t2 * b * b)
     a_minus_1 = -t2 * lam / (1.0 + a)
-    value = float(m) * log_cosh(2.0 * s) + 0.5 * math.log1p(a_minus_1 / 2.0)
+    value = mp / q * log_cosh(2.0 * s) + 0.5 * math.log1p(a_minus_1 / 2.0)
     if b > 0.0:  # the B term is 0 at B = 0, where log1p would see -1 once t^2 rounds to 1
         value -= 0.5 * b * math.log1p(a_minus_1 / (1.0 + b))
     return value
@@ -392,10 +442,7 @@ def page_half_values(s: float) -> tuple[float, float]:
 
 def page_constant_lambda(s: float, r) -> float:
     """Order-one deficit of the mean entropy: -1/8 log(1 - 4 r(1-r) tanh^2 2s)."""
-    rq = _exact_fraction(r)
-    if not (0 <= rq <= 1):
-        raise InputError(f"r={r} outside [0, 1]")
-    rr = float(rq * (1 - rq))
+    rr = _share_product(r)
     return -0.125 * math.log1p(-4.0 * rr * math.tanh(2.0 * s) ** 2)
 
 
@@ -437,18 +484,13 @@ def variance_series(s: float, r, coeffs: VarianceCoefficients | None = None) -> 
     sum_d omega_d tanh(2s)^(2d) (r(1-r))^d."""
     if coeffs is None:
         coeffs = VarianceCoefficients()
-    rq = _exact_fraction(r)
-    if not (0 <= rq <= 1):
-        raise InputError(f"r={r} outside [0, 1]")
+    rr = _share_product(r)
     t2 = math.tanh(2.0 * s) ** 2
-    rr = float(rq * (1 - rq))
     return sum(float(c) * t2**d * rr**d for d, c in sorted(coeffs.omega.items()))
 
 
 def unequal_small_s_prediction(squeezing_values, r) -> float:
     """Small-squeezing mean entropy for per-mode strengths: 2 r(1-r) sum s_i^2."""
-    rq = _exact_fraction(r)
-    if not (0 <= rq <= 1):
-        raise InputError(f"r={r} outside [0, 1]")
+    rr = _share_product(r)
     total = math.fsum(float(s) ** 2 for s in squeezing_values)
-    return 2.0 * float(rq * (1 - rq)) * total
+    return 2.0 * rr * total

@@ -15,6 +15,12 @@ conjecture-probe) take --workers; weingarten and verify have no worker pool
 to size.  `page-curve --samples` is 0 for an analytic-only curve or a
 positive count.
 
+Only the commands that sample (page-curve with --samples > 0, variance,
+typicality, conjecture-probe) and verify import numpy, inside their
+handlers; `import pagecurve.cli`, weingarten and an analytic-only page-curve
+never load it.  The commands that load numpy start OpenBLAS with one thread,
+the count the sampler runs on, unless OPENBLAS_NUM_THREADS is already set.
+
 Exit codes: 0 success, 1 usage error, 2 numerical/capacity error,
 3 verification or tolerance failure.
 """
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import os
@@ -30,10 +37,10 @@ import sys
 import time
 from fractions import Fraction
 
-from . import analytic, montecarlo, verify, weingarten
+from . import analytic, weingarten
+from .analytic import SqueezingConfig
 from .errors import CapacityError, InputError, NumericalError, PageCurveError
-from .gaussian import SqueezingConfig
-from .haar import RNG_ALGORITHM
+from .provenance import RNG_ALGORITHM, SAMPLER, SAMPLING_BLAS_THREADS
 
 SCHEMA_VERSION = "1"
 
@@ -53,12 +60,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt_cell(value) -> str:
+    if isinstance(value, float):  # first: the common cell, and a cheaper check than Fraction's
+        return repr(float(value))  # shortest round-trip representation
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, float):
-        return repr(float(value))  # shortest round-trip representation
     if value is None:
         return ""
     return str(value)
@@ -85,7 +92,7 @@ def _record(command, argv, columns, rows, seed, extra_metadata=None, started=Non
     metadata = {
         "seed": seed,
         "rng_algorithm": RNG_ALGORITHM,
-        "sampler": montecarlo.SAMPLER,
+        "sampler": SAMPLER,
         "wall_time_s": None if started is None else round(time.perf_counter() - started, 6),
     }
     if extra_metadata:
@@ -100,7 +107,20 @@ def _record(command, argv, columns, rows, seed, extra_metadata=None, started=Non
     }
 
 
-_SAMPLING = {"blas_threads": montecarlo.SAMPLING_BLAS_THREADS}  # metadata of sampling commands
+_SAMPLING = {"blas_threads": SAMPLING_BLAS_THREADS}  # metadata of sampling commands
+
+
+def _import_numpy_module(name: str):
+    """Import `montecarlo` or `verify`, the modules that load numpy.
+
+    Before numpy first loads, OPENBLAS_NUM_THREADS defaults to the sampler's
+    thread count, so neither this process nor its forked workers start an
+    OpenBLAS pool that the sampler shrinks at once.  A value the user set is
+    kept; the sampler still pins its count around every draw.
+    """
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", str(SAMPLING_BLAS_THREADS))
+    return importlib.import_module(f".{name}", __package__)
 
 
 def _add_common(sub):
@@ -227,6 +247,7 @@ def _cmd_page_curve(args, argv):
 
     estimate = None
     if with_mc:
+        montecarlo = _import_numpy_module("montecarlo")
         estimate = montecarlo.estimate_entropy_statistics(
             montecarlo.RunConfig(
                 n=n,
@@ -244,18 +265,20 @@ def _cmd_page_curve(args, argv):
     columns.append("provenance")
 
     rows = []
+    max_density = analytic.log_cosh(2.0 * s)  # largest entropy of one mode (equal squeezing)
     for i, r in enumerate(fractions):
-        k = r * n
-        k_cell = int(k) if k.denominator == 1 else float(k)
+        # r = p/q in lowest terms; int/int divisions round as float(Fraction) does
+        p, q = r.numerator, r.denominator
+        k_cell = p * n // q if p * n % q == 0 else p * n / q
         if equal:
             density = analytic.page_curve_density(s, r)
-            total = n * density - analytic.page_constant_lambda(s, r) if 0 < r < 1 else 0.0
-            maximum = n * float(min(r, 1 - r)) * analytic.log_cosh(2.0 * s)
+            total = n * density - analytic.page_constant_lambda(s, r) if 0 < p < q else 0.0
+            maximum = n * (min(p, q - p) / q) * max_density
         else:
             total = analytic.unequal_small_s_prediction(squeezing.values, r)
             density = total / n
             maximum = None
-        row = [float(r), k_cell, density, total, maximum]
+        row = [p / q, k_cell, density, total, maximum]
         if with_mc:
             row += [
                 estimate.mean_s2[i],
@@ -280,6 +303,7 @@ def _cmd_variance(args, argv):
     started = time.perf_counter()
     modes = _parse_int_list(args.modes, "--modes")
     ratio = _parse_ratio(args.ratio)
+    montecarlo = _import_numpy_module("montecarlo")
     columns = ["n", "k", "mc_mean", "mc_variance", "analytic_variance_leading", "samples", "provenance"]
     configs = []
     for i, n in enumerate(modes):
@@ -316,6 +340,7 @@ def _cmd_variance(args, argv):
 def _cmd_typicality(args, argv):
     started = time.perf_counter()
     modes = _parse_int_list(args.modes, "--modes")
+    montecarlo = _import_numpy_module("montecarlo")
     records = montecarlo.typicality_probe(
         modes, args.k_rule, args.squeeze, args.epsilon, args.samples, args.seed, args.workers
     )
@@ -339,6 +364,7 @@ def _cmd_typicality(args, argv):
 def _cmd_conjecture_probe(args, argv):
     started = time.perf_counter()
     squeezing = _parse_squeeze(args.squeeze, args.modes)
+    montecarlo = _import_numpy_module("montecarlo")
     est = montecarlo.conjecture_probe(
         squeezing, args.mode_index, args.delta, args.samples, args.seed, args.k, args.workers
     )
@@ -404,6 +430,7 @@ def _cmd_weingarten(args, argv):
 
 def _cmd_verify(args, argv):
     started = time.perf_counter()
+    verify = _import_numpy_module("verify")
     try:
         results = verify.run_suite(args.suite, seed=args.seed, samples=args.samples)
     except KeyError as exc:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import log_cosh
+from .analytic import SqueezingConfig, log_cosh
 from .errors import InputError, NumericalError
 
 __all__ = [
@@ -57,33 +57,6 @@ __all__ = [
 SYMMETRY_RTOL = 1e-12
 UNITARITY_TOL = 1e-12
 PURITY_CLAMP = 1e-9       # nu in [1 - PURITY_CLAMP, 1) clamps to 1
-
-
-@dataclass(frozen=True)
-class SqueezingConfig:
-    """Per-mode squeezing strengths s_i (dimensionless)."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
-        if len(values) < 1:
-            raise InputError("need at least one mode")
-        if not all(math.isfinite(v) for v in values):
-            raise InputError(f"squeezing values must be finite, got {values}")
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def equal(cls, n: int, s: float) -> "SqueezingConfig":
-        return cls((float(s),) * n)
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    @property
-    def mean_boson_number(self) -> float:
-        return math.fsum(math.sinh(v) ** 2 for v in self.values) / self.n
 
 
 class CovarianceMatrix:

@@ -21,10 +21,9 @@ import numpy as np
 
 from .errors import InputError
 from .gaussian import PassiveUnitary
+from .provenance import RNG_ALGORITHM
 
 __all__ = ["RNG_ALGORITHM", "SeededStream", "derive_substream", "sample_haar_unitary"]
-
-RNG_ALGORITHM = "philox4x64"
 
 _U64 = 2**64
 

@@ -47,7 +47,8 @@ from .gaussian import (
     _symplectic_spectrum,
     h1,
 )
-from .haar import RNG_ALGORITHM, SeededStream, _haar_frame, derive_substream
+from .haar import SeededStream, _haar_frame, derive_substream
+from .provenance import RNG_ALGORITHM, SAMPLER, SAMPLING_BLAS_THREADS
 
 __all__ = [
     "SAMPLER",
@@ -68,8 +69,6 @@ __all__ = [
     "mean_covariance_check",
 ]
 
-SAMPLER = "haar-row-frame"  # names the draw and the stream-key rule in every record
-SAMPLING_BLAS_THREADS = 1
 _CHUNK = 256  # fixed chunk size; independent of worker count by design
 _POINT_BITS = 16
 _BLAS_PREFIXES = ("openblas", "scipy_openblas")  # with "64_" for 64-bit integer builds

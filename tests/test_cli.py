@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pagecurve
 from pagecurve import NumericalError, analytic, kernels
 from pagecurve.cli import SCHEMA_VERSION, main
 
@@ -356,3 +361,32 @@ class TestConjectureCommand:
         ]) == 0
         header = capsys.readouterr().out.strip().splitlines()[0]
         assert "derivative" in header
+
+
+def test_numpy_loads_only_to_sample():
+    # fresh interpreters: the exact commands never import numpy, and sampled
+    # digits do not depend on the OpenBLAS thread count the user asks for
+    env = dict(os.environ, PYTHONPATH=str(Path(pagecurve.__file__).parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    exact = (
+        "import sys\n"
+        "from pagecurve.cli import main\n"
+        "assert main(['weingarten', 'moment', '--n', '12', '--k', '6', '--powers', '1,2']) == 0\n"
+        "assert main(['page-curve', '--modes', '16', '--squeeze', '1', '--analytic-only']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", exact], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "False"
+
+    # the n = 100 page curve's QR changes in its last bits with the thread count
+    for request in (
+        ["typicality", "--modes", "100", "--k-rule", "sqrt", "--squeeze", "0.75",
+         "--epsilon", "0.1", "--samples", "8", "--workers", "1"],
+        ["page-curve", "--modes", "100", "--squeeze", "0.75", "--samples", "2", "--workers", "1"],
+    ):
+        argv = [sys.executable, "-m", "pagecurve.cli", *request]
+        default = subprocess.run(argv, env=env, capture_output=True, check=True).stdout
+        two = subprocess.run(argv, env={**env, "OPENBLAS_NUM_THREADS": "2"},
+                             capture_output=True, check=True).stdout
+        assert default == two and default.count(b"\n") > 1

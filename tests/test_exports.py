@@ -1,4 +1,4 @@
-"""Every exported name resolves: each module's `__all__` and the package namespace."""
+"""Every exported name resolves: each module's `__all__` and the package's lazy `__all__`."""
 
 import importlib
 import inspect
@@ -26,9 +26,9 @@ def test_package_names_come_from_module_exports():
         module = importlib.import_module(f"pagecurve.{name}")
         for export in getattr(module, "__all__", ()):
             exported.setdefault(export, []).append(getattr(module, export))
-    for name, obj in vars(pagecurve).items():
-        if name.startswith("_") or inspect.ismodule(obj):
-            continue
+    assert pagecurve.__all__
+    for name in pagecurve.__all__:
+        obj = getattr(pagecurve, name)  # resolves the lazy export
         if inspect.isclass(obj) and issubclass(obj, PageCurveError):
             continue
         assert any(obj is e for e in exported.get(name, ())), f"pagecurve.{name}"
