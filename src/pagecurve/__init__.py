@@ -20,11 +20,9 @@ _EXPORTS = {
     "analytic": (
         "RationalPolynomial",
         "SqueezingConfig",
-        "VarianceCoefficients",
         "alpha_coefficient",
         "catalan_number",
         "f_polynomial",
-        "g_function",
         "page_constant_lambda",
         "page_curve_density",
         "page_curve_prediction",
@@ -55,6 +53,7 @@ _EXPORTS = {
         "von_neumann_entropy",
     ),
     "haar": ("SeededStream", "derive_substream", "sample_haar_unitary"),
+    "kernels": ("cycle_type",),
     "montecarlo": (
         "CurveEstimate",
         "Experiment",
@@ -69,15 +68,12 @@ _EXPORTS = {
     ),
     "provenance": ("RNG_ALGORITHM", "SAMPLER"),
     "weingarten": (
-        "Permutation",
         "a_ell_enumeration",
         "alpha_top_enumeration",
-        "cycle_type",
         "haar_moment_trace_product",
         "omega2_extrapolation",
         "wg_asymptotic",
         "wg_exact",
-        "xi_statistic",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -26,8 +26,14 @@ Two routes compute the density:
   rationals, with a rigorous tail bound.  Its budget is fixed: the tail
   bound must reach SERIES_ABS_TOL = 1e-10 within SERIES_MAX_TERMS = 10 000
   terms, or it raises TruncationError.  It costs O(L^2) big-rational
-  operations for L terms and is kept to check the closed form, as are
-  `f_polynomial` and `g_exact`.
+  operations for L terms and is kept to check the closed form.
+
+f_l has one route: `f_polynomial(l)` collects the closed-form coefficients of
+`alpha_coefficient`, and `g_exact(l, r)` is r - f_l(r).  Its independent
+oracles are the transcribed table `verify.F_REFERENCE` (l <= 8), the
+defining coefficient conditions and the reflection identity f_l(r) - f_l(1-r)
+= 2r - 1 (tested for l <= 10), `g_half_closed_form` at r = 1/2, and the
+closed form of the density, checked against the series built from G_l.
 
 All polynomial coefficients are held as exact rationals; conversion to float
 happens only when a polynomial is finally evaluated.  The large coefficients
@@ -41,7 +47,7 @@ knows whether a command samples; `gaussian` re-exports it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -51,13 +57,10 @@ __all__ = [
     "DENSITY_RULE",
     "SqueezingConfig",
     "RationalPolynomial",
-    "VarianceCoefficients",
+    "VARIANCE_OMEGA",
     "catalan_number",
     "alpha_coefficient",
-    "hypergeometric_poly",
     "f_polynomial",
-    "g_polynomial",
-    "g_function",
     "g_exact",
     "g_half_closed_form",
     "log_cosh",
@@ -115,8 +118,7 @@ class RationalPolynomial:
     """Univariate polynomial with exact rational coefficients.
 
     Zero coefficients are never stored.  Evaluation at rational points is
-    exact; `evaluate_float` does the exact Horner evaluation first and converts
-    only the final value.
+    exact.
     """
 
     __slots__ = ("coefficients",)
@@ -139,38 +141,21 @@ class RationalPolynomial:
         return self.coefficients.get(d, Fraction(0))
 
     def __call__(self, r):
-        """Exact Horner evaluation; `r` should be a Fraction or int."""
+        """Exact Horner evaluation; `r` should be a Fraction or int.
+
+        Horner stops at the lowest stored degree d0 and multiplies by r^d0
+        once, so f_l (degrees l+1 .. 2l) takes l steps rather than 2l.
+        """
+        low = min(self.coefficients, default=0)
         acc = Fraction(0)
-        for d in range(self.degree, -1, -1):
+        for d in range(self.degree, low - 1, -1):
             acc = acc * r + self.coefficients.get(d, 0)
-        return acc
-
-    def evaluate_float(self, r) -> float:
-        """Exact-rational Horner at `r` (floats are converted exactly), then float."""
-        return float(self(_exact_fraction(r)))
-
-    def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial({d - 1: d * c for d, c in self.coefficients.items() if d > 0})
-
-    def __add__(self, other):
-        out = dict(self.coefficients)
-        for d, c in other.coefficients.items():
-            out[d] = out.get(d, Fraction(0)) + c
-        return RationalPolynomial(out)
-
-    def __neg__(self):
-        return RationalPolynomial({d: -c for d, c in self.coefficients.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+        return acc * r**low
 
     def __eq__(self, other):
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
         return self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash(frozenset(self.coefficients.items()))
 
     def __repr__(self):
         terms = " + ".join(f"({c})*r^{d}" for d, c in sorted(self.coefficients.items()))
@@ -224,72 +209,27 @@ def alpha_coefficient(l: int, d: int) -> Fraction:
     return Fraction(num, (d - 1) * d)
 
 
-def hypergeometric_poly(m: int, b: int, c: int) -> RationalPolynomial:
-    """Terminating 2F1(-m, b; c; r) expanded as an exact polynomial.
-
-    Sum_{a=0}^{m} (-1)^a C(m, a) (c-1)! (a+b-1)! / ((b-1)! (a+c-1)!) r^a.
-    Only this finite form is supported; every hypergeometric needed here
-    terminates.
-    """
-    if m < 0 or b < 1 or c < 1:
-        raise InputError("hypergeometric_poly expects m >= 0 and integer b, c >= 1")
-    coeffs = {}
-    for a in range(m + 1):
-        sign = -1 if a % 2 else 1
-        num = sign * math.comb(m, a) * math.factorial(c - 1) * math.factorial(a + b - 1)
-        den = math.factorial(b - 1) * math.factorial(a + c - 1)
-        coeffs[a] = Fraction(num, den)
-    return RationalPolynomial(coeffs)
-
-
 @lru_cache(maxsize=None)
 def f_polynomial(l: int) -> RationalPolynomial:
     """Polynomial limit of the mean normalized trace of the l-th subsystem
-    overlap power: degrees l+1 through 2l, built from the terminating
-    hypergeometric expansion r^(l+1) C_l 2F1(1-l, l; l+2; r)."""
+    overlap power: sum of alpha_coefficient(l, d) r^d over d = l+1 .. 2l."""
     if l < 1:
         raise InputError(f"l must be >= 1, got {l}")
-    hyp = hypergeometric_poly(l - 1, l, l + 2)
-    cl = catalan_number(l)
-    return RationalPolynomial({a + l + 1: cl * coef for a, coef in hyp.coefficients.items()})
-
-
-def g_polynomial(l: int) -> RationalPolynomial:
-    """G_l(r) = r - f_l(r), the order-l symmetric approximation to min(r, 1-r)."""
-    return RationalPolynomial({1: Fraction(1)}) - f_polynomial(l)
+    return RationalPolynomial({d: alpha_coefficient(l, d) for d in range(l + 1, 2 * l + 1)})
 
 
 def g_exact(l: int, r) -> Fraction:
-    """G_l at an exact rational point, exactly."""
-    rq = _exact_fraction(r)
-    return rq - _f_value_stream(l, rq)
-
-
-def g_function(l: int, r) -> float:
-    """G_l(r) evaluated by exact-rational arithmetic, converted to float last."""
+    """G_l(r) = r - f_l(r), the order-l symmetric approximation to
+    min(r, 1-r), exactly at the exact rational form of r in [0, 1]."""
     rq = _exact_fraction(r)
     if not (0 <= rq <= 1):
         raise InputError(f"r={r} outside [0, 1]")
-    return float(g_exact(l, rq))
+    return rq - f_polynomial(l)(rq)
 
 
 def g_half_closed_form(l: int) -> Fraction:
     """G_l(1/2) = (1 - 4^(-l) C(2l, l)) / 2, exactly."""
     return Fraction(1, 2) * (1 - Fraction(math.comb(2 * l, l), 4**l))
-
-
-def _f_value_stream(l, rq):
-    """f_l at exact rational rq without materializing the coefficient dict.
-
-    Streams the terms T_i = alpha_{l+1+i} r^(l+1+i) via the exact ratio
-    T_{i+1}/T_i = -(l-i-1)(l+i) / ((i+1)(l+i+2)) * r.
-    """
-    term = 2 * Fraction(math.comb(2 * l - 1, l - 1), l + 1) * rq ** (l + 1)
-    total = term
-    for i in range(l - 1):
-        term *= Fraction(-(l - i - 1) * (l + i), (i + 1) * (l + i + 2)) * rq
-        total += term
-    return total
 
 
 SERIES_ABS_TOL = 1e-10  # the tail bound `density_series_info` must reach
@@ -461,32 +401,18 @@ def page_curve_prediction(n: int, s: float, k: int) -> float:
     return n * page_curve_density(s, r) - page_constant_lambda(s, r)
 
 
-@dataclass
-class VarianceCoefficients:
-    """Series coefficients for the asymptotic entropy variance.
-
-    Only the d=2 coefficient 1/2 is known in closed form; higher orders can be
-    supplied from the exact moment engine (see weingarten.omega2_extrapolation
-    for d=2 and the trace-product moments for exploratory d >= 3).
-    """
-
-    omega: dict[int, Fraction] = field(default_factory=lambda: {2: Fraction(1, 2)})
-
-    def __post_init__(self):
-        for d in self.omega:
-            if d < 2:
-                raise InputError(f"variance coefficients start at d=2, got {d}")
-        self.omega = {d: Fraction(c) for d, c in self.omega.items()}
+# (d, omega_d) of the asymptotic variance sum_d omega_d (tanh^2(2s) r(1-r))^d.
+# Only omega_2 = 1/2 is known in closed form; weingarten.omega2_extrapolation
+# reproduces it from exact finite-n moments.
+VARIANCE_OMEGA = ((2, Fraction(1, 2)),)
 
 
-def variance_series(s: float, r, coeffs: VarianceCoefficients | None = None) -> float:
-    """Partial variance sum over supplied coefficients:
+def variance_series(s: float, r) -> float:
+    """Partial variance sum over the known coefficients VARIANCE_OMEGA:
     sum_d omega_d tanh(2s)^(2d) (r(1-r))^d."""
-    if coeffs is None:
-        coeffs = VarianceCoefficients()
     rr = _share_product(r)
     t2 = math.tanh(2.0 * s) ** 2
-    return sum(float(c) * t2**d * rr**d for d, c in sorted(coeffs.omega.items()))
+    return sum(float(c) * t2**d * rr**d for d, c in VARIANCE_OMEGA)
 
 
 def unequal_small_s_prediction(squeezing_values, r) -> float:

@@ -8,7 +8,10 @@ The exact engine has a single pure-Python implementation, so records name no
 kernel backend.
 
 `weingarten a-ell` accepts 1 <= --max <= 5 and checks the cap before it
-enumerates; `weingarten wg --type` takes cycle lengths >= 1.
+enumerates; `weingarten wg --type` takes cycle lengths >= 1.  Every comma
+list of integers (--modes of variance and typicality, --powers, --ladder,
+--type) needs at least one entry, and `verify --samples` is at least 2;
+both are usage errors checked before any work starts.
 
 Only the sampling commands (page-curve, variance, typicality,
 conjecture-probe) take --workers; weingarten and verify have no worker pool
@@ -154,9 +157,12 @@ def _parse_squeeze(text: str, n: int) -> SqueezingConfig:
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
-        return [int(p) for p in text.split(",") if p != ""]
+        values = [int(p) for p in text.split(",") if p != ""]
     except ValueError as exc:
         raise _UsageError(f"{flag} expects comma-separated integers, got {text!r}") from exc
+    if not values:
+        raise _UsageError(f"{flag} expects at least one integer, got {text!r}")
+    return values
 
 
 def _parse_ratio(text: str) -> Fraction:
@@ -395,19 +401,10 @@ def _cmd_weingarten(args, argv):
         if not args.cycle_type or args.n is None:
             raise _UsageError("wg needs --type and --n")
         lengths = _parse_int_list(args.cycle_type, "--type")
-        bad = [ln for ln in lengths if ln < 1]
-        if bad:
-            raise _UsageError(f"--type cycle lengths must be >= 1, got {bad[0]}")
-        q = sum(lengths)
-        cycles, start = [], 1
-        for ln in lengths:
-            cycles.append(tuple(range(start, start + ln)))
-            start += ln
-        perm = weingarten.Permutation.from_cycles(q, cycles)
-        value = weingarten.wg_exact(perm, args.n)
+        value = weingarten.wg_exact(lengths, args.n)
         columns = ["cycle_type", "q", "n", "value", "value_float", "asymptotic", "provenance"]
-        rows = [[",".join(map(str, sorted(lengths))), q, args.n, value, float(value),
-                 weingarten.wg_asymptotic(perm, args.n), "exact"]]
+        rows = [[",".join(map(str, sorted(lengths))), sum(lengths), args.n, value, float(value),
+                 weingarten.wg_asymptotic(lengths, args.n), "exact"]]
     elif args.subop == "moment":
         if not args.powers or args.n is None or args.k is None:
             raise _UsageError("moment needs --powers, --n and --k")
@@ -430,6 +427,8 @@ def _cmd_weingarten(args, argv):
 
 def _cmd_verify(args, argv):
     started = time.perf_counter()
+    if args.samples is not None and args.samples < 2:  # a sample stderr needs two draws
+        raise _UsageError(f"--samples must be >= 2, got {args.samples}")
     verify = _import_numpy_module("verify")
     try:
         results = verify.run_suite(args.suite, seed=args.seed, samples=args.samples)

@@ -50,7 +50,6 @@ __all__ = [
     "max_subsystem_entropy",
     "build_max_entangling_unitary",
     "trace_W_powers",
-    "equal_squeezing_coupling",
     "h1",
 ]
 
@@ -321,20 +320,6 @@ def trace_W_powers(u: PassiveUnitary, k: int, max_power: int) -> list[float]:
         out.append(float(np.trace(p).real))
         p = p @ w
     return out
-
-
-def equal_squeezing_coupling(u: PassiveUnitary, k: int) -> np.ndarray:
-    """Compressed 2k x 2k coupling matrix M of an equally squeezed state.
-
-    The reduced covariance at equal squeezing s is cosh(2s) I + sinh(2s) M.
-    M is built from the real and imaginary parts of the projected conj(U U^T);
-    its odd-power traces vanish and Tr M^{2j} = 2 Tr Re(W^j).
-    """
-    if not (1 <= k <= u.dim):
-        raise InputError(f"need 1 <= k <= {u.dim}, got k={k}")
-    cbar = (u.matrix @ u.matrix.T).conj()[:k, :k]
-    re, im = cbar.real, cbar.imag
-    return np.block([[re, im], [im, -re]])
 
 
 def _reduced_sigma_from_unitary(u: np.ndarray, diag: np.ndarray, k: int) -> np.ndarray:

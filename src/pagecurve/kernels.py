@@ -1,5 +1,10 @@
 """Permutation kernels of the exact Weingarten engine, in pure Python.
 
+Permutations are tuples of the images of 0..q-1.  Everything the engine
+looks up is keyed by cycle type, the ascending tuple of cycle lengths that
+`cycle_type` returns: the Weingarten function and every trace moment built
+from it depend on a permutation only through that class.
+
 `xi_condition_sum` streams the symmetric group in lexicographic order and never
 stores it.  `moment_pair_counts` uses the hyperoctahedral symmetry of the trace
 moments: it composes one representative of each of the (q-1)!! cosets of H with
@@ -15,7 +20,7 @@ import itertools
 import math
 from collections import Counter
 
-__all__ = ["cycle_type", "xi_of", "xi_condition_sum", "moment_pair_counts"]
+__all__ = ["cycle_type", "xi_condition_sum", "moment_pair_counts"]
 
 _CATALAN = [math.comb(2 * m, m) // (m + 1) for m in range(16)]
 
@@ -53,20 +58,15 @@ def _component_count(n_nodes, edges):
     return sum(1 for i in range(n_nodes) if find(i) == i)
 
 
-def xi_of(p):
-    """Component count of the pairing graph of a permutation of even size."""
-    q = len(p)
-    half = q // 2
-    edges = [(p[2 * a - 1] // 2, p[2 * a] // 2) for a in range(1, half)]
-    edges.append((p[q - 1] // 2, p[0] // 2))
-    return _component_count(half, edges)
-
-
 def xi_condition_sum(half: int, offset: int) -> int:
     """Signed Catalan-product sum over S_{2*half} restricted by the pairing graph.
 
     Accumulates (-1)^(#cycles) * prod C_{len-1} over permutations tau with
-    xi(tau) == |tau| + offset, where |tau| = 2*half - #cycles.
+    xi(tau) == |tau| + offset, where |tau| = 2*half - #cycles.  xi(tau) is the
+    component count of the pairing graph on `half` vertices whose edges join
+    tau(2a-1)//2 and tau(2a)//2 for a = 1..half-1, and tau(2*half-1)//2 with
+    tau(0)//2; it is log_b of the number of solutions of the matching index
+    constraints for any base b >= 2.
     """
     q = 2 * half
     total = 0

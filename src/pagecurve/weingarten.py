@@ -7,6 +7,12 @@ subsystem overlap matrix W are assembled from integer pair counts, and the
 enumeration sums over S_{2l} verify the coefficient closed forms
 independently of the series machinery in pagecurve.analytic.
 
+The Weingarten function depends on a permutation only through its cycle
+type, so values are keyed by cycle type: `wg_exact` and `wg_asymptotic` take
+the cycle lengths in any order, and `wg_class_table` holds one value per
+ascending length tuple, the form `kernels.cycle_type` returns for a
+permutation of 0..q-1.
+
 Capacity limits keep runtimes desk-scale and are checked before any work
 starts.  They are fixed constants; no environment variable is read.
 Weingarten values and moments allow q <= DEFAULT_MAX_Q = 6 (q = 2*sum(powers)
@@ -19,27 +25,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import kernels
 from .kernels import cycle_type as _cycle_type
-from .kernels import xi_of as _xi_of
 from .analytic import catalan_number
 from .errors import CapacityError, InputError
 
 __all__ = [
-    "Permutation",
-    "cycle_type",
     "wg_exact",
     "wg_asymptotic",
     "wg_class_table",
-    "xi_statistic",
     "a_ell_enumeration",
     "alpha_top_enumeration",
     "haar_moment_trace_product",
-    "haar_entry_moment",
     "omega2_estimates",
     "omega2_extrapolation",
     "DEFAULT_MAX_Q",
@@ -56,58 +56,17 @@ def _check_q(q: int, what: str):
         raise CapacityError(f"{what} needs q = {q} > capacity q <= {DEFAULT_MAX_Q}")
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Permutation of {1..q} in one-line notation: position i maps to images[i-1]."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        q = len(self.images)
-        if q < 1 or sorted(self.images) != list(range(1, q + 1)):
-            raise InputError(f"not a permutation of 1..{q}: {self.images}")
-        object.__setattr__(self, "images", tuple(self.images))
-
-    @classmethod
-    def identity(cls, q: int) -> "Permutation":
-        return cls(tuple(range(1, q + 1)))
-
-    @classmethod
-    def transposition(cls, q: int, a: int, b: int) -> "Permutation":
-        if not (1 <= a <= q and 1 <= b <= q and a != b):
-            raise InputError(f"invalid transposition ({a} {b}) in S_{q}")
-        images = list(range(1, q + 1))
-        images[a - 1], images[b - 1] = b, a
-        return cls(tuple(images))
-
-    @classmethod
-    def from_cycles(cls, q: int, cycles) -> "Permutation":
-        images = list(range(1, q + 1))
-        for cyc in cycles:
-            for i, a in enumerate(cyc):
-                images[a - 1] = cyc[(i + 1) % len(cyc)]
-        return cls(tuple(images))
-
-    @property
-    def size(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    @property
-    def cycle_count(self) -> int:
-        return len(cycle_type(self))
-
-    @property
-    def transposition_distance(self) -> int:
-        """Minimal number of transpositions generating the permutation."""
-        return self.size - self.cycle_count
-
-
-def cycle_type(p: Permutation) -> list[int]:
-    """Sorted (ascending) cycle lengths; they sum to the permutation size."""
-    return list(_cycle_type([i - 1 for i in p.images]))
+def _cycle_lengths(cycle_type) -> tuple[int, ...]:
+    """Ascending cycle lengths, each an integer >= 1 (InputError otherwise)."""
+    lengths = tuple(sorted(cycle_type))
+    if not lengths:
+        raise InputError("a cycle type needs at least one cycle length")
+    for x in lengths:
+        if x != int(x):
+            raise InputError(f"cycle lengths must be integers, got {x}")
+    if lengths[0] < 1:
+        raise InputError(f"cycle lengths must be >= 1, got {lengths[0]}")
+    return tuple(int(x) for x in lengths)
 
 
 @lru_cache(maxsize=None)
@@ -161,34 +120,23 @@ def wg_class_table(q: int, n: int) -> dict[tuple[int, ...], Fraction]:
     return {c: aug[i][m] for i, c in enumerate(classes)}
 
 
-def wg_exact(p: Permutation, n: int) -> Fraction:
-    """Exact Weingarten function Wg(p, n); depends only on the cycle type."""
-    q = p.size
+def wg_exact(cycle_type, n: int) -> Fraction:
+    """Exact Weingarten value Wg(sigma, n) for sigma of the given cycle lengths."""
+    lengths = _cycle_lengths(cycle_type)
+    q = sum(lengths)
     _check_q(q, "Weingarten value")
-    return wg_class_table(q, n)[tuple(cycle_type(p))]
+    return wg_class_table(q, n)[lengths]
 
 
-def wg_asymptotic(p: Permutation, n: int) -> float:
-    """Leading large-n term: n^(-q-|p|) prod (-1)^(len-1) C_{len-1} over cycles."""
-    q = p.size
+def wg_asymptotic(cycle_type, n: int) -> float:
+    """Leading large-n term n^(-q-|sigma|) prod (-1)^(len-1) C_{len-1} over the
+    cycles, where |sigma| = q - #cycles is the transposition distance."""
+    lengths = _cycle_lengths(cycle_type)
     coeff = 1
-    for ln in cycle_type(p):
+    for ln in lengths:
         c = catalan_number(ln - 1)
         coeff *= -c if (ln - 1) % 2 else c
-    return coeff / n ** (q + p.transposition_distance)
-
-
-def xi_statistic(p: Permutation) -> int:
-    """Connected components of the pairing graph on l = size/2 vertices.
-
-    Edges join vertices ceil(p(2a)/2) and ceil(p(2a+1)/2) for a = 1..l-1 plus
-    the wrap-around pair (p(2l), p(1)).  Equals log_b of the number of
-    solutions of the corresponding index-matching constraints for any base
-    b >= 2.
-    """
-    if p.size % 2:
-        raise InputError(f"xi needs an even-size permutation, got size {p.size}")
-    return _xi_of(tuple(i - 1 for i in p.images))
+    return coeff / n ** (2 * sum(lengths) - len(lengths))
 
 
 def _check_enumeration_limit(l: int, name: str):
@@ -248,35 +196,6 @@ def haar_moment_trace_product(powers, n: int, k: int) -> Fraction:
     kf, nf = Fraction(k), Fraction(n)
     for (ctype, a, b), cnt in counts.items():
         total += table[ctype] * cnt * kf**a * nf**b
-    return total
-
-
-def haar_entry_moment(rows, cols, conj_rows, conj_cols, n: int) -> Fraction:
-    """Exact mean of prod U[rows, cols] * prod conj(U)[conj_rows, conj_cols].
-
-    Direct evaluation of the Weingarten moment formula for explicit index
-    tuples; the number of factors q = len(rows) is limited like the trace
-    moments.
-    """
-    q = len(rows)
-    if not (len(cols) == len(conj_rows) == len(conj_cols) == q):
-        raise InputError("index tuples must have equal lengths")
-    _check_q(q, "entry moment")
-    if n < q:
-        raise InputError(f"need n >= q, got n={n} < q={q}")
-    table = wg_class_table(q, n)
-    total = Fraction(0)
-    for sigma in itertools.permutations(range(q)):
-        if any(rows[m] != conj_rows[sigma[m]] for m in range(q)):
-            continue
-        for tau in itertools.permutations(range(q)):
-            if any(cols[m] != conj_cols[tau[m]] for m in range(q)):
-                continue
-            inv = [0] * q
-            for a, b in enumerate(tau):
-                inv[b] = a
-            comp = tuple(sigma[inv[i]] for i in range(q))
-            total += table[_cycle_type(comp)]
     return total
 
 

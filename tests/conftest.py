@@ -35,3 +35,16 @@ def dense_reduced_covariance(u, s_values, k):
     full = eta @ sigma0 @ eta.T
     idx = list(range(k)) + list(range(n, n + k))
     return full[np.ix_(idx, idx)]
+
+
+def equal_squeezing_coupling(u, k):
+    """Compressed 2k x 2k coupling matrix M of an equally squeezed state.
+
+    The reduced covariance at equal squeezing s is cosh(2s) I + sinh(2s) M.
+    M is built from the real and imaginary parts of the projected conj(U U^T)
+    of the PassiveUnitary u; its odd-power traces vanish and
+    Tr M^{2j} = 2 Tr Re(W^j).
+    """
+    cbar = (u.matrix @ u.matrix.T).conj()[:k, :k]
+    re, im = cbar.real, cbar.imag
+    return np.block([[re, im], [im, -re]])

@@ -9,11 +9,9 @@ from pagecurve import (
     InputError,
     RationalPolynomial,
     TruncationError,
-    VarianceCoefficients,
     alpha_coefficient,
     catalan_number,
     f_polynomial,
-    g_function,
     page_constant_lambda,
     page_curve_density,
     page_curve_prediction,
@@ -25,8 +23,6 @@ from pagecurve.analytic import (
     density_series_info,
     g_exact,
     g_half_closed_form,
-    g_polynomial,
-    hypergeometric_poly,
     log_cosh,
 )
 
@@ -65,17 +61,20 @@ class TestRationalPolynomial:
         p = RationalPolynomial({1: 2, 3: Fraction(-1, 2)})
         assert p(Fraction(1, 3)) == Fraction(2, 3) - Fraction(1, 54)
 
-    def test_evaluate_float_is_exact_then_rounded(self):
-        p = RationalPolynomial({0: Fraction(1, 3)})
-        assert p.evaluate_float(0.0) == float(Fraction(1, 3))
+    def test_evaluation_without_low_degrees(self):
+        # Horner stops at the lowest stored degree, then multiplies by r^d0
+        p = RationalPolynomial({4: 3, 6: Fraction(-1, 5)})
+        for r in (Fraction(0), Fraction(1), Fraction(2, 3), Fraction(-7, 4)):
+            assert p(r) == 3 * r**4 - Fraction(1, 5) * r**6
+        assert RationalPolynomial({})(Fraction(3, 4)) == 0
 
-    def test_derivative(self):
-        p = RationalPolynomial({3: 2, 1: 5})
-        assert p.derivative() == RationalPolynomial({2: 6, 0: 5})
 
-    def test_subtraction(self):
-        x = RationalPolynomial({1: 1})
-        assert (x - RationalPolynomial({1: 1})).coefficients == {}
+def _hypergeometric_coefficient(l, d):
+    """Coefficient of r^d in r^(l+1) C_l 2F1(1-l, l; l+2; r), an independent
+    expansion of f_l: the a = d-l-1 term (-1)^a C(l-1, a) (l)_a / (l+2)_a."""
+    a = d - l - 1
+    rising = Fraction(math.prod(range(l, l + a)), math.prod(range(l + 2, l + 2 + a)))
+    return (-1) ** a * math.comb(l - 1, a) * catalan_number(l) * rising
 
 
 class TestAlphaCoefficients:
@@ -91,11 +90,12 @@ class TestAlphaCoefficients:
             alpha_coefficient(2, 2)
 
     def test_matches_hypergeometric_route(self):
-        # closed form vs terminating-series expansion, exactly
+        # f_l (from the closed form) vs r^(l+1) C_l 2F1(1-l, l; l+2; r), exactly
         for l in range(1, 11):
             poly = f_polynomial(l)
+            assert poly.degree == 2 * l
             for d in range(l + 1, 2 * l + 1):
-                assert poly.coefficient(d) == alpha_coefficient(l, d)
+                assert poly.coefficient(d) == _hypergeometric_coefficient(l, d)
 
     def test_condition_suite(self):
         # the four defining conditions of the coefficient family, exactly
@@ -125,14 +125,17 @@ class TestFPolynomials:
             for r in (Fraction(1, 7), Fraction(3, 8), Fraction(9, 10)):
                 assert f(r) - f(1 - r) == 2 * r - 1
 
-    def test_hypergeometric_poly_validation(self):
-        with pytest.raises(InputError):
-            hypergeometric_poly(-1, 1, 1)
+    def test_order_validation(self):
+        for l in (0, -1):
+            with pytest.raises(InputError):
+                f_polynomial(l)
 
 
 class TestGFunctions:
     def test_parabola_value(self):
-        assert g_function(1, 0.3) == pytest.approx(0.21, abs=1e-15)
+        # G_1(r) = r - r^2 at the exact binary value of 0.3
+        assert g_exact(1, Fraction(3, 10)) == Fraction(21, 100)
+        assert float(g_exact(1, 0.3)) == pytest.approx(0.21, abs=1e-15)
 
     def test_half_closed_form(self):
         assert g_half_closed_form(1) == Fraction(1, 4)
@@ -155,20 +158,18 @@ class TestGFunctions:
         assert g_exact(l, r) == g_exact(l, 1 - r)
 
     def test_endpoint_derivative_matching(self):
-        # first l derivatives of G_l match those of min(r, 1-r) at both ends:
-        # value 0, slope +1 at 0 and -1 at 1, higher derivatives 0
+        # first l derivatives of G_l = r - f_l match those of min(r, 1-r) at
+        # both ends: value 0, slope +1 at 0 and -1 at 1, higher derivatives 0
         for l in range(1, 9):
-            poly = g_polynomial(l)
+            coeffs = {1: Fraction(1)}
+            for j, c in f_polynomial(l).coefficients.items():
+                coeffs[j] = coeffs.get(j, 0) - c
             for d in range(l + 1):
-                if d == 0:
-                    expect_0, expect_1 = Fraction(0), Fraction(0)
-                elif d == 1:
-                    expect_0, expect_1 = Fraction(1), Fraction(-1)
-                else:
-                    expect_0, expect_1 = Fraction(0), Fraction(0)
-                assert poly(Fraction(0)) == expect_0, (l, d)
-                assert poly(Fraction(1)) == expect_1, (l, d)
-                poly = poly.derivative()
+                # d-th derivative at r = 0 and r = 1 from the falling factorials
+                at_0 = math.factorial(d) * coeffs.get(d, 0)
+                at_1 = sum(math.perm(j, d) * c for j, c in coeffs.items() if j >= d)
+                expect_0, expect_1 = {0: (0, 0), 1: (1, -1)}.get(d, (0, 0))
+                assert (at_0, at_1) == (expect_0, expect_1), (l, d)
 
     def test_approximates_minimum_from_below(self):
         for l in range(1, 9):
@@ -178,8 +179,9 @@ class TestGFunctions:
                 assert g_exact(l, r) <= m
 
     def test_range_validation(self):
-        with pytest.raises(InputError):
-            g_function(2, 1.5)
+        for r in (1.5, Fraction(-1, 3)):
+            with pytest.raises(InputError):
+                g_exact(2, r)
 
 
 class TestDensitySeries:
@@ -373,17 +375,6 @@ class TestVarianceSeries:
     def test_symmetry(self):
         assert variance_series(0.4, Fraction(3, 10)) == variance_series(0.4, Fraction(7, 10))
         assert variance_series(0.4, 0.25) == variance_series(0.4, 0.75)
-
-    def test_extra_coefficients(self):
-        coeffs = VarianceCoefficients({2: Fraction(1, 2), 3: Fraction(2)})
-        base = variance_series(0.3, 0.5)
-        extended = variance_series(0.3, 0.5, coeffs)
-        t2 = math.tanh(0.6) ** 2
-        assert extended - base == pytest.approx(2 * t2**3 * 0.25**3, rel=1e-12)
-
-    def test_coefficient_validation(self):
-        with pytest.raises(InputError):
-            VarianceCoefficients({1: Fraction(1)})
 
 
 class TestUnequalSmallSqueezing:

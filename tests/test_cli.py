@@ -226,6 +226,14 @@ class TestVerifyCommand:
     def test_unknown_suite_usage(self):
         assert main(["verify", "--suite", "bogus"]) == 1
 
+    @pytest.mark.parametrize("samples", ["-5", "0", "1"])
+    def test_samples_below_two_usage(self, capsys, samples):
+        # one draw has no sample stderr; the check runs before any suite prints
+        assert main(["verify", "--suite", "weingarten", "--samples", samples]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--samples must be >= 2, got {samples}" in captured.err
+
     def test_montecarlo_suite_passes(self, capsys):
         assert main(["verify", "--suite", "montecarlo"]) == 0
         text = capsys.readouterr().out
@@ -319,6 +327,24 @@ def test_bad_sampling_inputs_rejected_before_sampling(command, message, capsys, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["variance", "--modes", ",", "--squeeze", "0.3", "--workers", "1"],
+        ["typicality", "--modes", ",", "--squeeze", "0.3", "--epsilon", "0.1", "--workers", "1"],
+        ["weingarten", "moment", "--powers", ",", "--n", "4", "--k", "2"],
+        ["weingarten", "omega2", "--ladder", ","],
+        ["weingarten", "wg", "--type", ",", "--n", "5"],
+    ],
+    ids=["variance-modes", "typicality-modes", "powers", "ladder", "type"],
+)
+def test_empty_integer_lists_are_usage_errors(command, capsys, no_sampling):
+    assert main(command) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expects at least one integer, got ','" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -21,10 +21,10 @@ from pagecurve import (
     trace_W_powers,
     von_neumann_entropy,
 )
-from pagecurve.gaussian import PassiveUnitary, equal_squeezing_coupling, h1, reduce_modes
+from pagecurve.gaussian import PassiveUnitary, h1, reduce_modes
 from pagecurve.haar import SeededStream
 
-from conftest import dense_reduced_covariance
+from conftest import dense_reduced_covariance, equal_squeezing_coupling
 
 # high-precision constants, frozen from 30-digit evaluation
 E_PLUS_1 = 2.718281828459045235360287

@@ -8,7 +8,6 @@ import pytest
 from pagecurve import (
     CapacityError,
     InputError,
-    Permutation,
     SeededStream,
     a_ell_enumeration,
     alpha_top_enumeration,
@@ -21,45 +20,41 @@ from pagecurve import (
     trace_W_powers,
     wg_asymptotic,
     wg_exact,
-    xi_statistic,
 )
-from pagecurve import kernels
+from pagecurve import kernels, weingarten
 from pagecurve.verify import wg_orthogonality
-from pagecurve.weingarten import haar_entry_moment
 
 
 class TestPermutation:
+    """Permutations are tuples of the images of 0..q-1."""
+
     def test_identity_cycle_type(self):
-        p = Permutation.identity(4)
-        assert cycle_type(p) == [1, 1, 1, 1]
-        assert p.transposition_distance == 0
+        ct = cycle_type((0, 1, 2, 3))
+        assert ct == (1, 1, 1, 1)
+        assert 4 - len(ct) == 0  # transposition distance
 
     def test_double_transposition(self):
-        p = Permutation.from_cycles(4, [(1, 2), (3, 4)])
-        assert cycle_type(p) == [2, 2]
-        assert p.transposition_distance == 2
+        ct = cycle_type((1, 0, 3, 2))
+        assert ct == (2, 2)
+        assert 4 - len(ct) == 2
 
     def test_four_cycle(self):
-        p = Permutation.from_cycles(4, [(1, 2, 3, 4)])
-        assert cycle_type(p) == [4]
-        assert p.transposition_distance == 3
-
-    def test_validation(self):
-        with pytest.raises(InputError):
-            Permutation((1, 1, 3))
+        ct = cycle_type((1, 2, 3, 0))
+        assert ct == (4,)
+        assert 4 - len(ct) == 3
 
 
 def _brute_force_wg(q, n):
     """Independent oracle: invert the full q! x q! Gram matrix with Fractions."""
-    perms = list(itertools.permutations(range(1, q + 1)))
+    perms = list(itertools.permutations(range(q)))
     index = {p: i for i, p in enumerate(perms)}
     size = len(perms)
 
     def compose_inverse(sigma, tau):
         inv = [0] * q
         for pos, img in enumerate(tau):
-            inv[img - 1] = pos + 1
-        return tuple(sigma[inv[i] - 1] for i in range(q))
+            inv[img] = pos
+        return tuple(sigma[inv[i]] for i in range(q))
 
     def cycles(p):
         seen = [False] * q
@@ -70,11 +65,11 @@ def _brute_force_wg(q, n):
                 j = s
                 while not seen[j]:
                     seen[j] = True
-                    j = p[j] - 1
+                    j = p[j]
         return count
 
     gram = [[Fraction(n ** cycles(compose_inverse(a, b))) for b in perms] for a in perms]
-    rhs = [Fraction(int(p == tuple(range(1, q + 1)))) for p in perms]
+    rhs = [Fraction(int(p == tuple(range(q)))) for p in perms]
     aug = [row[:] + [rhs[i]] for i, row in enumerate(gram)]
     for col in range(size):
         piv = next(r for r in range(col, size) if aug[r][col] != 0)
@@ -90,35 +85,47 @@ def _brute_force_wg(q, n):
 
 class TestWgExact:
     def test_single_element(self):
-        assert wg_exact(Permutation((1,)), 5) == Fraction(1, 5)
+        assert wg_exact((1,), 5) == Fraction(1, 5)
 
     def test_s2_values_against_direct_inversion(self):
         # [[25, 5], [5, 25]] inverted by hand gives the first column
-        assert wg_exact(Permutation((1, 2)), 5) == Fraction(1, 24)
-        assert wg_exact(Permutation((2, 1)), 5) == Fraction(-1, 120)
-        assert wg_exact(Permutation((1, 2)), 5) == Fraction(25, 25 * 25 - 5 * 5)
-        assert wg_exact(Permutation((2, 1)), 5) == Fraction(-5, 25 * 25 - 5 * 5)
+        assert wg_exact((1, 1), 5) == Fraction(1, 24)
+        assert wg_exact((2,), 5) == Fraction(-1, 120)
+        assert wg_exact((1, 1), 5) == Fraction(25, 25 * 25 - 5 * 5)
+        assert wg_exact((2,), 5) == Fraction(-5, 25 * 25 - 5 * 5)
 
     def test_full_gram_oracle_s3(self):
+        # every permutation's oracle value is the value of its cycle type
         oracle = _brute_force_wg(3, 6)
         for images, value in oracle.items():
-            assert wg_exact(Permutation(images), 6) == value
+            assert wg_exact(cycle_type(images), 6) == value
 
     def test_class_invariance_s4(self):
-        transpositions = [
-            Permutation.from_cycles(4, [(a, b)])
-            for a, b in itertools.combinations(range(1, 5), 2)
-        ]
-        values = {wg_exact(p, 7) for p in transpositions}
-        assert len(values) == 1
+        # the full 24 x 24 inversion is constant on each class
+        oracle = _brute_force_wg(4, 7)
+        for images, value in oracle.items():
+            assert wg_exact(cycle_type(images), 7) == value
+        assert wg_exact((1, 2, 1), 7) == wg_exact((2, 1, 1), 7)
 
     def test_requires_large_dimension(self):
         with pytest.raises(InputError):
-            wg_exact(Permutation((2, 1, 3)), 2)
+            wg_exact((2, 1), 2)
 
-    def test_capacity_limit(self):
+    def test_capacity_limit(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("table built before the capacity check")
+
+        monkeypatch.setattr(weingarten, "wg_class_table", no_table)
         with pytest.raises(CapacityError):
-            wg_exact(Permutation.identity(7), 30)
+            wg_exact((1,) * 7, 30)
+
+    @pytest.mark.parametrize("lengths", [(), (2, 0), (3, -1), (2.5,)],
+                             ids=["empty", "zero", "negative", "fraction"])
+    def test_invalid_cycle_lengths_rejected(self, lengths):
+        with pytest.raises(InputError):
+            wg_exact(lengths, 8)
+        with pytest.raises(InputError):
+            wg_asymptotic(lengths, 8)
 
 
 class TestOrthogonality:
@@ -130,21 +137,19 @@ class TestOrthogonality:
 
 class TestWgAsymptotic:
     def test_identity(self):
-        assert wg_asymptotic(Permutation.identity(3), 10) == pytest.approx(1e-3, rel=1e-12)
+        assert wg_asymptotic((1, 1, 1), 10) == pytest.approx(1e-3, rel=1e-12)
 
     def test_transposition_relative_error(self):
-        p = Permutation((2, 1))
         n = 50
-        assert wg_asymptotic(p, n) == pytest.approx(-1.0 / n**3, rel=1e-12)
-        exact = wg_exact(p, n)  # equals -1/(n^3 - n)
+        assert wg_asymptotic((2,), n) == pytest.approx(-1.0 / n**3, rel=1e-12)
+        exact = wg_exact((2,), n)  # equals -1/(n^3 - n)
         assert exact == Fraction(-1, n**3 - n)
-        assert abs(wg_asymptotic(p, n) / float(exact) - 1.0) <= 5e-4
+        assert abs(wg_asymptotic((2,), n) / float(exact) - 1.0) <= 5e-4
 
     def test_three_cycle(self):
-        p = Permutation.from_cycles(3, [(1, 2, 3)])
         n = 40
-        assert wg_asymptotic(p, n) == pytest.approx(2.0 / n**5, rel=1e-12)
-        ratio = wg_asymptotic(p, n) / float(wg_exact(p, n))
+        assert wg_asymptotic((3,), n) == pytest.approx(2.0 / n**5, rel=1e-12)
+        ratio = wg_asymptotic((3,), n) / float(wg_exact((3,), n))
         assert abs(ratio - 1.0) < 5.0 / n**2
 
 
@@ -154,7 +159,7 @@ def _xi_brute_force(images, base):
     half = q // 2
     edges = [(images[2 * a - 1], images[2 * a]) for a in range(1, half)]
     edges.append((images[q - 1], images[0]))
-    edges = [((a - 1) // 2, (b - 1) // 2) for a, b in edges]
+    edges = [(a // 2, b // 2) for a, b in edges]
     count = 0
     for js in itertools.product(range(base), repeat=half):
         if all(js[a] == js[b] for a, b in edges):
@@ -164,31 +169,26 @@ def _xi_brute_force(images, base):
     return power
 
 
+def _condition_sum_brute_force(half, offset, base):
+    """Oracle for kernels.xi_condition_sum with xi from index counting."""
+    total = 0
+    for p in itertools.permutations(range(2 * half)):
+        lengths = cycle_type(p)
+        if _xi_brute_force(p, base) == 2 * half - len(lengths) + offset:
+            term = math.prod(catalan_number(ln - 1) for ln in lengths)
+            total += (-1) ** len(lengths) * term
+    return total
+
+
 class TestXiStatistic:
-    def test_swap_l1(self):
-        p = Permutation((2, 1))
-        assert xi_statistic(p) == 1
-        assert p.transposition_distance == 1  # contributes to the constant sum
-
-    def test_identity_l1(self):
-        p = Permutation((1, 2))
-        assert xi_statistic(p) == 1
-        assert p.transposition_distance == 0  # condition xi == |tau| fails
-
-    def test_identity_l2(self):
-        assert xi_statistic(Permutation((1, 2, 3, 4))) == 1
-
-    def test_odd_size_rejected(self):
-        with pytest.raises(InputError):
-            xi_statistic(Permutation((1, 2, 3)))
+    """The pairing-graph statistic xi as the condition sums compute it."""
 
     @pytest.mark.parametrize("half", [1, 2, 3])
     def test_brute_force_oracle(self, half):
-        rng = np.random.default_rng(3)
-        for _ in range(40):
-            images = tuple(int(x) + 1 for x in rng.permutation(2 * half))
-            p = Permutation(images)
-            assert xi_statistic(p) == _xi_brute_force(images, 2) == _xi_brute_force(images, 3)
+        for offset in (0, 1):
+            expected = kernels.xi_condition_sum(half, offset)
+            assert expected == _condition_sum_brute_force(half, offset, 2)
+            assert expected == _condition_sum_brute_force(half, offset, 3)
 
 
 class TestEnumerations:
@@ -303,23 +303,6 @@ class TestTraceMoments:
             haar_moment_trace_product([1], 4, 5)
         with pytest.raises(InputError):
             haar_moment_trace_product([], 4, 2)
-
-
-class TestEntryMoments:
-    def test_second_moment(self):
-        # E |U_11|^2 = 1/n
-        for n in (2, 5, 9):
-            assert haar_entry_moment((1,), (1,), (1,), (1,), n) == Fraction(1, n)
-
-    def test_fourth_moment(self):
-        # E U_11 U_22 conj(U_11) conj(U_22) = 1/(n^2 - 1)
-        for n in (2, 3, 6):
-            value = haar_entry_moment((1, 2), (1, 2), (1, 2), (1, 2), n)
-            assert value == Fraction(1, n**2 - 1)
-
-    def test_unbalanced_vanishes(self):
-        assert haar_entry_moment((1, 1), (1, 2), (1, 1), (2, 1), 4) != 0
-        assert haar_entry_moment((1, 2), (1, 1), (1, 1), (1, 2), 4) == 0
 
 
 class TestOmegaTwo:
