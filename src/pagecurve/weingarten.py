@@ -1,10 +1,11 @@
 """Exact Weingarten calculus and the permutation combinatorics behind the
 entropy coefficients.
 
-Everything here is exact: Weingarten values come from rational inversion of
-the class-resolved Gram system n^{#(sigma tau^-1)}, moments of traces of the
-subsystem overlap matrix W are assembled from integer pair counts, and the
-enumeration sums over S_{2l} verify the coefficient closed forms
+Everything here is exact: Weingarten values come from the character expansion
+of Collins and Sniady (the exact inversion of the class-resolved Gram system
+n^{#(sigma tau^-1)} is its test oracle), moments of traces of the subsystem
+overlap matrix W are assembled from integer pair counts, and signed sums over
+S_{2l}, taken by coset type, verify the coefficient closed forms
 independently of the series machinery in pagecurve.analytic.
 
 The Weingarten function depends on a permutation only through its cycle
@@ -17,19 +18,17 @@ Capacity limits keep runtimes desk-scale and are checked before any work
 starts.  They are fixed constants; no environment variable is read.
 Weingarten values and moments allow q <= DEFAULT_MAX_Q = 6 (q = 2*sum(powers)
 for a trace moment), and the enumerations over S_{2l} allow 1 <= l <= 5
-(InputError below, CapacityError above).  The permutation loops live in
+(InputError below, CapacityError above).  The matching sums live in
 pagecurve.kernels and are called through that module's attributes.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
 
 from . import kernels
-from .kernels import cycle_type as _cycle_type
 from .analytic import catalan_number
 from .errors import CapacityError, InputError
 
@@ -69,55 +68,55 @@ def _cycle_lengths(cycle_type) -> tuple[int, ...]:
     return tuple(int(x) for x in lengths)
 
 
+def _partitions(q: int, top: int):
+    """Partitions of q into parts <= top, in descending order."""
+    if q == 0:
+        yield ()
+    for first in range(min(q, top), 0, -1):
+        for rest in _partitions(q - first, first):
+            yield (first,) + rest
+
+
+def _character(beta: frozenset, mu: tuple[int, ...]) -> int:
+    """Irreducible character at cycle lengths mu of the partition whose beta
+    set (first-column hook lengths) is `beta`, by Murnaghan-Nakayama: removing
+    a border strip of length r moves one bead from b to b - r, with the sign
+    of the number of beads it passes."""
+    if not mu:
+        return 1
+    r, total = mu[0], 0
+    for b in beta:
+        if b >= r and b - r not in beta:
+            sign = -1 if sum(b - r < c < b for c in beta) % 2 else 1
+            total += sign * _character(beta - {b} | {b - r}, mu[1:])
+    return total
+
+
 @lru_cache(maxsize=None)
 def wg_class_table(q: int, n: int) -> dict[tuple[int, ...], Fraction]:
     """Exact Weingarten values for S_q at dimension n, one per cycle type.
 
-    Solves the class-resolved linear system sum_tau n^{#(sigma tau^-1)}
-    Wg(tau) = [sigma == id] by exact Gaussian elimination.  Conjugation
-    invariance collapses the q! x q! Gram matrix to one row and column per
-    cycle type (11 x 11 at q = 6).
+    Uses the character expansion of Collins and Sniady (Comm. Math. Phys.
+    264, 2006): Wg(mu, n) = (1/q!) sum_{lambda |- q} chi_lambda(1)
+    chi_lambda(mu) / prod_{boxes of lambda} (n + content), with the
+    characters from the Murnaghan-Nakayama rule.  It equals the inverse of
+    the class-resolved Gram system sum_tau n^{#(sigma tau^-1)} Wg(tau) =
+    [sigma == id], whose exact Gaussian elimination is the oracle of
+    tests/test_weingarten.py.
     """
     if q < 1:
         raise InputError(f"q must be >= 1, got {q}")
     if n < q:
         raise InputError(f"need n >= q for an invertible Gram system, got n={n} < q={q}")
-
-    by_type: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for p in itertools.permutations(range(q)):
-        by_type.setdefault(_cycle_type(p), []).append(p)
-    classes = sorted(by_type)
-    m = len(classes)
-
-    rows = []
-    for c in classes:
-        rep = by_type[c][0]
-        row = []
-        for c2 in classes:
-            total = 0
-            for tau in by_type[c2]:
-                inv = [0] * q
-                for a, b in enumerate(tau):
-                    inv[b] = a
-                comp = tuple(rep[inv[i]] for i in range(q))
-                total += n ** len(_cycle_type(comp))
-            row.append(Fraction(total))
-        rows.append(row)
-
-    identity_class = classes.index(tuple([1] * q))
-    aug = [row + [Fraction(int(i == identity_class))] for i, row in enumerate(rows)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if aug[r][col] != 0), None)
-        if piv is None:
-            raise InputError(f"singular Gram system at q={q}, n={n}")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [x / pivot for x in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return {c: aug[i][m] for i, c in enumerate(classes)}
+    classes = sorted(tuple(sorted(mu)) for mu in _partitions(q, q))
+    table = dict.fromkeys(classes, Fraction(0))
+    for lam in _partitions(q, q):
+        beta = frozenset(part + len(lam) - 1 - i for i, part in enumerate(lam))
+        dim = _character(beta, (1,) * q)
+        contents = math.prod(n + j - i for i, part in enumerate(lam) for j in range(part))
+        for mu in classes:
+            table[mu] += Fraction(dim * _character(beta, mu), contents)
+    return {mu: value / math.factorial(q) for mu, value in table.items()}
 
 
 def wg_exact(cycle_type, n: int) -> Fraction:
@@ -144,17 +143,16 @@ def _check_enumeration_limit(l: int, name: str):
         raise InputError(f"{name} needs l >= 1, got {l}")
     if l > DEFAULT_MAX_ENUMERATION:
         raise CapacityError(
-            f"{name}(l={l}) would stream S_{2 * l} ({math.factorial(2 * l):,} permutations); "
-            f"capacity is l <= {DEFAULT_MAX_ENUMERATION}"
+            f"{name}(l={l}) sums over S_{2 * l}; capacity is l <= {DEFAULT_MAX_ENUMERATION}"
         )
 
 
 def a_ell_enumeration(l: int) -> Fraction:
-    """Constant-order coefficient by direct enumeration over S_{2l}.
+    """Constant-order coefficient by enumeration over S_{2l}.
 
     Sums (-1)^(#cycles) prod C_{len-1} over permutations whose pairing-graph
-    component count equals the transposition distance.  Matches the closed
-    form (-1)^l 4^(l-1).
+    component count equals the transposition distance (by coset type, in
+    `kernels.xi_condition_sum`).  Matches the closed form (-1)^l 4^(l-1).
     """
     _check_enumeration_limit(l, "a_ell_enumeration")
     return Fraction(kernels.xi_condition_sum(l, 0))

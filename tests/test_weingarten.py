@@ -83,6 +83,41 @@ def _brute_force_wg(q, n):
     return {p: aug[index[p]][size] for p in perms}
 
 
+def _gram_class_table(q, n):
+    """Oracle for weingarten.wg_class_table: exact Gaussian elimination of the
+    class-resolved Gram system sum_tau n^{#(sigma tau^-1)} Wg(tau) = [sigma == id]."""
+    by_type = {}
+    for p in itertools.permutations(range(q)):
+        by_type.setdefault(cycle_type(p), []).append(p)
+    classes = sorted(by_type)
+    m = len(classes)
+    rows = []
+    for c in classes:
+        rep = by_type[c][0]
+        row = []
+        for c2 in classes:
+            total = 0
+            for tau in by_type[c2]:
+                inv = [0] * q
+                for a, b in enumerate(tau):
+                    inv[b] = a
+                total += n ** len(cycle_type([rep[inv[i]] for i in range(q)]))
+            row.append(Fraction(total))
+        rows.append(row)
+    identity_class = classes.index(tuple([1] * q))
+    aug = [row + [Fraction(int(i == identity_class))] for i, row in enumerate(rows)]
+    for col in range(m):
+        piv = next(r for r in range(col, m) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pivot = aug[col][col]
+        aug[col] = [x / pivot for x in aug[col]]
+        for r in range(m):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return {c: aug[i][m] for i, c in enumerate(classes)}
+
+
 class TestWgExact:
     def test_single_element(self):
         assert wg_exact((1,), 5) == Fraction(1, 5)
@@ -106,6 +141,14 @@ class TestWgExact:
         for images, value in oracle.items():
             assert wg_exact(cycle_type(images), 7) == value
         assert wg_exact((1, 2, 1), 7) == wg_exact((2, 1, 1), 7)
+
+    @pytest.mark.parametrize("q", range(1, 7))
+    def test_character_table_matches_gram_elimination(self, q):
+        for n in sorted({q, q + 1, 12, 50}):
+            table = weingarten.wg_class_table(q, n)
+            oracle = _gram_class_table(q, n)
+            assert table == oracle
+            assert list(table) == list(oracle)
 
     def test_requires_large_dimension(self):
         with pytest.raises(InputError):
@@ -180,6 +223,29 @@ def _condition_sum_brute_force(half, offset, base):
     return total
 
 
+def _xi_condition_sum_streaming(half, offset):
+    """Oracle for kernels.xi_condition_sum: stream S_{2 half}, with xi from a
+    union-find over the pairing graph."""
+    q = 2 * half
+    total = 0
+    for p in itertools.permutations(range(q)):
+        parent = list(range(half))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for a in range(half):
+            parent[find(p[2 * a - 1] // 2)] = find(p[2 * a] // 2)
+        xi = sum(1 for v in range(half) if parent[v] == v)
+        lengths = cycle_type(p)
+        if xi == q - len(lengths) + offset:
+            term = math.prod(catalan_number(ln - 1) for ln in lengths)
+            total += (-1) ** len(lengths) * term
+    return total
+
+
 class TestXiStatistic:
     """The pairing-graph statistic xi as the condition sums compute it."""
 
@@ -190,19 +256,24 @@ class TestXiStatistic:
             assert expected == _condition_sum_brute_force(half, offset, 2)
             assert expected == _condition_sum_brute_force(half, offset, 3)
 
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_streaming_oracle_half_four(self, offset):
+        assert kernels.xi_condition_sum(4, offset) == _xi_condition_sum_streaming(4, offset)
+
 
 class TestEnumerations:
     def test_a_ell_values(self):
-        for l in range(1, 5):
+        for l in range(1, 6):
             assert a_ell_enumeration(l) == Fraction((-1) ** l * 4 ** (l - 1))
 
     def test_alpha_top_values(self):
         assert alpha_top_enumeration(1) == 1
         assert alpha_top_enumeration(2) == -1
         assert alpha_top_enumeration(3) == 2
+        assert alpha_top_enumeration(5) == 14
 
     def test_alpha_top_matches_polynomial_leading_coefficient(self):
-        for l in range(1, 5):
+        for l in range(1, 6):
             assert alpha_top_enumeration(l) == f_polynomial(l).coefficient(2 * l)
             closed = Fraction((-1) ** (l + 1) * math.comb(2 * l - 1, l - 1), 2 * l - 1)
             assert alpha_top_enumeration(l) == closed
@@ -220,16 +291,55 @@ class TestEnumerations:
                 alpha_top_enumeration(l)
 
 
+def _structural_edges(powers):
+    """Trace-product delta patterns: (row-index edges, column-index edges).
+
+    Nodes 0..q-1 are the plain indices, q..2q-1 their conjugates.  Each power
+    block of length 2l contributes the cyclic row chain and the adjacent
+    column pairs of one trace factor.
+    """
+    q = 2 * sum(powers)
+    i_edges = []
+    j_edges = []
+    o = 0
+    for l in powers:
+        m2 = 2 * l
+        i_edges.append((q + o + m2 - 1, o))
+        for t in range(1, m2):
+            i_edges.append((q + o + t - 1, o + t))
+        for t in range(0, m2, 2):
+            j_edges.append((o + t, o + t + 1))
+            j_edges.append((q + o + t, q + o + t + 1))
+        o += m2
+    return i_edges, j_edges
+
+
+def _component_count(n_nodes, edges):
+    parent = list(range(n_nodes))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return sum(1 for i in range(n_nodes) if find(i) == i)
+
+
 def _brute_force_pair_counts(powers):
     """Oracle for the coset-reduced count: visit every pair of S_q x S_q."""
     q = 2 * sum(powers)
-    i_edges, j_edges = kernels._structural_edges(powers)
+    i_edges, j_edges = _structural_edges(powers)
     perms = list(itertools.permutations(range(q)))
     comp_a, comp_b, invs = [], [], []
     for p in perms:
         sigma_edges = [(m, q + p[m]) for m in range(q)]
-        comp_a.append(kernels._component_count(2 * q, i_edges + sigma_edges))
-        comp_b.append(kernels._component_count(2 * q, j_edges + sigma_edges))
+        comp_a.append(_component_count(2 * q, i_edges + sigma_edges))
+        comp_b.append(_component_count(2 * q, j_edges + sigma_edges))
         inv = [0] * q
         for a, b in enumerate(p):
             inv[b] = a
@@ -246,6 +356,16 @@ class TestPairCounts:
     @pytest.mark.parametrize("powers", [(1,), (2,), (1, 1), (3,), (1, 2), (2, 1), (1, 1, 1)])
     def test_matches_brute_force(self, powers):
         assert kernels.moment_pair_counts(powers) == _brute_force_pair_counts(powers)
+
+
+def _neville_at_zero(ladder, values):
+    """Exact polynomial extrapolation in 1/n of values on the n ladder to 1/n = 0."""
+    xs = [Fraction(1, n) for n in ladder]
+    vals = list(values)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            vals[i] = vals[i] + (vals[i] - vals[i - 1]) * (0 - xs[i]) / (xs[i] - xs[i - j])
+    return vals[-1]
 
 
 class TestTraceMoments:
@@ -274,16 +394,9 @@ class TestTraceMoments:
     def test_second_power_approaches_polynomial(self):
         # Richardson-extrapolate E Tr W^2 / n at r = 1/2 towards f_2(1/2)
         target = float(f_polynomial(2)(Fraction(1, 2)))
-        xs, ys = [], []
-        for n in (8, 16, 32):
-            value = haar_moment_trace_product([2], n, n // 2)
-            xs.append(Fraction(1, n))
-            ys.append(value / n)
-        vals = list(ys)
-        for j in range(1, len(xs)):
-            for i in range(len(xs) - 1, j - 1, -1):
-                vals[i] = vals[i] + (vals[i] - vals[i - 1]) * (0 - xs[i]) / (xs[i] - xs[i - j])
-        assert abs(float(vals[-1]) - target) < 1e-3
+        ladder = (8, 16, 32)
+        values = [haar_moment_trace_product([2], n, n // 2) / n for n in ladder]
+        assert abs(float(_neville_at_zero(ladder, values)) - target) < 1e-3
 
     def test_asymptotic_consistency(self):
         # E Tr W^l = n f_l(r) + 4^(l-1) (r(1-r))^l + O(1/n)
@@ -319,3 +432,19 @@ class TestOmegaTwo:
             omega2_extrapolation([8], Fraction(1, 2))
         with pytest.raises(InputError):
             omega2_extrapolation([8, 16], Fraction(1, 3))
+
+
+class TestOmegaThree:
+    """The t^6 coefficient of Var S2 is Cov(Tr W, Tr W^2) / 4; divided by
+    (r(1-r))^3 its n -> infinity limit is omega_3 = 2."""
+
+    @pytest.mark.parametrize("r", [Fraction(1, 4), Fraction(1, 2)], ids=["quarter", "half"])
+    def test_extrapolates_to_two(self, r):
+        ladder = (8, 16, 24, 32, 48, 64)
+        estimates = []
+        for n in ladder:
+            k = int(r * n)
+            cov = (haar_moment_trace_product([1, 2], n, k)
+                   - haar_moment_trace_product([1], n, k) * haar_moment_trace_product([2], n, k))
+            estimates.append(cov / (4 * (r * (1 - r)) ** 3))
+        assert abs(float(_neville_at_zero(ladder, estimates)) - 2) <= 1e-4
