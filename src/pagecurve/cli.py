@@ -4,6 +4,9 @@ Subcommands: page-curve, variance, typicality, conjecture-probe, weingarten,
 verify.  Every run emits a versioned record (CSV or JSON) whose metadata
 carries the seed, the RNG algorithm, the sampler id, the wall time and the
 exact command line needed to regenerate the numeric columns byte-for-byte.
+The sampling commands add `timings`: the seconds spent in the sampler
+(`sampling_s`) and the samples drawn per second (`samples_per_s`).  Only
+the JSON format prints metadata, so CSV output carries no timings.
 The exact engine has a single pure-Python implementation, so records name no
 kernel backend.
 
@@ -111,6 +114,19 @@ def _record(command, argv, columns, rows, seed, extra_metadata=None, started=Non
 
 
 _SAMPLING = {"blas_threads": SAMPLING_BLAS_THREADS}  # metadata of sampling commands
+
+
+def _timed(samples: int, call, *args):
+    """call(*args) and the sampling metadata of the `samples` draws it makes.
+
+    The timer spans only the call into the sampler, so the record's
+    `timings` leave out start-up, argument parsing and output.
+    """
+    start = time.perf_counter()
+    result = call(*args)
+    elapsed = time.perf_counter() - start
+    timings = {"sampling_s": round(elapsed, 6), "samples_per_s": round(samples / elapsed, 3)}
+    return result, {**_SAMPLING, "timings": timings}
 
 
 def _import_numpy_module(name: str):
@@ -251,19 +267,18 @@ def _cmd_page_curve(args, argv):
     else:
         fractions = [Fraction(k, n) for k in range(n + 1)]
 
-    estimate = None
+    estimate = sampling = None
     if with_mc:
         montecarlo = _import_numpy_module("montecarlo")
-        estimate = montecarlo.estimate_entropy_statistics(
-            montecarlo.RunConfig(
-                n=n,
-                squeezing=squeezing,
-                subsystem_sizes=tuple(range(n + 1)),
-                samples=args.samples,
-                master_seed=args.seed,
-                workers=args.workers,
-            )
+        config = montecarlo.RunConfig(
+            n=n,
+            squeezing=squeezing,
+            subsystem_sizes=tuple(range(n + 1)),
+            samples=args.samples,
+            master_seed=args.seed,
+            workers=args.workers,
         )
+        estimate, sampling = _timed(args.samples, montecarlo.estimate_entropy_statistics, config)
 
     columns = ["r", "k", "analytic_density", "analytic_total", "max_entropy"]
     if with_mc:
@@ -297,7 +312,7 @@ def _cmd_page_curve(args, argv):
 
     extra = {"modes": n, "squeezing": list(squeezing.values), "workers": args.workers}
     if with_mc:
-        extra.update(_SAMPLING)
+        extra.update(sampling)
     if equal:
         extra["density"] = {"rule": analytic.DENSITY_RULE}
     record = _record("page-curve", argv, columns, rows, args.seed, extra, started)
@@ -321,9 +336,12 @@ def _cmd_variance(args, argv):
             samples=args.samples, master_seed=args.seed, workers=args.workers,
             stream_namespace=montecarlo.stream_namespace(montecarlo.Experiment.VARIANCE, i),
         ))
+    columns_s2, sampling = _timed(
+        args.samples * len(configs),
+        lambda: [montecarlo.sample_entropies(config)[0][:, 0] for config in configs],
+    )
     rows = []
-    for config in configs:
-        col = montecarlo.sample_entropies(config)[0][:, 0]
+    for config, col in zip(configs, columns_s2):
         rows.append(
             [
                 config.n,
@@ -337,7 +355,7 @@ def _cmd_variance(args, argv):
         )
     record = _record(
         "variance", argv, columns, rows, args.seed,
-        {"squeeze": args.squeeze, **_SAMPLING}, started,
+        {"squeeze": args.squeeze, **sampling}, started,
     )
     _write_record(record, args.out, args.format)
     return EXIT_OK
@@ -347,8 +365,9 @@ def _cmd_typicality(args, argv):
     started = time.perf_counter()
     modes = _parse_int_list(args.modes, "--modes")
     montecarlo = _import_numpy_module("montecarlo")
-    records = montecarlo.typicality_probe(
-        modes, args.k_rule, args.squeeze, args.epsilon, args.samples, args.seed, args.workers
+    records, sampling = _timed(
+        args.samples * len(modes), montecarlo.typicality_probe,
+        modes, args.k_rule, args.squeeze, args.epsilon, args.samples, args.seed, args.workers,
     )
     columns = [
         "n", "k", "epsilon", "strong_deviation_frequency",
@@ -361,7 +380,7 @@ def _cmd_typicality(args, argv):
     ]
     record = _record(
         "typicality", argv, columns, rows, args.seed,
-        {"k_rule": args.k_rule, "squeeze": args.squeeze, **_SAMPLING}, started,
+        {"k_rule": args.k_rule, "squeeze": args.squeeze, **sampling}, started,
     )
     _write_record(record, args.out, args.format)
     return EXIT_OK
@@ -371,8 +390,9 @@ def _cmd_conjecture_probe(args, argv):
     started = time.perf_counter()
     squeezing = _parse_squeeze(args.squeeze, args.modes)
     montecarlo = _import_numpy_module("montecarlo")
-    est = montecarlo.conjecture_probe(
-        squeezing, args.mode_index, args.delta, args.samples, args.seed, args.k, args.workers
+    est, sampling = _timed(
+        args.samples, montecarlo.conjecture_probe,
+        squeezing, args.mode_index, args.delta, args.samples, args.seed, args.k, args.workers,
     )
     columns = [
         "n", "k", "mode_index", "delta", "derivative", "stderr",
@@ -380,7 +400,7 @@ def _cmd_conjecture_probe(args, argv):
     ]
     rows = [[args.modes, args.k, args.mode_index, args.delta, est.derivative,
              est.stderr, est.negative_fraction, args.samples, "mc"]]
-    record = _record("conjecture-probe", argv, columns, rows, args.seed, _SAMPLING, started)
+    record = _record("conjecture-probe", argv, columns, rows, args.seed, sampling, started)
     _write_record(record, args.out, args.format)
     return EXIT_OK
 

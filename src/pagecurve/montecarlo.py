@@ -12,12 +12,24 @@ depend on the worker count, so results are bit-identical for any number of
 workers.
 
 The draw (sampler id `SAMPLER`) is a Haar row frame: the kernels receive an
-m x n block of orthonormal rows, the transpose of `haar._haar_frame(n, m)`,
-which has the law of the first m rows of a Haar unitary.  Each caller passes
-the m it needs (the largest subsystem size below n for the entropies, k for
-the probes), so a draw costs O(n m^2) instead of O(n^3).  The full page
-curve needs m = n - 1, which costs the same as a full unitary, so there is
-no switch back to the full draw.
+m x n' block of orthonormal rows, the transpose of a frame from `haar`.  Each
+caller passes the m it needs (the largest subsystem size below n for the
+entropies, k for the probes), and one predicate, `_frame_draw`, picks the
+frame from the squeezing values, n and m alone:
+
+* equal squeezing and 2m < n: `haar._bartlett_frame(n, m)`, 2m modes drawn
+  from the Bartlett factor of the Gaussian block, at O(m^3).  Every reduced
+  state of the first k <= m modes has, sample by sample, the covariance of
+  the n-mode draw (the `haar` docstring says why), so S2 and S1 keep their
+  law.  `sample_entropies` uses it, and with it `typicality_probe`,
+  `estimate_constant_term` and the CLI `variance` command.
+* otherwise: `haar._haar_frame(n, m)`, the first m rows of a Haar unitary,
+  at O(n m^2).  The full page curve needs m = n - 1, which costs the same
+  as a full unitary.  `conjecture_probe` (unequal scales on its two sides)
+  and `mean_covariance_check` (it checks the Haar average of the covariance,
+  that is, the n-mode draw itself) always use it.
+
+The kernels get the true n, since the frame's width may be 2m rather than n.
 
 Comparisons against asymptotic predictions should allow, besides the usual
 3-sigma statistical band, an additive 2/n for the unquantified order-one
@@ -47,7 +59,7 @@ from .gaussian import (
     _symplectic_spectrum,
     h1,
 )
-from .haar import SeededStream, _haar_frame, derive_substream
+from .haar import SeededStream, _bartlett_frame, _haar_frame, derive_substream
 from .provenance import RNG_ALGORITHM, SAMPLER, SAMPLING_BLAS_THREADS
 
 __all__ = [
@@ -150,10 +162,10 @@ def _check_counts(samples: int, workers: int):
 
 
 def _sample_chunk(args):
-    kernel, n, m, params, stream, j0, j1 = args
+    kernel, draw, n, m, params, stream, j0, j1 = args
     rows = []
     for j in range(j0, j1):
-        u = _haar_frame(n, m, derive_substream(stream, j).generator()).T
+        u = draw(n, m, derive_substream(stream, j).generator()).T
         try:
             rows.append(kernel(u, *params))
         except NumericalError as exc:
@@ -161,17 +173,18 @@ def _sample_chunk(args):
     return np.array(rows)
 
 
-def _map_samples(kernel, n, m, params, samples, seed, namespace, workers) -> np.ndarray:
+def _map_samples(kernel, draw, n, m, params, samples, seed, namespace, workers) -> np.ndarray:
     """Stack kernel(V_j, *params) over samples j = 0..samples-1 in sample order.
 
-    V_j is an m x n Haar row frame, distributed as the first m rows of a Haar
-    unitary, drawn from substream j of (seed, namespace).  `kernel` must be a
-    module-level function so that worker processes can import it.
+    V_j is the transpose of draw(n, m, generator), a frame from `haar` (see
+    `_frame_draw`), drawn from substream j of (seed, namespace).  `kernel`
+    and `draw` must be module-level functions so that worker processes can
+    import them.
     """
     _check_counts(samples, workers)
     stream = SeededStream(seed, namespace)
     chunks = [
-        (kernel, n, m, params, stream, j0, min(j0 + _CHUNK, samples))
+        (kernel, draw, n, m, params, stream, j0, min(j0 + _CHUNK, samples))
         for j0 in range(0, samples, _CHUNK)
     ]
     if workers == 1 or len(chunks) == 1:
@@ -232,13 +245,29 @@ def _frame_rows(ks, n: int) -> int:
     return max((k for k in ks if k < n), default=0)
 
 
-def _entropies_for_sample(u, scale, ks, with_s1):
+def _frame_draw(values, m: int):
+    """(draw, modes): the frame for the first m of len(values) modes, and its width.
+
+    The 2m-mode Bartlett frame when the squeezing is equal and 2m < n, else
+    the n-mode Haar row frame; both give every reduced state of k <= m modes
+    the same law.
+    """
+    n = len(values)
+    if 2 * m < n and len(set(values)) == 1:
+        return _bartlett_frame, 2 * m
+    return _haar_frame, n
+
+
+def _entropies_for_sample(u, n, scale, ks, with_s1):
     """S2 (row 0) and, if with_s1, S1 (row 1) of every subsystem size in ks.
 
-    u holds at least the first m = max{k < n} rows of an n-mode unitary.  One
-    QR factor R of those m modes serves every k, since its leading block
-    R[:2k, :2k] factors the covariance of the first k modes.  k = 0 and
-    k = n are pure states and stay exactly 0.
+    u holds at least the first m = max{k < n} rows of a frame of the n-mode
+    system, and scale = sqrt(diag sigma_0) over the frame's modes.  The frame
+    may be 2m modes wide (the Bartlett frame) rather than n, so n comes as an
+    argument: it decides which k are pure and how many symplectic eigenvalues
+    can exceed 1.  One QR factor R of the m modes serves every k, since its
+    leading block R[:2k, :2k] factors the covariance of the first k modes.
+    k = 0 and k = n are pure states and stay exactly 0.
 
     S1 sums h1 over the top min(k, n - k) symplectic eigenvalues only, and
     only those are checked against the uncertainty bound.  The state is pure,
@@ -246,7 +275,6 @@ def _entropies_for_sample(u, scale, ks, with_s1):
     point they round below 1 by up to about eps * e^{4 max|s_i|}, which
     passes 1 - PURITY_CLAMP from s ~ 8 on.
     """
-    n = u.shape[1]
     out = np.zeros((2 if with_s1 else 1, len(ks)))
     m = _frame_rows(ks, n)
     if m == 0:
@@ -269,13 +297,18 @@ def sample_entropies(
 
     Returns (s2, s1), each of shape (samples, len(subsystem_sizes)) with rows
     in global sample order; s1 is None unless `with_s1`.  The arrays do not
-    depend on `config.workers`.
+    depend on `config.workers`.  Equal squeezing with 2m < n, m the largest
+    size below n, draws the 2m-mode Bartlett frame (see `_frame_draw`).
     """
+    n, ks, values = config.n, config.subsystem_sizes, config.squeezing.values
+    m = _frame_rows(ks, n)
+    draw, modes = _frame_draw(values, m)
     rows = _map_samples(
         _entropies_for_sample,
-        config.n,
-        _frame_rows(config.subsystem_sizes, config.n),
-        (np.sqrt(_initial_diagonal(config.squeezing.values)), config.subsystem_sizes, with_s1),
+        draw,
+        n,
+        m,
+        (n, np.sqrt(_initial_diagonal(values[:modes])), ks, with_s1),
         config.samples,
         config.master_seed,
         config.stream_namespace,
@@ -342,7 +375,10 @@ def estimate_constant_term(
 
     At each ladder point computes n * density(s, r) - mean(S2) and
     extrapolates linearly in 1/n; the uncertainty is the bootstrap standard
-    deviation of the extrapolated value (resampling per ladder point).
+    deviation of the extrapolated value (resampling per ladder point).  The
+    squeezing is equal, so for r < 1/2 each sample draws the 2k-mode
+    Bartlett frame at O(k^3) (see `_frame_draw`); r >= 1/2 draws the n-mode
+    row frame.
     """
     ladder = sorted(int(n) for n in n_ladder)
     if len(ladder) < 3:
@@ -417,7 +453,13 @@ def _resolve_k_rule(k_rule, n: int) -> int:
 def typicality_probe(
     n_list, k_rule, s: float, epsilon: float, samples: int, seed: int, workers: int = 1
 ) -> list[TypicalityRecord]:
-    """Frequencies of absolute and relative entropy deviations at each n."""
+    """Frequencies of absolute and relative entropy deviations at each n.
+
+    The squeezing is equal, so wherever the rule gives 2k < n (for example
+    k = ceil(sqrt n) from n = 7 on) each sample draws the 2k-mode Bartlett
+    frame at O(k^3) instead of the k x n row frame at O(n k^2); see
+    `_frame_draw`.
+    """
     if not 0 < epsilon < math.inf:
         raise InputError(f"epsilon must be positive and finite, got {epsilon}")
     configs = []
@@ -506,7 +548,7 @@ def conjecture_probe(
     scales = [np.sqrt(_initial_diagonal(values)) for values in (plus, minus)]
     params = (*scales, k, h_plus - h_minus)
     diffs = _map_samples(
-        _derivative_for_sample, config.n, k, params, samples, seed,
+        _derivative_for_sample, _haar_frame, config.n, k, params, samples, seed,
         stream_namespace(Experiment.CONJECTURE), workers,
     )
     std = float(diffs.std(ddof=1)) if samples > 1 else 0.0
@@ -546,7 +588,7 @@ def mean_covariance_check(
         raise InputError(f"need 1 <= k <= {n}, got k={k}")
     params = (_initial_diagonal(config.values), k)
     reds = _map_samples(
-        _reduced_sigma_from_unitary, n, k, params, samples, seed,
+        _reduced_sigma_from_unitary, _haar_frame, n, k, params, samples, seed,
         stream_namespace(Experiment.MEAN_COVARIANCE), workers,
     )
     mean = reds.mean(axis=0)

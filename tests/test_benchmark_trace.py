@@ -3,8 +3,10 @@
 `benchmarks/run.py --trace 1` patches library functions by name and reads
 their spans; a renamed function, or one that no request calls any more, makes
 the harness itself fail.  Each workload patches every traced name and fills
-all per-layer metrics; on a 2-core machine curve-n24 takes about 4 s and
-exact-tables, whose probe sums a_5 by coset type, about 3 s.
+all per-layer metrics.  On a 2-core machine each of the three workloads
+below takes about 1.5 s: curve-n24, typicality-large-n (whose probe draws
+full unitaries at n = 100 and 400) and exact-tables (whose probe sums a_5 by
+coset type).
 """
 
 import json
@@ -18,7 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["curve-n24", "exact-tables"])
+@pytest.mark.parametrize("workload", ["curve-n24", "typicality-large-n", "exact-tables"])
 def test_traced_run_fills_every_layer(workload):
     argv = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", "1",
             "--seconds", "0", "--trace", "1"]

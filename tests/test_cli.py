@@ -150,8 +150,9 @@ class TestJsonRoundTrip:
         assert record["schema_version"] == SCHEMA_VERSION
         assert record["metadata"]["seed"] == 3
         assert record["metadata"]["rng_algorithm"] == "philox4x64"
-        assert record["metadata"]["sampler"] == "haar-row-frame"
+        assert record["metadata"]["sampler"] == "haar-row-frame-bartlett"
         assert record["metadata"]["blas_threads"] == 1
+        assert_sampling_timings(record["metadata"], 25)
 
         out2 = tmp_path / "b.json"
         replay = list(record["command_line"])
@@ -375,8 +376,17 @@ def test_sampling_records_name_sampler(command, capsys):
     assert main(command + ["--samples", "5", "--workers", "1", "--format", "json"]) == 0
     metadata = json.loads(capsys.readouterr().out)["metadata"]
     assert metadata["rng_algorithm"] == "philox4x64"
-    assert metadata["sampler"] == "haar-row-frame"
+    assert metadata["sampler"] == "haar-row-frame-bartlett"
     assert metadata["blas_threads"] == 1
+    assert_sampling_timings(metadata, 5)
+
+
+def assert_sampling_timings(metadata, samples):
+    """`timings` of a sampling record: seconds in the sampler and its sample rate."""
+    timings = metadata["timings"]
+    assert set(timings) == {"sampling_s", "samples_per_s"}
+    assert 0.0 < timings["sampling_s"] <= metadata["wall_time_s"]
+    assert timings["samples_per_s"] == pytest.approx(samples / timings["sampling_s"], rel=1e-2)
 
 
 class TestConjectureCommand:

@@ -80,7 +80,8 @@ def kernel_on_unitaries(n, k, squeezing, seed, reverse_rows=False):
     rows = []
     for j in range(4):
         u = _haar_frame(n, n, derive_substream(SeededStream(seed, 0), j).generator())
-        rows.append(_entropies_for_sample(u[::-1] if reverse_rows else u, scale, (k, n - k), True))
+        u = u[::-1] if reverse_rows else u
+        rows.append(_entropies_for_sample(u, n, scale, (k, n - k), True))
     rows = np.array(rows)
     return rows[:, 0], rows[:, 1]
 

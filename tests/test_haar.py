@@ -13,8 +13,13 @@ from pagecurve import (
     sample_entropies,
     sample_haar_unitary,
 )
-from pagecurve.gaussian import _initial_diagonal
-from pagecurve.haar import RNG_ALGORITHM, _haar_frame
+from pagecurve.gaussian import (
+    _initial_diagonal,
+    _renyi2_values,
+    _squeezed_row_factor,
+    _symplectic_spectrum,
+)
+from pagecurve.haar import RNG_ALGORITHM, _bartlett_frame, _haar_frame, _orthonormal_columns
 from pagecurve.montecarlo import _entropies_for_sample
 
 
@@ -168,8 +173,9 @@ def test_frame_entry_moments():
 
 
 def test_frame_entropies_match_full_unitaries():
-    # per-sample S2 of k = 10 of n = 100 modes: the sampler's 10-row frames
-    # against the first 10 rows of full Haar unitaries
+    # per-sample S2 of k = 10 of n = 100 modes: the sampler's draws (the
+    # 20-mode Bartlett frame at equal squeezing) against the first 10 rows of
+    # full Haar unitaries
     n, k, samples = 100, 10, 500
     squeezing = SqueezingConfig.equal(n, 0.75)
     framed, _ = sample_entropies(
@@ -177,5 +183,48 @@ def test_frame_entropies_match_full_unitaries():
     )
     scale = np.sqrt(_initial_diagonal(squeezing.values))
     rows = [_haar_frame(n, n, SeededStream(52, j).generator()).T for j in range(samples)]
-    full = np.array([_entropies_for_sample(u, scale, (k,), False)[0, 0] for u in rows])
+    full = np.array([_entropies_for_sample(u, n, scale, (k,), False)[0, 0] for u in rows])
     assert stats.ks_2samp(framed[:, 0], full).pvalue > 0.01
+
+
+def equal_squeezed_factor(frame, s, m):
+    """Triangular factor of the first m modes of an equally squeezed frame."""
+    v = frame.T
+    return _squeezed_row_factor(v, np.sqrt(_initial_diagonal([s] * v.shape[1])), m)
+
+
+@pytest.mark.parametrize("n,m", [(40, 5), (50, 12), (24, 11), (100, 10), (400, 20)])
+@pytest.mark.parametrize("s", [0.75, 3.0, 6.0])
+def test_bartlett_block_gives_the_same_reduced_states(n, m, s):
+    # Z = Q_E Z' with Z' = T[:, :m] + i T[:, m:] from G = [Re Z, Im Z] = Q_E T:
+    # at equal squeezing the 2m-mode frame of Z' gives, for this very Z, the
+    # covariance of every k <= m modes that the n-mode frame of Z gives
+    generator = SeededStream(61, n + m).generator()
+    z = generator.standard_normal((n, m)) + 1j * generator.standard_normal((n, m))
+    _, t = np.linalg.qr(np.hstack([z.real, z.imag]))
+    full = equal_squeezed_factor(_orthonormal_columns(z), s, m)
+    reduced = equal_squeezed_factor(_orthonormal_columns(t[:, :m] + 1j * t[:, m:]), s, m)
+    s2_full, s2_reduced = _renyi2_values(full), _renyi2_values(reduced)
+    assert np.all(np.abs(s2_reduced - s2_full) <= 1e-12 * s2_full)
+    for k in range(1, m + 1):
+        nu_full = _symplectic_spectrum(full[: 2 * k, : 2 * k])
+        nu_reduced = _symplectic_spectrum(reduced[: 2 * k, : 2 * k])
+        assert np.all(np.abs(nu_reduced - nu_full) <= 1e-12 * nu_full)
+
+
+@pytest.mark.parametrize("n,m", [(3, 1), (9, 4), (400, 20)])
+def test_bartlett_frame_stream_order(n, m):
+    # the documented use of the stream: the 2m chi-square diagonal entries
+    # first, then the normals above the diagonal in row-major order
+    frame = _bartlett_frame(n, m, SeededStream(14, n).generator())
+    generator = SeededStream(14, n).generator()
+    t = np.zeros((2 * m, 2 * m))
+    diagonal = np.sqrt(generator.chisquare(n - np.arange(2 * m)))
+    upper = iter(generator.standard_normal(m * (2 * m - 1)))
+    for i in range(2 * m):
+        t[i, i] = diagonal[i]
+        for j in range(i + 1, 2 * m):
+            t[i, j] = next(upper)
+    assert frame.shape == (2 * m, m)
+    assert np.array_equal(frame, _orthonormal_columns(t[:, :m] + 1j * t[:, m:]))
+    assert np.abs(frame.conj().T @ frame - np.eye(m)).max() <= 1e-12

@@ -28,8 +28,21 @@ from pagecurve.gaussian import (
     reduce_subsystem,
     renyi2_entropy,
 )
-from pagecurve.haar import SeededStream, derive_substream, sample_haar_unitary
-from pagecurve.montecarlo import Experiment, stream_namespace
+from pagecurve.gaussian import _initial_diagonal
+from pagecurve.haar import (
+    SeededStream,
+    _bartlett_frame,
+    _haar_frame,
+    derive_substream,
+    sample_haar_unitary,
+)
+from pagecurve.montecarlo import (
+    Experiment,
+    _entropies_for_sample,
+    _frame_draw,
+    _map_samples,
+    stream_namespace,
+)
 
 COSH_15 = 2.352409615243247325767668
 
@@ -83,9 +96,12 @@ class TestDeterminism:
 
     def test_worker_count_invariance_large_n(self, pool_starts):
         # at n = 400 the thread count of a multi-threaded BLAS would change
-        # the last bits of the QR; every sampling process runs on one thread
+        # the last bits of the 400 x 20 QR; every sampling process runs on one
+        # thread.  Unequal squeezing keeps the n-mode draw (equal squeezing
+        # would draw the 40-mode Bartlett frame)
+        values = (0.8,) + (0.75,) * 399
         config = RunConfig(
-            n=400, squeezing=SqueezingConfig.equal(400, 0.75), subsystem_sizes=(20,),
+            n=400, squeezing=SqueezingConfig(values), subsystem_sizes=(20,),
             samples=POOLED_SAMPLES, master_seed=8,
         )
         a, _ = sample_entropies(config)
@@ -141,6 +157,65 @@ class TestTrivialValues:
         assert np.all(s2[:, 1:-1] > 0.0)
         assert np.all(s2 - 1e-9 <= s1)
         assert np.all(s1 <= s2 + k * (1 - math.log(2)) + 1e-9)
+
+
+class TestBartlettDraw:
+    def test_selection_rule(self):
+        equal = SqueezingConfig.equal(10, 0.5).values
+        assert _frame_draw(equal, 4) == (_bartlett_frame, 8)
+        assert _frame_draw(equal, 0) == (_bartlett_frame, 0)
+        assert _frame_draw(equal, 5) == (_haar_frame, 10)   # 2m = n
+        assert _frame_draw(equal, 9) == (_haar_frame, 10)   # the full page curve
+        unequal = (0.6,) + equal[1:]
+        assert _frame_draw(unequal, 4) == (_haar_frame, 10)
+
+    def test_sample_j_is_the_bartlett_frame_of_substream_j(self):
+        n, ks, s = 20, (2, 5), 0.9
+        config = RunConfig(n=n, squeezing=SqueezingConfig.equal(n, s), subsystem_sizes=ks,
+                           samples=4, master_seed=6)
+        s2, s1 = sample_entropies(config, with_s1=True)
+        scale = np.sqrt(_initial_diagonal([s] * 10))
+        for j in range(4):
+            generator = derive_substream(SeededStream(6, 0), j).generator()
+            u = _bartlett_frame(n, 5, generator).T
+            row = _entropies_for_sample(u, n, scale, ks, True)
+            assert np.array_equal(s2[j], row[0]) and np.array_equal(s1[j], row[1])
+
+    def test_pure_boundaries_exactly_zero(self):
+        n = 30
+        s2, s1 = sample_entropies(
+            RunConfig(n=n, squeezing=SqueezingConfig.equal(n, 6.0), subsystem_sizes=(0, 4, n),
+                      samples=40, master_seed=2),
+            with_s1=True,
+        )
+        assert np.all(s2[:, [0, 2]] == 0.0) and np.all(s1[:, [0, 2]] == 0.0)
+        assert np.all(s2[:, 1] > 0.0) and np.all(s1[:, 1] >= s2[:, 1])
+        only_boundaries, _ = sample_entropies(
+            RunConfig(n=n, squeezing=SqueezingConfig.equal(n, 1.0), subsystem_sizes=(0, n),
+                      samples=3, master_seed=2)
+        )
+        assert np.all(only_boundaries == 0.0)
+
+    def test_same_law_as_the_full_draw(self):
+        # mean and variance of S2 from the 12-mode Bartlett frame against the
+        # 60-mode row frame, on independent streams
+        n, k, s, samples = 60, 6, 1.5, 6000
+        config = RunConfig(n=n, squeezing=SqueezingConfig.equal(n, s), subsystem_sizes=(k,),
+                           samples=samples, master_seed=15)
+        reduced = sample_entropies(config)[0][:, 0]
+        params = (n, np.sqrt(_initial_diagonal(config.squeezing.values)), (k,), False)
+        full = _map_samples(_entropies_for_sample, _haar_frame, n, k, params, samples, 16, 0, 1)
+        full = full[:, 0, 0]
+
+        def moments(x):
+            mean, var = x.mean(), x.var(ddof=1)
+            fourth = ((x - mean) ** 4).mean()
+            return mean, var, math.sqrt(var / samples), math.sqrt((fourth - var**2) / samples)
+
+        m_r, v_r, se_m_r, se_v_r = moments(reduced)
+        m_f, v_f, se_m_f, se_v_f = moments(full)
+        assert abs(m_r - m_f) <= 4 * math.hypot(se_m_r, se_m_f)
+        assert abs(v_r - v_f) <= 4 * math.hypot(se_v_r, se_v_f)
 
 
 class TestAgainstPrediction:
