@@ -119,6 +119,25 @@ def _bartlett_frame(n: int, m: int, generator: np.random.Generator) -> np.ndarra
     return _orthonormal_columns(t[:, :m] + 1j * t[:, m:])
 
 
+def _jacobi_transmissions(n: int, kp: int, generator: np.random.Generator) -> np.ndarray:
+    """The kp transmission eigenvalues T_i of kp = min(k, n - k) of n Haar modes.
+
+    Needs 0 < 2 kp <= n.  The T_i are the eigenvalues of W1 (W1 + W2)^-1 for
+    independent real Wisharts W1 = B1 B1^T of n - kp and W2 = G2 G2^T of
+    kp + 1 degrees of freedom (see the module docstring).  The stream is used
+    in a fixed order: the kp diagonal entries B1_ii = sqrt(chi^2_{n-kp-i}),
+    then the kp(kp - 1)/2 standard normals below the diagonal of B1 in
+    row-major order, then the kp x (kp + 1) block G2 in row-major order.
+    With X = [B1^T; G2^T] = QR, the T_i are the squared singular values of
+    the top kp x kp block of Q.  The cost is O(kp^3), whatever n.
+    """
+    b1 = np.diag(np.sqrt(generator.chisquare(n - kp - np.arange(kp))))
+    b1[np.tri(kp, kp, -1, dtype=bool)] = generator.standard_normal(kp * (kp - 1) // 2)
+    g2 = generator.standard_normal((kp, kp + 1))
+    q = np.linalg.qr(np.hstack([b1, g2]).T)[0]
+    return np.linalg.svd(q[:kp], compute_uv=False) ** 2
+
+
 def sample_haar_unitary(n: int, stream: SeededStream) -> PassiveUnitary:
     """Draw an exactly Haar-distributed n x n unitary: `_haar_frame` at m = n."""
     if n < 1:

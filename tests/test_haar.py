@@ -19,8 +19,18 @@ from pagecurve.gaussian import (
     _squeezed_row_factor,
     _symplectic_spectrum,
 )
-from pagecurve.haar import RNG_ALGORITHM, _bartlett_frame, _haar_frame, _orthonormal_columns
+from pagecurve.haar import (
+    RNG_ALGORITHM,
+    _bartlett_frame,
+    _haar_frame,
+    _jacobi_transmissions,
+    _orthonormal_columns,
+)
 from pagecurve.montecarlo import _entropies_for_sample
+from pagecurve.weingarten import haar_moment_trace_product
+
+# every `powers` with q = 2 * sum(powers) <= 6, the exact engine's cap
+TRACE_POWERS = [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
 
 
 def test_rng_algorithm_identifier():
@@ -228,3 +238,17 @@ def test_bartlett_frame_stream_order(n, m):
     assert frame.shape == (2 * m, m)
     assert np.array_equal(frame, _orthonormal_columns(t[:, :m] + 1j * t[:, m:]))
     assert np.abs(frame.conj().T @ frame - np.eye(m)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n,k", [(6, 1), (8, 2), (9, 4), (12, 5), (8, 5), (10, 7)])
+def test_jacobi_draw_matches_exact_trace_moments(n, k):
+    # W = Pi C Pi conj(C) Pi has eigenvalues 1 - T_i and k - k' ones, so the
+    # Jacobi draw must reproduce every exact moment E prod_i Tr W^{l_i}
+    samples, kp = 8000, min(k, n - k)
+    generator = SeededStream(71, 100 * n + k).generator()
+    w = 1.0 - np.array([_jacobi_transmissions(n, kp, generator) for _ in range(samples)])
+    for powers in TRACE_POWERS:
+        values = np.prod([(w**l).sum(axis=1) + (k - kp) for l in powers], axis=0)
+        exact = float(haar_moment_trace_product(powers, n, k))
+        stderr = values.std(ddof=1) / math.sqrt(samples)
+        assert abs(values.mean() - exact) <= 5 * stderr, powers
