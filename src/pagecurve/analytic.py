@@ -389,9 +389,12 @@ def page_constant_lambda(s: float, r) -> float:
 def page_curve_prediction(n: int, s: float, k: int) -> float:
     """Asymptotic mean entropy of a k-of-n subsystem: n * density - lambda.
 
-    Tested against Monte Carlo for s <= 1.5 only.  At larger squeezing the
-    order-one term is off: at s = 5, n = 24, k = 12 the sampled mean sits
-    1.47 above this prediction.
+    Tested against Monte Carlo for s <= 1.5 at r = 1/2, and at s = 5 for
+    r = 1/4 (n = 24, 48, 96).  Away from r = 1/2 the transmission
+    eigenvalues stay above the soft edge (1 - 2r)^2, so the order-one term
+    holds at large s.  At r = 1/2 they reach the hard edge T = 0, and at
+    large s the order-one term is off until n is of order e^{2s}: at s = 5,
+    n = 24, k = 12 the sampled mean sits 1.47 above this prediction.
     """
     if not (0 <= k <= n) or n < 1:
         raise InputError(f"need 0 <= k <= n with n >= 1, got k={k}, n={n}")

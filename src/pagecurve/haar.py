@@ -5,32 +5,38 @@ identifier "philox4x64"), keyed by the pair (master_seed, stream_index).
 Identical keys reproduce identical byte streams on any machine and for any
 worker layout; distinct stream indices give statistically independent streams.
 
-Two draws share one orthonormalization step, `_orthonormal_columns`: the QR
-factor of a complex Gaussian block with Mezzadri's phase fix.
+Two draws read such a stream.
 
-* `_haar_frame(n, m)` orthonormalizes an n x m complex Ginibre block Z, which
-  gives the first m columns of a Haar unitary at O(n m^2).  Since U^T is Haar
-  whenever U is, its transpose is an m x n block of orthonormal rows with the
-  law of the first m rows of U.  `sample_haar_unitary` is the case m = n.
-* `_bartlett_frame(n, m)`, for 2m < n, orthonormalizes a 2m x m block Z'
-  built from the triangular factor alone, at O(m^3).  Write the real n x 2m
-  block G = [Re Z, Im Z] as G = Q_E T.  By Bartlett's decomposition T is upper
-  triangular with T_ii^2 ~ chi^2_{n-i}, independent N(0, 1) entries above the
-  diagonal (up to the common scale of Z, which the QR ignores), and it is
-  independent of Q_E.  Then Z = Q_E Z' with Z' = T[:, :m] + i T[:, m:], so
-  the frame of Z is Q_E times the frame of Z'.  Under equal squeezing the
-  initial covariance diag(e^{2s} I, e^{-2s} I) commutes with eta(O) for every
-  real orthogonal O, so Q_E drops out of the covariance of every k <= m
-  modes: the 2m-mode frame of Z' gives the same reduced states, in law and
-  for each Z, as the n-mode frame of Z.  Under unequal squeezing Q_E does not
-  drop out, and the full draw is needed.
+* `_haar_frame(n, m)` orthonormalizes an n x m complex Ginibre block Z, with
+  Mezzadri's phase fix, which gives the first m columns of a Haar unitary at
+  O(n m^2).  Since U^T is Haar whenever U is, its transpose is an m x n
+  block of orthonormal rows with the law of the first m rows of U.
+  `sample_haar_unitary` is the case m = n.
+* `_jacobi_transmissions(n, k')` draws, at O(k'^3) whatever n, what an
+  equally squeezed subsystem of k modes needs of U, with k' = min(k, n - k).
+  At equal squeezing every entropy of the first k modes depends on U only
+  through C = U U^T, a matrix of the circular orthogonal ensemble: the k
+  symplectic eigenvalues are sqrt(1 + sinh^2(2s) T_i) for the k' squared
+  singular values T_i of the block C[:k, k:], and 1 for the other k - k'.
+  C is the scattering matrix of a time-reversal-symmetric chaotic cavity
+  with k and n - k channels, so the T_i are its transmission eigenvalues,
+  and their joint law is the real (beta = 1) Jacobi ensemble, with density
+  proportional to prod_{i<j} |T_i - T_j| prod_i T_i^{(n - 2k' - 1)/2} on
+  [0, 1] (Beenakker, Rev. Mod. Phys. 69, 731 (1997)).  That is the real
+  MANOVA law: the eigenvalues of W1 (W1 + W2)^-1 for independent k' x k'
+  real Wisharts W1 of n - k' and W2 of k' + 1 degrees of freedom (Edelman &
+  Sutton, Found. Comput. Math. 8, 259 (2008)).  W1 comes from its Bartlett
+  factor and W2 from a Gaussian block; the function's docstring gives the
+  order in which they use the stream.  A tier-1 test checks the draw's
+  moments E prod Tr W^l, with W = C[:k, :k] conj(C[:k, :k]), against the
+  exact Weingarten engine.
 
-Both always apply the phase fix; neither draw has a switch.
+`montecarlo._frame_draw` picks the Jacobi draw for equal squeezing when
+every requested size 0 < k < n has the same k', and Haar rows otherwise.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,50 +79,21 @@ def derive_substream(stream: SeededStream, worker: int) -> SeededStream:
     return SeededStream(stream.master_seed, mixed)
 
 
-def _orthonormal_columns(z: np.ndarray) -> np.ndarray:
-    """Q of z = QR with every diagonal entry of R made real and positive.
-
-    Rescales each column of LAPACK's Q by the unit phase of the matching
-    diagonal entry of R (Mezzadri, Notices AMS 54, 2007); without that fix
-    LAPACK's sign convention would bias the distribution, so no draw skips it.
-    """
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r).copy()
-    d[d == 0] = 1.0
-    return q * (d / np.abs(d))
-
-
 def _haar_frame(n: int, m: int, generator: np.random.Generator) -> np.ndarray:
     """n x m matrix whose orthonormal columns are the first m columns of a Haar U.
 
     Orthonormalizes an n x m block of independent standard complex Gaussians
-    (real parts drawn first, then imaginary parts).  The cost is O(n m^2); at
-    m = n this is the full unitary.
+    (real parts drawn first, then imaginary parts) by QR, and rescales each
+    column of LAPACK's Q by the unit phase of the matching diagonal entry of
+    R (Mezzadri, Notices AMS 54, 2007); without that fix LAPACK's sign
+    convention would bias the distribution.  The cost is O(n m^2); at m = n
+    this is the full unitary.
     """
     re = generator.standard_normal((n, m))
-    z = (re + 1j * generator.standard_normal((n, m))) / np.sqrt(2.0)
-    return _orthonormal_columns(z)
-
-
-@functools.lru_cache(maxsize=None)
-def _strict_upper(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major indices above the diagonal of a size x size matrix."""
-    return np.triu_indices(size, 1)
-
-
-def _bartlett_frame(n: int, m: int, generator: np.random.Generator) -> np.ndarray:
-    """2m x m frame whose equally squeezed reduced states match `_haar_frame(n, m)`'s.
-
-    Needs 2m < n.  Orthonormalizes Z' = T[:, :m] + i T[:, m:] for the 2m x 2m
-    Bartlett factor T of an n x 2m real Gaussian block (see the module
-    docstring for why this is exact).  The stream is used in a fixed order:
-    first the diagonal, T_ii = sqrt(chi^2_{n-i}) for i = 0..2m-1, then the
-    m(2m - 1) standard normals above the diagonal in row-major order.  The
-    cost is O(m^3), whatever n.
-    """
-    t = np.diag(np.sqrt(generator.chisquare(n - np.arange(2 * m))))
-    t[_strict_upper(2 * m)] = generator.standard_normal(m * (2 * m - 1))
-    return _orthonormal_columns(t[:, :m] + 1j * t[:, m:])
+    q, r = np.linalg.qr((re + 1j * generator.standard_normal((n, m))) / np.sqrt(2.0))
+    d = np.diagonal(r).copy()
+    d[d == 0] = 1.0
+    return q * (d / np.abs(d))
 
 
 def _jacobi_transmissions(n: int, kp: int, generator: np.random.Generator) -> np.ndarray:

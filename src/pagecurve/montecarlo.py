@@ -11,25 +11,31 @@ rows come back in global sample order.  Neither the keys nor the assembly
 depend on the worker count, so results are bit-identical for any number of
 workers.
 
-The draw (sampler id `SAMPLER`) is a Haar row frame: the kernels receive an
-m x n' block of orthonormal rows, the transpose of a frame from `haar`.  Each
-caller passes the m it needs (the largest subsystem size below n for the
-entropies, k for the probes), and one predicate, `_frame_draw`, picks the
-frame from the squeezing values, n and m alone:
+The sampler (id `SAMPLER`) has two draws, and one predicate, `_frame_draw`,
+picks one from the squeezing values and the requested subsystem sizes alone:
 
-* equal squeezing and 2m < n: `haar._bartlett_frame(n, m)`, 2m modes drawn
-  from the Bartlett factor of the Gaussian block, at O(m^3).  Every reduced
-  state of the first k <= m modes has, sample by sample, the covariance of
-  the n-mode draw (the `haar` docstring says why), so S2 and S1 keep their
-  law.  `sample_entropies` uses it, and with it `typicality_probe`,
-  `estimate_constant_term` and the CLI `variance` command.
-* otherwise: `haar._haar_frame(n, m)`, the first m rows of a Haar unitary,
-  at O(n m^2).  The full page curve needs m = n - 1, which costs the same
-  as a full unitary.  `conjecture_probe` (unequal scales on its two sides)
-  and `mean_covariance_check` (it checks the Haar average of the covariance,
-  that is, the n-mode draw itself) always use it.
+* equal squeezing s, where every requested size 0 < k < n has the same
+  k' = min(k, n - k): `haar._jacobi_transmissions(n, k')`, the k'
+  transmission eigenvalues T_i of the real (beta = 1) Jacobi ensemble, at
+  O(k'^3) whatever n.  At equal squeezing the k modes have the symplectic
+  eigenvalues nu_i = sqrt(1 + sinh^2(2s) T_i) and k - k' more equal to 1
+  (the `haar` docstring gives the law), so S2 = (1/2) sum log(1 + c T_i)
+  and S1 = sum h1(nu_i) with c = sinh^2(2s), computed in logarithms so
+  that no large factor is ever rounded and no symplectic eigensolve or
+  purity clamp is needed.  `sample_entropies` uses it for every such run,
+  and with it `typicality_probe`, `estimate_constant_term`, the CLI
+  `variance` command and the single-size checks of `verify`.
+* otherwise: the first m rows of a Haar unitary, `haar._haar_frame(n, m)`
+  transposed, at O(n m^2), with m the largest size below n.  The full page
+  curve needs m = n - 1, which costs the same as a full unitary; unequal
+  squeezing, and equal squeezing with several k' (no CLI command asks for
+  one below the full curve), take this draw too.  `conjecture_probe`
+  (unequal scales on its two sides) and `mean_covariance_check` (it checks
+  the Haar average of the covariance, that is, the n-mode draw itself)
+  always use it.
 
-The kernels get the true n, since the frame's width may be 2m rather than n.
+Each draw gives every entropy it serves its exact law; the joint law across
+sizes with different k' is the Haar one only on the row-frame draw.
 
 Comparisons against asymptotic predictions should allow, besides the usual
 3-sigma statistical band, an additive 2/n for the unquantified order-one
@@ -41,7 +47,6 @@ from __future__ import annotations
 import ctypes
 import enum
 import math
-from concurrent import futures
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,7 +64,7 @@ from .gaussian import (
     _symplectic_spectrum,
     h1,
 )
-from .haar import SeededStream, _bartlett_frame, _haar_frame, derive_substream
+from .haar import SeededStream, _haar_frame, _jacobi_transmissions, derive_substream
 from .provenance import RNG_ALGORITHM, SAMPLER, SAMPLING_BLAS_THREADS
 
 __all__ = [
@@ -165,21 +170,21 @@ def _sample_chunk(args):
     kernel, draw, n, m, params, stream, j0, j1 = args
     rows = []
     for j in range(j0, j1):
-        u = draw(n, m, derive_substream(stream, j).generator()).T
+        drawn = draw(n, m, derive_substream(stream, j).generator())
         try:
-            rows.append(kernel(u, *params))
+            rows.append(kernel(drawn, *params))
         except NumericalError as exc:
             raise NumericalError(f"sample {j} (seed {stream.master_seed}): {exc}") from exc
     return np.array(rows)
 
 
 def _map_samples(kernel, draw, n, m, params, samples, seed, namespace, workers) -> np.ndarray:
-    """Stack kernel(V_j, *params) over samples j = 0..samples-1 in sample order.
+    """Stack kernel(draw(n, m, generator_j), *params) over samples j = 0..samples-1.
 
-    V_j is the transpose of draw(n, m, generator), a frame from `haar` (see
-    `_frame_draw`), drawn from substream j of (seed, namespace).  `kernel`
-    and `draw` must be module-level functions so that worker processes can
-    import them.
+    generator_j is substream j of (seed, namespace), and the rows come back
+    in sample order.  `draw` is `_haar_rows` or `haar._jacobi_transmissions`
+    (see `_frame_draw`).  `kernel` and `draw` must be module-level functions
+    so that worker processes can import them.
     """
     _check_counts(samples, workers)
     stream = SeededStream(seed, namespace)
@@ -193,6 +198,8 @@ def _map_samples(kernel, draw, n, m, params, samples, seed, namespace, workers) 
             return np.concatenate([_sample_chunk(c) for c in chunks])
         finally:
             _set_blas_threads(previous)
+    from concurrent import futures  # only runs that use the pool pay for the import
+
     with futures.ProcessPoolExecutor(
         max_workers=workers, initializer=_set_blas_threads, initargs=(SAMPLING_BLAS_THREADS,)
     ) as pool:
@@ -245,29 +252,51 @@ def _frame_rows(ks, n: int) -> int:
     return max((k for k in ks if k < n), default=0)
 
 
-def _frame_draw(values, m: int):
-    """(draw, modes): the frame for the first m of len(values) modes, and its width.
+def _haar_rows(n: int, m: int, generator: np.random.Generator) -> np.ndarray:
+    """The first m rows of a Haar unitary on n modes: `haar._haar_frame` transposed."""
+    return _haar_frame(n, m, generator).T
 
-    The 2m-mode Bartlett frame when the squeezing is equal and 2m < n, else
-    the n-mode Haar row frame; both give every reduced state of k <= m modes
-    the same law.
+
+def _frame_draw(values, ks):
+    """(draw, m) for the entropies of sizes ks of len(values) modes.
+
+    The Jacobi draw of m = k' transmissions when the squeezing is equal and
+    every size 0 < k < n has the same k' = min(k, n - k); else the first
+    m = max{k < n} rows of a Haar unitary.
     """
     n = len(values)
-    if 2 * m < n and len(set(values)) == 1:
-        return _bartlett_frame, 2 * m
-    return _haar_frame, n
+    weights = {min(k, n - k) for k in ks if 0 < k < n}
+    if len(weights) == 1 and len(set(values)) == 1:
+        return _jacobi_transmissions, weights.pop()
+    return _haar_rows, _frame_rows(ks, n)
+
+
+def _entropies_from_transmissions(t, n, log_c, ks, with_s1):
+    """S2 (row 0) and, if with_s1, S1 (row 1) of every subsystem size in ks.
+
+    t holds the k' transmission eigenvalues shared by every size 0 < k < n
+    in ks, and log_c = log sinh^2(2s) (-inf at s = 0).  Each nu_i^2 =
+    1 + c T_i is formed as log1p(c T_i) = logaddexp(0, log c + log T_i), so
+    it keeps its relative accuracy at any s; no nu can round below 1.
+    k = 0 and k = n are pure states and stay exactly 0.
+    """
+    out = np.zeros((2 if with_s1 else 1, len(ks)))
+    mixed = [i for i, k in enumerate(ks) if 0 < k < n]
+    log_nu2 = np.logaddexp(0.0, log_c + np.log(t))
+    out[0, mixed] = 0.5 * math.fsum(log_nu2.tolist())
+    if with_s1:
+        out[1, mixed] = math.fsum(h1(nu) for nu in np.exp(0.5 * log_nu2).tolist())
+    return out
 
 
 def _entropies_for_sample(u, n, scale, ks, with_s1):
     """S2 (row 0) and, if with_s1, S1 (row 1) of every subsystem size in ks.
 
-    u holds at least the first m = max{k < n} rows of a frame of the n-mode
-    system, and scale = sqrt(diag sigma_0) over the frame's modes.  The frame
-    may be 2m modes wide (the Bartlett frame) rather than n, so n comes as an
-    argument: it decides which k are pure and how many symplectic eigenvalues
-    can exceed 1.  One QR factor R of the m modes serves every k, since its
-    leading block R[:2k, :2k] factors the covariance of the first k modes.
-    k = 0 and k = n are pure states and stay exactly 0.
+    u holds at least the first m = max{k < n} rows of a Haar unitary on n
+    modes, and scale = sqrt(diag sigma_0).  One QR factor R of the m modes
+    serves every k, since its leading block R[:2k, :2k] factors the
+    covariance of the first k modes.  k = 0 and k = n are pure states and
+    stay exactly 0.
 
     S1 sums h1 over the top min(k, n - k) symplectic eigenvalues only, and
     only those are checked against the uncertainty bound.  The state is pure,
@@ -297,18 +326,24 @@ def sample_entropies(
 
     Returns (s2, s1), each of shape (samples, len(subsystem_sizes)) with rows
     in global sample order; s1 is None unless `with_s1`.  The arrays do not
-    depend on `config.workers`.  Equal squeezing with 2m < n, m the largest
-    size below n, draws the 2m-mode Bartlett frame (see `_frame_draw`).
+    depend on `config.workers`.  Equal squeezing whose sizes 0 < k < n share
+    one k' = min(k, n - k) draws the k' Jacobi transmissions; anything else
+    draws Haar rows (see `_frame_draw`).
     """
     n, ks, values = config.n, config.subsystem_sizes, config.squeezing.values
-    m = _frame_rows(ks, n)
-    draw, modes = _frame_draw(values, m)
+    draw, m = _frame_draw(values, ks)
+    if draw is _jacobi_transmissions:
+        a = abs(2.0 * values[0])  # log sinh^2(2s), finite where sinh^2 overflows
+        squeeze = 2.0 * (analytic.log_cosh(a) + math.log(math.tanh(a))) if a else -math.inf
+        kernel = _entropies_from_transmissions
+    else:
+        squeeze, kernel = np.sqrt(_initial_diagonal(values)), _entropies_for_sample
     rows = _map_samples(
-        _entropies_for_sample,
+        kernel,
         draw,
         n,
         m,
-        (n, np.sqrt(_initial_diagonal(values[:modes])), ks, with_s1),
+        (n, squeeze, ks, with_s1),
         config.samples,
         config.master_seed,
         config.stream_namespace,
@@ -376,9 +411,9 @@ def estimate_constant_term(
     At each ladder point computes n * density(s, r) - mean(S2) and
     extrapolates linearly in 1/n; the uncertainty is the bootstrap standard
     deviation of the extrapolated value (resampling per ladder point).  The
-    squeezing is equal, so for r < 1/2 each sample draws the 2k-mode
-    Bartlett frame at O(k^3) (see `_frame_draw`); r >= 1/2 draws the n-mode
-    row frame.
+    squeezing is equal and each point has one size, so every sample, at any
+    r, draws the min(k, n - k) Jacobi transmissions at O(k^3) (see
+    `_frame_draw`).
     """
     ladder = sorted(int(n) for n in n_ladder)
     if len(ladder) < 3:
@@ -455,10 +490,9 @@ def typicality_probe(
 ) -> list[TypicalityRecord]:
     """Frequencies of absolute and relative entropy deviations at each n.
 
-    The squeezing is equal, so wherever the rule gives 2k < n (for example
-    k = ceil(sqrt n) from n = 7 on) each sample draws the 2k-mode Bartlett
-    frame at O(k^3) instead of the k x n row frame at O(n k^2); see
-    `_frame_draw`.
+    The squeezing is equal and each n has one size, so every sample, for
+    any rule, draws the min(k, n - k) Jacobi transmissions at O(k^3)
+    instead of a k x n row frame at O(n k^2); see `_frame_draw`.
     """
     if not 0 < epsilon < math.inf:
         raise InputError(f"epsilon must be positive and finite, got {epsilon}")
@@ -548,7 +582,7 @@ def conjecture_probe(
     scales = [np.sqrt(_initial_diagonal(values)) for values in (plus, minus)]
     params = (*scales, k, h_plus - h_minus)
     diffs = _map_samples(
-        _derivative_for_sample, _haar_frame, config.n, k, params, samples, seed,
+        _derivative_for_sample, _haar_rows, config.n, k, params, samples, seed,
         stream_namespace(Experiment.CONJECTURE), workers,
     )
     std = float(diffs.std(ddof=1)) if samples > 1 else 0.0
@@ -588,7 +622,7 @@ def mean_covariance_check(
         raise InputError(f"need 1 <= k <= {n}, got k={k}")
     params = (_initial_diagonal(config.values), k)
     reds = _map_samples(
-        _reduced_sigma_from_unitary, _haar_frame, n, k, params, samples, seed,
+        _reduced_sigma_from_unitary, _haar_rows, n, k, params, samples, seed,
         stream_namespace(Experiment.MEAN_COVARIANCE), workers,
     )
     mean = reds.mean(axis=0)

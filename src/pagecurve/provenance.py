@@ -8,5 +8,5 @@ numpy.  `haar` and `montecarlo` re-export them.
 __all__ = ["RNG_ALGORITHM", "SAMPLER", "SAMPLING_BLAS_THREADS"]
 
 RNG_ALGORITHM = "philox4x64"  # numpy's counter-based Philox generator
-SAMPLER = "haar-row-frame-bartlett"  # names the draws, their selection and the stream-key rule
+SAMPLER = "haar-row-frame-jacobi"  # names the two draws, their selection rule and the stream keys
 SAMPLING_BLAS_THREADS = 1  # OpenBLAS threads the sampler runs on, inline and in every worker

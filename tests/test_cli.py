@@ -150,7 +150,7 @@ class TestJsonRoundTrip:
         assert record["schema_version"] == SCHEMA_VERSION
         assert record["metadata"]["seed"] == 3
         assert record["metadata"]["rng_algorithm"] == "philox4x64"
-        assert record["metadata"]["sampler"] == "haar-row-frame-bartlett"
+        assert record["metadata"]["sampler"] == "haar-row-frame-jacobi"
         assert record["metadata"]["blas_threads"] == 1
         assert_sampling_timings(record["metadata"], 25)
 
@@ -376,7 +376,7 @@ def test_sampling_records_name_sampler(command, capsys):
     assert main(command + ["--samples", "5", "--workers", "1", "--format", "json"]) == 0
     metadata = json.loads(capsys.readouterr().out)["metadata"]
     assert metadata["rng_algorithm"] == "philox4x64"
-    assert metadata["sampler"] == "haar-row-frame-bartlett"
+    assert metadata["sampler"] == "haar-row-frame-jacobi"
     assert metadata["blas_threads"] == 1
     assert_sampling_timings(metadata, 5)
 

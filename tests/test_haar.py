@@ -13,20 +13,9 @@ from pagecurve import (
     sample_entropies,
     sample_haar_unitary,
 )
-from pagecurve.gaussian import (
-    _initial_diagonal,
-    _renyi2_values,
-    _squeezed_row_factor,
-    _symplectic_spectrum,
-)
-from pagecurve.haar import (
-    RNG_ALGORITHM,
-    _bartlett_frame,
-    _haar_frame,
-    _jacobi_transmissions,
-    _orthonormal_columns,
-)
-from pagecurve.montecarlo import _entropies_for_sample
+from pagecurve.gaussian import _initial_diagonal
+from pagecurve.haar import RNG_ALGORITHM, _haar_frame, _jacobi_transmissions
+from pagecurve.montecarlo import _entropies_for_sample, _entropies_from_transmissions
 from pagecurve.weingarten import haar_moment_trace_product
 
 # every `powers` with q = 2 * sum(powers) <= 6, the exact engine's cap
@@ -183,8 +172,8 @@ def test_frame_entry_moments():
 
 
 def test_frame_entropies_match_full_unitaries():
-    # per-sample S2 of k = 10 of n = 100 modes: the sampler's draws (the
-    # 20-mode Bartlett frame at equal squeezing) against the first 10 rows of
+    # per-sample S2 of k = 10 of n = 100 modes: the sampler's draws (10
+    # Jacobi transmissions at equal squeezing) against the first 10 rows of
     # full Haar unitaries
     n, k, samples = 100, 10, 500
     squeezing = SqueezingConfig.equal(n, 0.75)
@@ -197,47 +186,19 @@ def test_frame_entropies_match_full_unitaries():
     assert stats.ks_2samp(framed[:, 0], full).pvalue > 0.01
 
 
-def equal_squeezed_factor(frame, s, m):
-    """Triangular factor of the first m modes of an equally squeezed frame."""
-    v = frame.T
-    return _squeezed_row_factor(v, np.sqrt(_initial_diagonal([s] * v.shape[1])), m)
-
-
-@pytest.mark.parametrize("n,m", [(40, 5), (50, 12), (24, 11), (100, 10), (400, 20)])
+@pytest.mark.parametrize("n,k", [(8, 3), (9, 6), (24, 12), (40, 5), (30, 23)])
 @pytest.mark.parametrize("s", [0.75, 3.0, 6.0])
-def test_bartlett_block_gives_the_same_reduced_states(n, m, s):
-    # Z = Q_E Z' with Z' = T[:, :m] + i T[:, m:] from G = [Re Z, Im Z] = Q_E T:
-    # at equal squeezing the 2m-mode frame of Z' gives, for this very Z, the
-    # covariance of every k <= m modes that the n-mode frame of Z gives
-    generator = SeededStream(61, n + m).generator()
-    z = generator.standard_normal((n, m)) + 1j * generator.standard_normal((n, m))
-    _, t = np.linalg.qr(np.hstack([z.real, z.imag]))
-    full = equal_squeezed_factor(_orthonormal_columns(z), s, m)
-    reduced = equal_squeezed_factor(_orthonormal_columns(t[:, :m] + 1j * t[:, m:]), s, m)
-    s2_full, s2_reduced = _renyi2_values(full), _renyi2_values(reduced)
-    assert np.all(np.abs(s2_reduced - s2_full) <= 1e-12 * s2_full)
-    for k in range(1, m + 1):
-        nu_full = _symplectic_spectrum(full[: 2 * k, : 2 * k])
-        nu_reduced = _symplectic_spectrum(reduced[: 2 * k, : 2 * k])
-        assert np.all(np.abs(nu_reduced - nu_full) <= 1e-12 * nu_full)
-
-
-@pytest.mark.parametrize("n,m", [(3, 1), (9, 4), (400, 20)])
-def test_bartlett_frame_stream_order(n, m):
-    # the documented use of the stream: the 2m chi-square diagonal entries
-    # first, then the normals above the diagonal in row-major order
-    frame = _bartlett_frame(n, m, SeededStream(14, n).generator())
-    generator = SeededStream(14, n).generator()
-    t = np.zeros((2 * m, 2 * m))
-    diagonal = np.sqrt(generator.chisquare(n - np.arange(2 * m)))
-    upper = iter(generator.standard_normal(m * (2 * m - 1)))
-    for i in range(2 * m):
-        t[i, i] = diagonal[i]
-        for j in range(i + 1, 2 * m):
-            t[i, j] = next(upper)
-    assert frame.shape == (2 * m, m)
-    assert np.array_equal(frame, _orthonormal_columns(t[:, :m] + 1j * t[:, m:]))
-    assert np.abs(frame.conj().T @ frame - np.eye(m)).max() <= 1e-12
+def test_transmissions_give_the_row_frame_entropies(n, k, s):
+    # for one Haar U: S2 and S1 from the squared singular values T_i of
+    # C[:k, k:], C = U U^T, equal those of the symplectic route on U's rows
+    u = _haar_frame(n, n, SeededStream(61, 100 * n + k).generator())
+    t = np.linalg.svd((u @ u.T)[:k, k:], compute_uv=False) ** 2
+    assert len(t) == min(k, n - k)
+    log_c = 2.0 * math.log(math.sinh(2.0 * s))
+    from_t = _entropies_from_transmissions(t, n, log_c, (k,), True)
+    scale = np.sqrt(_initial_diagonal([s] * n))
+    from_rows = _entropies_for_sample(u, n, scale, (k,), True)
+    assert from_t == pytest.approx(from_rows, rel=1e-12)
 
 
 @pytest.mark.parametrize("n,k", [(6, 1), (8, 2), (9, 4), (12, 5), (8, 5), (10, 7)])

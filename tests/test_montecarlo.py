@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from concurrent import futures
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pagecurve
 from pagecurve import (
     InputError,
     cli,
@@ -28,11 +33,10 @@ from pagecurve.gaussian import (
     reduce_subsystem,
     renyi2_entropy,
 )
-from pagecurve.gaussian import _initial_diagonal
+from pagecurve.gaussian import _initial_diagonal, h1
 from pagecurve.haar import (
     SeededStream,
-    _bartlett_frame,
-    _haar_frame,
+    _jacobi_transmissions,
     derive_substream,
     sample_haar_unitary,
 )
@@ -40,6 +44,7 @@ from pagecurve.montecarlo import (
     Experiment,
     _entropies_for_sample,
     _frame_draw,
+    _haar_rows,
     _map_samples,
     stream_namespace,
 )
@@ -98,7 +103,7 @@ class TestDeterminism:
         # at n = 400 the thread count of a multi-threaded BLAS would change
         # the last bits of the 400 x 20 QR; every sampling process runs on one
         # thread.  Unequal squeezing keeps the n-mode draw (equal squeezing
-        # would draw the 40-mode Bartlett frame)
+        # would draw 20 Jacobi transmissions)
         values = (0.8,) + (0.75,) * 399
         config = RunConfig(
             n=400, squeezing=SqueezingConfig(values), subsystem_sizes=(20,),
@@ -159,63 +164,113 @@ class TestTrivialValues:
         assert np.all(s1 <= s2 + k * (1 - math.log(2)) + 1e-9)
 
 
-class TestBartlettDraw:
+def two_moments(x):
+    """Mean, variance and their standard errors from one sample."""
+    mean, var = x.mean(), x.var(ddof=1)
+    fourth = ((x - mean) ** 4).mean()
+    return mean, var, math.sqrt(var / len(x)), math.sqrt((fourth - var**2) / len(x))
+
+
+class TestJacobiDraw:
     def test_selection_rule(self):
         equal = SqueezingConfig.equal(10, 0.5).values
-        assert _frame_draw(equal, 4) == (_bartlett_frame, 8)
-        assert _frame_draw(equal, 0) == (_bartlett_frame, 0)
-        assert _frame_draw(equal, 5) == (_haar_frame, 10)   # 2m = n
-        assert _frame_draw(equal, 9) == (_haar_frame, 10)   # the full page curve
+        assert _frame_draw(equal, (4,)) == (_jacobi_transmissions, 4)
+        assert _frame_draw(equal, (7,)) == (_jacobi_transmissions, 3)   # k > n/2
+        assert _frame_draw(equal, (5,)) == (_jacobi_transmissions, 5)   # 2k = n
+        assert _frame_draw(equal, (0, 3, 7, 10)) == (_jacobi_transmissions, 3)
+        assert _frame_draw(equal, (2, 4)) == (_haar_rows, 4)   # two k' fall back
+        assert _frame_draw(equal, tuple(range(11))) == (_haar_rows, 9)   # the full page curve
+        assert _frame_draw(equal, (0, 10)) == (_haar_rows, 0)   # no mixed size at all
         unequal = (0.6,) + equal[1:]
-        assert _frame_draw(unequal, 4) == (_haar_frame, 10)
+        assert _frame_draw(unequal, (4,)) == (_haar_rows, 4)
 
-    def test_sample_j_is_the_bartlett_frame_of_substream_j(self):
-        n, ks, s = 20, (2, 5), 0.9
+    def test_sample_j_is_the_jacobi_draw_of_substream_j(self):
+        # the entropies of sample j come from the transmissions that
+        # substream j gives in the documented order: the chi-square diagonal
+        # of B1, its normals below the diagonal row by row, then G2
+        n, ks, s, kp = 20, (5, 15), 0.9, 5
         config = RunConfig(n=n, squeezing=SqueezingConfig.equal(n, s), subsystem_sizes=ks,
                            samples=4, master_seed=6)
         s2, s1 = sample_entropies(config, with_s1=True)
-        scale = np.sqrt(_initial_diagonal([s] * 10))
+        c = math.sinh(2 * s) ** 2
         for j in range(4):
             generator = derive_substream(SeededStream(6, 0), j).generator()
-            u = _bartlett_frame(n, 5, generator).T
-            row = _entropies_for_sample(u, n, scale, ks, True)
-            assert np.array_equal(s2[j], row[0]) and np.array_equal(s1[j], row[1])
+            b1 = np.diag(np.sqrt(generator.chisquare(n - kp - np.arange(kp))))
+            below = iter(generator.standard_normal(kp * (kp - 1) // 2))
+            for row in range(kp):
+                for col in range(row):
+                    b1[row, col] = next(below)
+            g2 = generator.standard_normal((kp, kp + 1))
+            q, _ = np.linalg.qr(np.vstack([b1.T, g2.T]))
+            t = np.linalg.svd(q[:kp], compute_uv=False) ** 2
+            drawn = _jacobi_transmissions(n, kp, derive_substream(SeededStream(6, 0), j).generator())
+            assert np.array_equal(drawn, t)
+            assert s2[j] == pytest.approx([0.5 * math.fsum(np.log1p(c * t))] * 2, rel=1e-13)
+            expected_s1 = math.fsum(h1(math.sqrt(1 + c * x)) for x in t)
+            assert s1[j] == pytest.approx([expected_s1] * 2, rel=1e-13)
 
     def test_pure_boundaries_exactly_zero(self):
         n = 30
         s2, s1 = sample_entropies(
-            RunConfig(n=n, squeezing=SqueezingConfig.equal(n, 6.0), subsystem_sizes=(0, 4, n),
-                      samples=40, master_seed=2),
+            RunConfig(n=n, squeezing=SqueezingConfig.equal(n, 6.0),
+                      subsystem_sizes=(0, 4, n - 4, n), samples=40, master_seed=2),
             with_s1=True,
         )
-        assert np.all(s2[:, [0, 2]] == 0.0) and np.all(s1[:, [0, 2]] == 0.0)
+        assert np.all(s2[:, [0, 3]] == 0.0) and np.all(s1[:, [0, 3]] == 0.0)
         assert np.all(s2[:, 1] > 0.0) and np.all(s1[:, 1] >= s2[:, 1])
+        assert np.array_equal(s2[:, 1], s2[:, 2]) and np.array_equal(s1[:, 1], s1[:, 2])
         only_boundaries, _ = sample_entropies(
             RunConfig(n=n, squeezing=SqueezingConfig.equal(n, 1.0), subsystem_sizes=(0, n),
                       samples=3, master_seed=2)
         )
         assert np.all(only_boundaries == 0.0)
 
-    def test_same_law_as_the_full_draw(self):
-        # mean and variance of S2 from the 12-mode Bartlett frame against the
-        # 60-mode row frame, on independent streams
-        n, k, s, samples = 60, 6, 1.5, 6000
+    @pytest.mark.parametrize("n,k,s", [(60, 6, 1.5), (24, 17, 3.0)])
+    def test_same_law_as_the_row_frame(self, n, k, s):
+        # mean and variance of S2 and S1 from the Jacobi draw against the
+        # first k rows of Haar unitaries, on independent streams
+        samples = 6000
         config = RunConfig(n=n, squeezing=SqueezingConfig.equal(n, s), subsystem_sizes=(k,),
                            samples=samples, master_seed=15)
-        reduced = sample_entropies(config)[0][:, 0]
-        params = (n, np.sqrt(_initial_diagonal(config.squeezing.values)), (k,), False)
-        full = _map_samples(_entropies_for_sample, _haar_frame, n, k, params, samples, 16, 0, 1)
-        full = full[:, 0, 0]
+        jacobi = sample_entropies(config, with_s1=True)
+        params = (n, np.sqrt(_initial_diagonal(config.squeezing.values)), (k,), True)
+        rows = _map_samples(_entropies_for_sample, _haar_rows, n, k, params, samples, 16, 0, 1)
+        for drawn, row_frame in zip(jacobi, (rows[:, 0, 0], rows[:, 1, 0])):
+            m_j, v_j, se_m_j, se_v_j = two_moments(drawn[:, 0])
+            m_f, v_f, se_m_f, se_v_f = two_moments(row_frame)
+            assert abs(m_j - m_f) <= 4 * math.hypot(se_m_j, se_m_f)
+            assert abs(v_j - v_f) <= 4 * math.hypot(se_v_j, se_v_f)
 
-        def moments(x):
-            mean, var = x.mean(), x.var(ddof=1)
-            fourth = ((x - mean) ** 4).mean()
-            return mean, var, math.sqrt(var / samples), math.sqrt((fourth - var**2) / samples)
+    @pytest.mark.parametrize("n,k,s", [(400, 20, 12.0), (8, 6, 12.0), (60, 6, 0.75)])
+    def test_s1_needs_no_clamp(self, n, k, s):
+        # per sample S2 <= S1 <= k' h1(e^{S2/k'}), since h1(e^x) >= x and is
+        # concave; at s = 12 the Jensen gap is of order 1/sinh^2(2s), so the
+        # upper bound gets a rounding allowance
+        kp = min(k, n - k)
+        s2, s1 = sample_entropies(
+            RunConfig(n=n, squeezing=SqueezingConfig.equal(n, s), subsystem_sizes=(k,),
+                      samples=200, master_seed=4),
+            with_s1=True,
+        )
+        s2, s1 = s2[:, 0], s1[:, 0]
+        assert np.all(np.isfinite(s1)) and np.all(s2 > 0.0)
+        assert np.all(s2 <= s1)
+        bound = np.array([kp * h1(math.exp(x / kp)) for x in s2])
+        assert np.all(s1 <= bound * (1 + 1e-13))
 
-        m_r, v_r, se_m_r, se_v_r = moments(reduced)
-        m_f, v_f, se_m_f, se_v_f = moments(full)
-        assert abs(m_r - m_f) <= 4 * math.hypot(se_m_r, se_m_f)
-        assert abs(v_r - v_f) <= 4 * math.hypot(se_v_r, se_v_f)
+    def test_inline_runs_do_not_import_the_pool(self):
+        # a fresh interpreter: sampling on one worker never loads
+        # concurrent.futures, which only the pool needs
+        env = dict(os.environ, PYTHONPATH=str(Path(pagecurve.__file__).parents[1]))
+        code = (
+            "import sys\n"
+            "from pagecurve import montecarlo\n"
+            "montecarlo.typicality_probe([8, 100], 'sqrt', 0.5, 0.1, 300, 0)\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.splitlines()[-1] == "False"
 
 
 class TestAgainstPrediction:
@@ -233,6 +288,18 @@ class TestAgainstPrediction:
         predicted = page_curve_prediction(n, s, n // 2)
         band = 3 * est.stderr_s2[0] + 2.0 / n
         assert abs(est.mean_s2[0] - predicted) <= band
+
+    @pytest.mark.parametrize("n", [24, 48, 96])
+    def test_mean_matches_asymptotic_at_large_squeezing(self, n):
+        # away from r = 1/2 the T_i stay above the soft edge (1 - 2r)^2, so
+        # the order-one term holds at s = 5 already at n = 24
+        s, k, samples = 5.0, n // 4, 4000
+        est = estimate_entropy_statistics(
+            RunConfig(n=n, squeezing=SqueezingConfig.equal(n, s), subsystem_sizes=(k,),
+                      samples=samples, master_seed=25)
+        )
+        band = 3 * est.stderr_s2[0] + 2.0 / n
+        assert abs(est.mean_s2[0] - page_curve_prediction(n, s, k)) <= band
 
     def test_complement_consistency_per_sample(self):
         n, k = 9, 3
