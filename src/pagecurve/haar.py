@@ -102,9 +102,10 @@ def _jacobi_transmissions(n: int, kp: int, generator: np.random.Generator) -> np
     Needs 0 < 2 kp <= n.  The T_i are the eigenvalues of W1 (W1 + W2)^-1 for
     independent real Wisharts W1 = B1 B1^T of n - kp and W2 = G2 G2^T of
     kp + 1 degrees of freedom (see the module docstring).  The stream is used
-    in a fixed order: the kp diagonal entries B1_ii = sqrt(chi^2_{n-kp-i}),
-    then the kp(kp - 1)/2 standard normals below the diagonal of B1 in
-    row-major order, then the kp x (kp + 1) block G2 in row-major order.
+    in a fixed order: the kp diagonal entries B1_ii = sqrt(chi^2_{n-kp-i})
+    for i = 0..kp-1, then the kp(kp - 1)/2 standard normals below the
+    diagonal of B1 in row-major order, then the kp x (kp + 1) block G2 in
+    row-major order.
     With X = [B1^T; G2^T] = QR, the T_i are the squared singular values of
     the top kp x kp block of Q.  The cost is O(kp^3), whatever n.
     """
