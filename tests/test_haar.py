@@ -201,6 +201,51 @@ def test_transmissions_give_the_row_frame_entropies(n, k, s):
     assert from_t == pytest.approx(from_rows, rel=1e-12)
 
 
+def block_transmissions(x1, g2):
+    """Eigenvalues of W1 (W1 + W2)^-1, W1 = x1 x1^T and W2 = g2 g2^T, via QR."""
+    kp = x1.shape[0]
+    q, _ = np.linalg.qr(np.vstack([x1.T, g2.T]))
+    return np.linalg.svd(q[: x1.shape[1]], compute_uv=False)[:kp] ** 2
+
+
+@pytest.mark.parametrize("n,m", [(40, 5), (50, 12), (24, 11), (100, 10), (400, 20)])
+@pytest.mark.parametrize("s", [0.75, 3.0, 6.0])
+def test_bartlett_block_gives_the_same_reduced_states(n, m, s):
+    # X1 = L Q1 with L the lower-triangular (Bartlett) factor of the m x (n - m)
+    # Gaussian block X1: W1 = X1 X1^T = L L^T, so for this very X1 the m x m
+    # block L gives the transmissions, and so S2 and S1 of the m modes, that
+    # the n - m columns of X1 give
+    generator = SeededStream(61, n + m).generator()
+    x1 = generator.standard_normal((m, n - m))
+    g2 = generator.standard_normal((m, m + 1))
+    bartlett = np.linalg.qr(x1.T)[1].T
+    assert np.allclose(bartlett, np.tril(bartlett))
+    log_c = 2.0 * math.log(math.sinh(2.0 * s))
+    full = _entropies_from_transmissions(block_transmissions(x1, g2), n, log_c, (m,), True)
+    reduced = _entropies_from_transmissions(block_transmissions(bartlett, g2), n, log_c, (m,), True)
+    assert np.all(full > 0.0)
+    assert np.all(np.abs(reduced - full) <= 1e-12 * full)
+
+
+@pytest.mark.parametrize("n,m", [(3, 1), (9, 4), (400, 20)])
+def test_bartlett_frame_stream_order(n, m):
+    # the documented use of the stream by the Jacobi draw: the m chi-square
+    # diagonal entries of the Bartlett factor B1 first, then its normals below
+    # the diagonal in row-major order, then the m x (m + 1) block G2
+    drawn = _jacobi_transmissions(n, m, SeededStream(14, n).generator())
+    generator = SeededStream(14, n).generator()
+    b1 = np.diag(np.sqrt(generator.chisquare(n - m - np.arange(m))))
+    below = iter(generator.standard_normal(m * (m - 1) // 2))
+    for row in range(m):
+        for col in range(row):
+            b1[row, col] = next(below)
+    g2 = generator.standard_normal((m, m + 1))
+    q, _ = np.linalg.qr(np.vstack([b1.T, g2.T]))
+    assert drawn.shape == (m,)
+    assert np.array_equal(drawn, np.linalg.svd(q[:m], compute_uv=False) ** 2)
+    assert np.all((drawn > 0.0) & (drawn < 1.0))
+
+
 @pytest.mark.parametrize("n,k", [(6, 1), (8, 2), (9, 4), (12, 5), (8, 5), (10, 7)])
 def test_jacobi_draw_matches_exact_trace_moments(n, k):
     # W = Pi C Pi conj(C) Pi has eigenvalues 1 - T_i and k - k' ones, so the
