@@ -8,10 +8,13 @@ coefficients.
 
 The names below load on first access (PEP 562), each from the module named
 in `_EXPORTS`.  Only `gaussian`, `haar`, `montecarlo` and `verify` import
-numpy, so the closed forms and the exact engine (`analytic`, `weingarten`)
-run without it; so do the CLI's `weingarten` command and its analytic-only
-`page-curve`.  The CLI's sampling commands start numpy with one OpenBLAS
-thread, the count they sample on, unless OPENBLAS_NUM_THREADS is already set.
+numpy.  The closed forms (`analytic`) and the exact engine (`weingarten`,
+`kernels`) need neither numpy nor each other, so the CLI's `weingarten`
+command loads only the exact engine and its analytic-only `page-curve` only
+`analytic`.  The CLI's sampling commands load `analytic` and `montecarlo`
+(with `gaussian` and `haar`), never the exact engine, and start numpy with
+one OpenBLAS thread, the count they sample on, unless OPENBLAS_NUM_THREADS is
+already set.
 """
 
 import importlib
@@ -21,7 +24,6 @@ _EXPORTS = {
         "RationalPolynomial",
         "SqueezingConfig",
         "alpha_coefficient",
-        "catalan_number",
         "f_polynomial",
         "page_constant_lambda",
         "page_curve_density",
@@ -70,6 +72,7 @@ _EXPORTS = {
     "weingarten": (
         "a_ell_enumeration",
         "alpha_top_enumeration",
+        "catalan_number",
         "haar_moment_trace_product",
         "omega2_extrapolation",
         "wg_asymptotic",

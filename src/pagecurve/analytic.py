@@ -58,7 +58,6 @@ __all__ = [
     "SqueezingConfig",
     "RationalPolynomial",
     "VARIANCE_OMEGA",
-    "catalan_number",
     "alpha_coefficient",
     "f_polynomial",
     "g_exact",
@@ -99,13 +98,6 @@ class SqueezingConfig:
     @property
     def mean_boson_number(self) -> float:
         return math.fsum(math.sinh(v) ** 2 for v in self.values) / self.n
-
-
-def catalan_number(m: int) -> int:
-    """m-th Catalan number (2m)! / (m! (m+1)!), exactly."""
-    if m < 0:
-        raise InputError(f"Catalan number undefined for m={m}")
-    return math.comb(2 * m, m) // (m + 1)
 
 
 def log_cosh(x: float) -> float:

@@ -21,11 +21,20 @@ conjecture-probe) take --workers; weingarten and verify have no worker pool
 to size.  `page-curve --samples` is 0 for an analytic-only curve or a
 positive count.
 
-Only the commands that sample (page-curve with --samples > 0, variance,
-typicality, conjecture-probe) and verify import numpy, inside their
-handlers; `import pagecurve.cli`, weingarten and an analytic-only page-curve
-never load it.  The commands that load numpy start OpenBLAS with one thread,
-the count the sampler runs on, unless OPENBLAS_NUM_THREADS is already set.
+Each handler imports the engine modules its command runs, so a request
+compiles only those, and `import pagecurve.cli` loads none of them:
+
+* weingarten: `weingarten` and `kernels`; not `analytic`, numpy or
+  `dataclasses`;
+* an analytic-only page-curve: `analytic`; not the exact engine or numpy;
+* the commands that sample (page-curve with --samples > 0, variance,
+  typicality, conjecture-probe): `analytic` and `montecarlo`, which loads
+  numpy, `gaussian` and `haar`; not the exact engine;
+* verify: every engine module.
+
+The commands that load numpy start OpenBLAS with one thread, the count the
+sampler runs on, unless OPENBLAS_NUM_THREADS is already set.  JSON output
+imports `json` only when it writes.
 
 Exit codes: 0 success, 1 usage error, 2 numerical/capacity error,
 3 verification or tolerance failure.
@@ -37,14 +46,11 @@ import argparse
 import csv
 import importlib
 import io
-import json
 import os
 import sys
 import time
 from fractions import Fraction
 
-from . import analytic, weingarten
-from .analytic import SqueezingConfig
 from .errors import CapacityError, InputError, NumericalError, PageCurveError
 from .provenance import RNG_ALGORITHM, SAMPLER, SAMPLING_BLAS_THREADS
 
@@ -79,6 +85,8 @@ def _fmt_cell(value) -> str:
 
 def _write_record(record: dict, out: str | None, fmt: str):
     if fmt == "json":
+        import json
+
         payload = json.dumps(record, indent=2, default=_fmt_cell) + "\n"
     else:
         buf = io.StringIO()
@@ -129,15 +137,20 @@ def _timed(samples: int, call, *args):
     return result, {**_SAMPLING, "timings": timings}
 
 
-def _import_numpy_module(name: str):
-    """Import `montecarlo` or `verify`, the modules that load numpy.
+_NUMPY_MODULES = ("montecarlo", "verify")
 
-    Before numpy first loads, OPENBLAS_NUM_THREADS defaults to the sampler's
-    thread count, so neither this process nor its forked workers start an
-    OpenBLAS pool that the sampler shrinks at once.  A value the user set is
-    kept; the sampler still pins its count around every draw.
+
+def _load(name: str):
+    """Import the engine module `name` when a command first needs it.
+
+    A request then compiles only the modules its command runs.  Before numpy
+    first loads through `montecarlo` or `verify`, OPENBLAS_NUM_THREADS
+    defaults to the sampler's thread count, so neither this process nor its
+    forked workers start an OpenBLAS pool that the sampler shrinks at once.
+    A value the user set is kept; the sampler still pins its count around
+    every draw.
     """
-    if "numpy" not in sys.modules:
+    if name in _NUMPY_MODULES and "numpy" not in sys.modules:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", str(SAMPLING_BLAS_THREADS))
     return importlib.import_module(f".{name}", __package__)
 
@@ -158,7 +171,9 @@ def _add_sampling(sub):
     )
 
 
-def _parse_squeeze(text: str, n: int) -> SqueezingConfig:
+def _parse_squeeze(text: str, n: int):
+    """The `analytic.SqueezingConfig` of a --squeeze scalar or list."""
+    SqueezingConfig = _load("analytic").SqueezingConfig
     parts = [p for p in text.split(",") if p != ""]
     try:
         values = [float(p) for p in parts]
@@ -249,6 +264,7 @@ def _cmd_page_curve(args, argv):
     if n < 1:
         raise _UsageError(f"--modes must be >= 1, got {n}")
     squeezing = _parse_squeeze(args.squeeze, n)
+    analytic = _load("analytic")
     equal = len(set(squeezing.values)) == 1
     s = squeezing.values[0]
     if args.samples < 0:
@@ -269,7 +285,7 @@ def _cmd_page_curve(args, argv):
 
     estimate = sampling = None
     if with_mc:
-        montecarlo = _import_numpy_module("montecarlo")
+        montecarlo = _load("montecarlo")
         config = montecarlo.RunConfig(
             n=n,
             squeezing=squeezing,
@@ -324,7 +340,8 @@ def _cmd_variance(args, argv):
     started = time.perf_counter()
     modes = _parse_int_list(args.modes, "--modes")
     ratio = _parse_ratio(args.ratio)
-    montecarlo = _import_numpy_module("montecarlo")
+    analytic = _load("analytic")
+    montecarlo = _load("montecarlo")
     columns = ["n", "k", "mc_mean", "mc_variance", "analytic_variance_leading", "samples", "provenance"]
     configs = []
     for i, n in enumerate(modes):
@@ -332,7 +349,7 @@ def _cmd_variance(args, argv):
         if k.denominator != 1:
             raise _UsageError(f"--ratio {args.ratio} times n={n} is not integral")
         configs.append(montecarlo.RunConfig(
-            n=n, squeezing=SqueezingConfig.equal(n, args.squeeze), subsystem_sizes=(int(k),),
+            n=n, squeezing=analytic.SqueezingConfig.equal(n, args.squeeze), subsystem_sizes=(int(k),),
             samples=args.samples, master_seed=args.seed, workers=args.workers,
             stream_namespace=montecarlo.stream_namespace(montecarlo.Experiment.VARIANCE, i),
         ))
@@ -364,7 +381,7 @@ def _cmd_variance(args, argv):
 def _cmd_typicality(args, argv):
     started = time.perf_counter()
     modes = _parse_int_list(args.modes, "--modes")
-    montecarlo = _import_numpy_module("montecarlo")
+    montecarlo = _load("montecarlo")
     records, sampling = _timed(
         args.samples * len(modes), montecarlo.typicality_probe,
         modes, args.k_rule, args.squeeze, args.epsilon, args.samples, args.seed, args.workers,
@@ -389,7 +406,7 @@ def _cmd_typicality(args, argv):
 def _cmd_conjecture_probe(args, argv):
     started = time.perf_counter()
     squeezing = _parse_squeeze(args.squeeze, args.modes)
-    montecarlo = _import_numpy_module("montecarlo")
+    montecarlo = _load("montecarlo")
     est, sampling = _timed(
         args.samples, montecarlo.conjecture_probe,
         squeezing, args.mode_index, args.delta, args.samples, args.seed, args.k, args.workers,
@@ -407,6 +424,7 @@ def _cmd_conjecture_probe(args, argv):
 
 def _cmd_weingarten(args, argv):
     started = time.perf_counter()
+    weingarten = _load("weingarten")
     if args.subop == "a-ell":
         if args.max < 1:
             raise _UsageError(f"--max must be >= 1, got {args.max}")
@@ -449,7 +467,7 @@ def _cmd_verify(args, argv):
     started = time.perf_counter()
     if args.samples is not None and args.samples < 2:  # a sample stderr needs two draws
         raise _UsageError(f"--samples must be >= 2, got {args.samples}")
-    verify = _import_numpy_module("verify")
+    verify = _load("verify")
     try:
         results = verify.run_suite(args.suite, seed=args.seed, samples=args.samples)
     except KeyError as exc:

@@ -44,7 +44,6 @@ corrections at finite mode number.
 
 from __future__ import annotations
 
-import ctypes
 import enum
 import math
 from dataclasses import dataclass
@@ -96,6 +95,8 @@ def _openblas_thread_controls():
 
     Found through /proc/self/maps, so empty off Linux or for another BLAS.
     """
+    import ctypes
+
     try:
         with open("/proc/self/maps") as maps:
             paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})

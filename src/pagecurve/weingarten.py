@@ -6,7 +6,8 @@ of Collins and Sniady (the exact inversion of the class-resolved Gram system
 n^{#(sigma tau^-1)} is its test oracle), moments of traces of the subsystem
 overlap matrix W are assembled from integer pair counts, and signed sums over
 S_{2l}, taken by coset type, verify the coefficient closed forms
-independently of the series machinery in pagecurve.analytic.
+independently of the series machinery in pagecurve.analytic, which this
+module does not import.
 
 The Weingarten function depends on a permutation only through its cycle
 type, so values are keyed by cycle type: `wg_exact` and `wg_asymptotic` take
@@ -29,10 +30,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import kernels
-from .analytic import catalan_number
 from .errors import CapacityError, InputError
 
 __all__ = [
+    "catalan_number",
     "wg_exact",
     "wg_asymptotic",
     "wg_class_table",
@@ -47,6 +48,13 @@ __all__ = [
 
 DEFAULT_MAX_Q = 6
 DEFAULT_MAX_ENUMERATION = 5
+
+
+def catalan_number(m: int) -> int:
+    """m-th Catalan number (2m)! / (m! (m+1)!), exactly."""
+    if m < 0:
+        raise InputError(f"Catalan number undefined for m={m}")
+    return math.comb(2 * m, m) // (m + 1)
 
 
 def _check_q(q: int, what: str):
