@@ -373,9 +373,23 @@ def page_half_values(s: float) -> tuple[float, float]:
 
 
 def page_constant_lambda(s: float, r) -> float:
-    """Order-one deficit of the mean entropy: -1/8 log(1 - 4 r(1-r) tanh^2 2s)."""
-    rr = _share_product(r)
-    return -0.125 * math.log1p(-4.0 * rr * math.tanh(2.0 * s) ** 2)
+    """Order-one deficit of the mean entropy: -1/8 log(1 - 4 r(1-r) tanh^2 2s).
+
+    The argument equals (1-2r)^2 + 4 r(1-r) e^{-2 log cosh 2s}.  Where
+    x = 4 r(1-r) tanh^2 2s <= 1/2 the value is -1/8 log1p(-x), which keeps
+    the digits of small s.  Above, the sum avoids the cancellation of 1 - x,
+    which reaches 0 once tanh^2 2s rounds to 1 (s >~ 9.5 at r = 1/2); at
+    r = 1/2 it is exactly 1/4 log cosh 2s.
+    """
+    p, q = _unit_ratio(r)
+    rr = p * (q - p) / (q * q)
+    x = 4.0 * rr * math.tanh(2.0 * s) ** 2
+    if x <= 0.5:
+        return -0.125 * math.log1p(-x)
+    if 2 * p == q:
+        return 0.25 * log_cosh(2.0 * s)
+    gap = (q - 2 * p) ** 2 / (q * q)  # (1 - 2r)^2, correctly rounded
+    return -0.125 * math.log(gap + 4.0 * rr * math.exp(-2.0 * log_cosh(2.0 * s)))
 
 
 def page_curve_prediction(n: int, s: float, k: int) -> float:

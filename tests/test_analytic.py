@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -331,6 +332,20 @@ class TestConstantLambda:
         assert page_constant_lambda(0.75, 0.5) == pytest.approx(
             0.25 * log_cosh(1.5), abs=1e-14
         )
+
+    def test_half_is_quarter_log_cosh(self):
+        # at r = 1/2, 1 - tanh^2 2s cancels and rounds to 0 from s ~ 9.5
+        for s in (0.75, 5.0, 10.0, 12.0, 400.0):
+            assert page_constant_lambda(s, 0.5) == 0.25 * log_cosh(2.0 * s)
+
+    def test_against_mpmath(self):
+        # both branches: log1p(-x) up to x = 1/2, (1-2r)^2 + 4r(1-r) sech^2 2s above
+        mp.mp.dps = 50
+        for s in (0.01, 0.3, 0.75, 5.0, 10.0):
+            for r in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 100), Fraction(1000, 2001)):
+                rm = mp.mpf(r.numerator) / r.denominator
+                exact = -mp.log(1 - 4 * rm * (1 - rm) * mp.tanh(2 * mp.mpf(s)) ** 2) / 8
+                assert page_constant_lambda(s, r) == pytest.approx(float(exact), rel=1e-14)
 
     def test_symmetry(self):
         # exact complements (rationals) give bitwise-equal values

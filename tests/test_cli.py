@@ -97,6 +97,12 @@ class TestPageCurve:
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert float(rows[4].split(",")[2]) == analytic.log_cosh(5.0)
 
+    def test_lambda_once_tanh_rounds_to_one(self, capsys):
+        # tanh^2(2s) rounds to 1 from s ~ 9.5, where 1 - tanh^2 used to reach log1p(-1)
+        assert main(["page-curve", "--modes", "6", "--squeeze", "10", "--analytic-only"]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[1 + 3].split(",")
+        assert float(row[3]) == 6 * float(row[2]) - 0.25 * analytic.log_cosh(20.0)
+
     def test_json_records_density_budget(self, tmp_path):
         out = tmp_path / "c.json"
         assert main([
