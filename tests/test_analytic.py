@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pagecurve
 from pagecurve import (
     InputError,
     RationalPolynomial,
     TruncationError,
     alpha_coefficient,
-    catalan_number,
     f_polynomial,
     page_constant_lambda,
     page_curve_density,
@@ -26,6 +26,7 @@ from pagecurve.analytic import (
     g_half_closed_form,
     log_cosh,
 )
+from pagecurve.weingarten import catalan_number
 
 # frozen 30-digit evaluations
 LOG_COSH_025 = 0.030929803620161371455765
@@ -41,6 +42,10 @@ class TestCatalan:
     def test_small_values(self):
         assert catalan_number(0) == 1
         assert catalan_number(3) == 5
+
+    def test_package_export(self):
+        # defined next to its only caller, the Weingarten asymptotics; still a package name
+        assert pagecurve.catalan_number is catalan_number
 
     def test_factorial_oracle(self):
         for m in range(12):

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -405,21 +406,46 @@ class TestConjectureCommand:
         assert "derivative" in header
 
 
+WATCHED_MODULES = (
+    "numpy", "dataclasses", "pagecurve.analytic", "pagecurve.weingarten", "pagecurve.kernels",
+)
+
+
+def _modules_after(env, *requests):
+    """The WATCHED_MODULES that a fresh interpreter holds after running `requests`."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from pagecurve.cli import main\n"
+        f"for argv in {[list(r) for r in requests]!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        f"print(sorted(m for m in {WATCHED_MODULES!r} if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return set(ast.literal_eval(out.splitlines()[-1]))
+
+
 def test_numpy_loads_only_to_sample():
-    # fresh interpreters: the exact commands never import numpy, and sampled
-    # digits do not depend on the OpenBLAS thread count the user asks for
+    # fresh interpreters: each command imports only the engine modules it runs,
+    # and sampled digits do not depend on the OpenBLAS thread count the user asks for
     env = dict(os.environ, PYTHONPATH=str(Path(pagecurve.__file__).parents[1]))
     env.pop("OPENBLAS_NUM_THREADS", None)
-    exact = (
-        "import sys\n"
-        "from pagecurve.cli import main\n"
-        "assert main(['weingarten', 'moment', '--n', '12', '--k', '6', '--powers', '1,2']) == 0\n"
-        "assert main(['page-curve', '--modes', '16', '--squeeze', '1', '--analytic-only']) == 0\n"
-        "print('numpy' in sys.modules)\n"
-    )
-    out = subprocess.run([sys.executable, "-c", exact], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.splitlines()[-1] == "False"
+    assert _modules_after(
+        env,
+        ["weingarten", "a-ell", "--max", "3"],
+        ["weingarten", "moment", "--n", "12", "--k", "6", "--powers", "1,2"],
+        ["weingarten", "omega2", "--ladder", "8,16"],
+    ) == {"pagecurve.weingarten", "pagecurve.kernels"}
+    assert _modules_after(
+        env, ["page-curve", "--modes", "16", "--squeeze", "1", "--analytic-only"],
+    ) == {"pagecurve.analytic", "dataclasses"}
+    assert _modules_after(
+        env,
+        ["typicality", "--modes", "20", "--k-rule", "sqrt", "--squeeze", "0.75",
+         "--epsilon", "0.1", "--samples", "4", "--workers", "1"],
+        ["page-curve", "--modes", "6", "--squeeze", "0.75", "--samples", "4", "--workers", "1"],
+    ) == {"numpy", "pagecurve.analytic", "dataclasses"}
 
     # the n = 100 page curve's QR changes in its last bits with the thread count
     for request in (
