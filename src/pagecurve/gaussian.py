@@ -185,30 +185,36 @@ def _cholesky_factor(mat: np.ndarray) -> np.ndarray:
 
 
 def _renyi2_values(r: np.ndarray) -> np.ndarray:
-    """S2 of the first 1, 2, ... modes of sigma = R^T R (interleaved order)."""
-    values = np.cumsum(np.log(np.abs(np.diagonal(r))))[1::2]
+    """S2 of the first 1, 2, ... modes of sigma = R^T R (interleaved order).
+
+    r may carry leading sample axes; the values run along the last axis.
+    """
+    values = np.cumsum(np.log(np.abs(np.diagonal(r, axis1=-2, axis2=-1))), axis=-1)[..., 1::2]
     return np.where((values >= -1e-10) & (values < 0.0), 0.0, values)
 
 
 def _symplectic_spectrum(r: np.ndarray) -> np.ndarray:
     """Symplectic spectrum, descending and unchecked, of sigma = R^T R
-    (interleaved order).
+    (interleaved order), along the last axis of any leading sample axes.
 
     i R Omega R^T is Hermitian and similar to i Omega sigma, so its
     eigenvalues are the +-nu_i.
     """
-    x, p = r[:, 0::2], r[:, 1::2]
-    return np.linalg.eigvalsh(1j * (x @ p.T - p @ x.T))[::-1][: x.shape[1]]
+    x, p = r[..., 0::2], r[..., 1::2]
+    herm = 1j * (x @ np.swapaxes(p, -1, -2) - p @ np.swapaxes(x, -1, -2))
+    return np.linalg.eigvalsh(herm)[..., ::-1][..., : x.shape[-1]]
 
 
 def _purity_clamp(nus: np.ndarray) -> np.ndarray:
-    """Descending nus with those in [1 - PURITY_CLAMP, 1) clamped to 1.
+    """Descending nus (last axis) with those in [1 - PURITY_CLAMP, 1) clamped to 1.
 
-    A nu further below the uncertainty bound raises NumericalError.
+    A nu further below the uncertainty bound raises NumericalError; over
+    leading sample axes the message names the lowest such nu.
     """
-    if nus[-1] < 1.0 - PURITY_CLAMP:
+    lowest = nus[..., -1].min()
+    if lowest < 1.0 - PURITY_CLAMP:
         raise NumericalError(
-            f"symplectic eigenvalue {float(nus[-1])!r} below the uncertainty bound"
+            f"symplectic eigenvalue {float(lowest)!r} below the uncertainty bound"
         )
     return np.maximum(nus, 1.0)
 
@@ -323,23 +329,27 @@ def trace_W_powers(u: PassiveUnitary, k: int, max_power: int) -> list[float]:
 
 
 def _reduced_sigma_from_unitary(u: np.ndarray, diag: np.ndarray, k: int) -> np.ndarray:
-    """Reduced covariance of eta(U) diag eta(U)^T without forming the full state.
+    """Reduced covariances of eta(U) diag eta(U)^T for a stack of U, without
+    forming the full states.
 
-    Only the 2k needed rows of eta(U) are materialized, so the cost is
-    O(k n^2) instead of O(n^3).
+    Only the 2k needed rows of each eta(U) are materialized, so the cost is
+    O(k n^2) per U instead of O(n^3).
     """
-    uk = u[:k]
+    uk = u[:, :k]
     rows = np.block([[uk.real, uk.imag], [-uk.imag, uk.real]])
-    return (rows * diag) @ rows.T
+    return (rows * diag) @ np.swapaxes(rows, 1, 2)
 
 
 def _squeezed_row_factor(u: np.ndarray, scale: np.ndarray, m: int) -> np.ndarray:
-    """R with R_k^T R_k the reduced covariance of the first k <= m modes.
+    """For a stack of U, the R with R_k^T R_k the reduced covariance of the
+    first k <= m modes.
 
     The rows of eta(U) for x_1, p_1, ..., x_m, p_m, scaled column-wise by
     scale = sqrt(diag sigma_0), form a 2m x 2n matrix F with F F^T the reduced
-    covariance of the first m modes; R is the triangular factor of F^T = QR.
+    covariance of the first m modes; R is the triangular factor of F^T = QR,
+    from one stacked QR.
     """
-    uk = u[:m]
-    rows = np.stack([np.hstack([uk.real, uk.imag]), np.hstack([-uk.imag, uk.real])], axis=1)
-    return np.linalg.qr((rows.reshape(2 * m, -1) * scale).T, mode="r")
+    uk = u[:, :m]
+    x_rows, p_rows = np.concatenate([uk.real, uk.imag], 2), np.concatenate([-uk.imag, uk.real], 2)
+    rows = np.stack([x_rows, p_rows], axis=2)
+    return np.linalg.qr(np.swapaxes(rows.reshape(len(u), 2 * m, -1) * scale, 1, 2), mode="r")

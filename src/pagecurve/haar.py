@@ -5,7 +5,15 @@ identifier "philox4x64"), keyed by the pair (master_seed, stream_index).
 Identical keys reproduce identical byte streams on any machine and for any
 worker layout; distinct stream indices give statistically independent streams.
 
-Two draws read such a stream.
+Both draws below take a sequence of generators, one per sample, and return
+a stack with a leading sample axis: each sample reads only its own stream,
+in the order its docstring gives, and one stacked LAPACK call (numpy runs
+the same routine on each matrix of the stack) factors every sample, so a
+sample's value does not depend on the stack it is drawn in.  The Monte
+Carlo draws many substreams in a row from `_rekeyed_generator`, which
+re-keys one Philox to each (master_seed, stream_index) in place of building
+a new one: the re-keyed stream is the one `SeededStream.generator()` gives,
+so no stream changes.
 
 * `_haar_frame(n, m)` orthonormalizes an n x m complex Ginibre block Z, with
   Mezzadri's phase fix, which gives the first m columns of a Haar unitary at
@@ -79,45 +87,76 @@ def derive_substream(stream: SeededStream, worker: int) -> SeededStream:
     return SeededStream(stream.master_seed, mixed)
 
 
-def _haar_frame(n: int, m: int, generator: np.random.Generator) -> np.ndarray:
-    """n x m matrix whose orthonormal columns are the first m columns of a Haar U.
+def _rekeyed_generator():
+    """A function stream -> `stream.generator()`'s stream, re-keying one Philox.
 
-    Orthonormalizes an n x m block of independent standard complex Gaussians
-    (real parts drawn first, then imaginary parts) by QR, and rescales each
-    column of LAPACK's Q by the unit phase of the matching diagonal entry of
-    R (Mezzadri, Notices AMS 54, 2007); without that fix LAPACK's sign
-    convention would bias the distribution.  The cost is O(n m^2); at m = n
-    this is the full unitary.
+    A Philox state is its counter and key plus a buffer of unused output, so
+    setting counter 0, key (master_seed, stream_index) and an empty buffer
+    restarts exactly the stream that `SeededStream.generator()` builds,
+    without the `SeedSequence` of OS entropy that `Philox(key=...)` builds
+    and never uses.  Every call returns the same Generator: draw all of one
+    stream from it before re-keying it to the next.
     """
-    re = generator.standard_normal((n, m))
-    q, r = np.linalg.qr((re + 1j * generator.standard_normal((n, m))) / np.sqrt(2.0))
-    d = np.diagonal(r).copy()
+    bit_generator = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    generator = np.random.Generator(bit_generator)
+    state = bit_generator.state  # counter 0, empty buffer
+    key = state["state"]["key"]
+
+    def keyed(stream: SeededStream) -> np.random.Generator:
+        key[:] = stream.master_seed, stream.stream_index
+        bit_generator.state = state
+        return generator
+
+    return keyed
+
+
+def _haar_frame(n: int, m: int, generators) -> np.ndarray:
+    """Stack of n x m matrices, one per generator, whose orthonormal columns
+    are the first m columns of a Haar U.
+
+    Each generator gives an n x m block of independent standard complex
+    Gaussians (its n m real parts first, then its n m imaginary parts); one
+    stacked QR orthonormalizes every block, and each column of LAPACK's Q is
+    rescaled by the unit phase of the matching diagonal entry of R (Mezzadri,
+    Notices AMS 54, 2007); without that fix LAPACK's sign convention would
+    bias the distribution.  The cost is O(n m^2) per block; at m = n this is
+    the full unitary.
+    """
+    z = np.array([generator.standard_normal((2, n, m)) for generator in generators])
+    q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))
+    d = np.diagonal(r, axis1=1, axis2=2).copy()
     d[d == 0] = 1.0
-    return q * (d / np.abs(d))
+    return q * (d / np.abs(d))[:, None, :]
 
 
-def _jacobi_transmissions(n: int, kp: int, generator: np.random.Generator) -> np.ndarray:
-    """The kp transmission eigenvalues T_i of kp = min(k, n - k) of n Haar modes.
+def _jacobi_transmissions(n: int, kp: int, generators) -> np.ndarray:
+    """Stack, one row per generator, of the kp transmission eigenvalues T_i of
+    kp = min(k, n - k) of n Haar modes.
 
     Needs 0 < 2 kp <= n.  The T_i are the eigenvalues of W1 (W1 + W2)^-1 for
     independent real Wisharts W1 = B1 B1^T of n - kp and W2 = G2 G2^T of
-    kp + 1 degrees of freedom (see the module docstring).  The stream is used
-    in a fixed order: the kp diagonal entries B1_ii = sqrt(chi^2_{n-kp-i})
+    kp + 1 degrees of freedom (see the module docstring).  Each generator is
+    used in a fixed order: the kp diagonal entries B1_ii = sqrt(chi^2_{n-kp-i})
     for i = 0..kp-1, then the kp(kp - 1)/2 standard normals below the
     diagonal of B1 in row-major order, then the kp x (kp + 1) block G2 in
     row-major order.
     With X = [B1^T; G2^T] = QR, the T_i are the squared singular values of
-    the top kp x kp block of Q.  The cost is O(kp^3), whatever n.
+    the top kp x kp block of Q; one stacked QR and one stacked SVD serve
+    every generator.  The cost is O(kp^3) per row, whatever n.
     """
-    b1 = np.diag(np.sqrt(generator.chisquare(n - kp - np.arange(kp))))
-    b1[np.tri(kp, kp, -1, dtype=bool)] = generator.standard_normal(kp * (kp - 1) // 2)
-    g2 = generator.standard_normal((kp, kp + 1))
-    q = np.linalg.qr(np.hstack([b1, g2]).T)[0]
-    return np.linalg.svd(q[:kp], compute_uv=False) ** 2
+    dof = n - kp - np.arange(kp)
+    below = np.tri(kp, kp, -1, dtype=bool)
+    blocks = []
+    for generator in generators:
+        b1 = np.diag(np.sqrt(generator.chisquare(dof)))
+        b1[below] = generator.standard_normal(kp * (kp - 1) // 2)
+        blocks.append(np.hstack([b1, generator.standard_normal((kp, kp + 1))]))
+    q = np.linalg.qr(np.swapaxes(blocks, 1, 2))[0]
+    return np.linalg.svd(q[:, :kp], compute_uv=False) ** 2
 
 
 def sample_haar_unitary(n: int, stream: SeededStream) -> PassiveUnitary:
     """Draw an exactly Haar-distributed n x n unitary: `_haar_frame` at m = n."""
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    return PassiveUnitary(_haar_frame(n, n, stream.generator()))
+    return PassiveUnitary(_haar_frame(n, n, [stream.generator()])[0])

@@ -3,13 +3,28 @@
 Every estimator here runs on one sampling loop, `_map_samples`.  It checks
 the sample and worker counts before any draw, keys sample j by the Philox
 stream `haar.derive_substream(SeededStream(master_seed, namespace), j)`, that
-is (master_seed, namespace * 2^32 + j), and applies a per-sample kernel.
+is (master_seed, namespace * 2^32 + j), and applies a kernel.
 Each experiment and ladder point owns its namespace through one injective
 rule, `stream_namespace`, so no two of them share a stream.  Samples run in
-fixed chunks of `_CHUNK`, inline or on one process pool, and the kernel's
-rows come back in global sample order.  Neither the keys nor the assembly
-depend on the worker count, so results are bit-identical for any number of
-workers.
+fixed chunks of `_CHUNK`, inline or on a process pool of at most one worker
+per chunk, and the kernel's rows come back in global sample order.  Neither
+the keys nor the assembly depend on the worker count, so results are
+bit-identical for any number of workers.
+
+Within a chunk, samples go through the draw and the kernel in stacks: every
+draw and kernel takes a leading sample axis, so one LAPACK call (QR, SVD or
+eigvalsh, which numpy runs matrix by matrix with the same routine) serves a
+whole stack instead of one sample, and the numpy call overhead that
+dominated small factorizations is paid once per stack.  Each sample is
+still drawn from its own substream, through one Philox per chunk re-keyed
+to each substream (`haar._rekeyed_generator`), which gives exactly the
+stream a new generator would; a sample's rows are therefore bit-identical
+to drawing and evaluating it alone.  One module constant, `_STACK_ENTRIES`,
+caps the matrix entries of the samples in one stack, so memory stays flat
+as n grows (without it, a 256-sample stack of 400 Haar rows would hold
+about 650 MB); it is fixed, not an option, because the stacking never
+changes a result.  A `NumericalError` in a stack is re-raised for the first
+failing sample, evaluated alone, under its global index j.
 
 The sampler (id `SAMPLER`) has two draws, and one predicate, `_frame_draw`,
 picks one from the squeezing values and the requested subsystem sizes alone:
@@ -63,7 +78,13 @@ from .gaussian import (
     _symplectic_spectrum,
     h1,
 )
-from .haar import SeededStream, _haar_frame, _jacobi_transmissions, derive_substream
+from .haar import (
+    SeededStream,
+    _haar_frame,
+    _jacobi_transmissions,
+    _rekeyed_generator,
+    derive_substream,
+)
 from .provenance import RNG_ALGORITHM, SAMPLER, SAMPLING_BLAS_THREADS
 
 __all__ = [
@@ -86,6 +107,7 @@ __all__ = [
 ]
 
 _CHUNK = 256  # fixed chunk size; independent of worker count by design
+_STACK_ENTRIES = 2**12  # matrix entries of the samples stacked into one LAPACK call
 _POINT_BITS = 16
 _BLAS_PREFIXES = ("openblas", "scipy_openblas")  # with "64_" for 64-bit integer builds
 
@@ -167,25 +189,47 @@ def _check_counts(samples: int, workers: int):
         raise InputError(f"workers must be >= 1, got {workers}")
 
 
+def _stack_size(draw, n: int, m: int) -> int:
+    """Samples per stacked call: as many as keep within `_STACK_ENTRIES`, at least one.
+
+    A sample's size is the largest matrix its draw factors: kp x (2 kp + 1)
+    for the Jacobi draw, n x m for Haar rows.
+    """
+    entries = m * (2 * m + 1) if draw is _jacobi_transmissions else n * m
+    return max(1, _STACK_ENTRIES // max(entries, 1))
+
+
 def _sample_chunk(args):
     kernel, draw, n, m, params, stream, j0, j1 = args
+    keyed = _rekeyed_generator()
+    step = _stack_size(draw, n, m)
     rows = []
-    for j in range(j0, j1):
-        drawn = draw(n, m, derive_substream(stream, j).generator())
+    for b0 in range(j0, j1, step):
+        substreams = (derive_substream(stream, j) for j in range(b0, min(b0 + step, j1)))
+        drawn = draw(n, m, map(keyed, substreams))
         try:
             rows.append(kernel(drawn, *params))
-        except NumericalError as exc:
-            raise NumericalError(f"sample {j} (seed {stream.master_seed}): {exc}") from exc
-    return np.array(rows)
+        except NumericalError:
+            for i in range(len(drawn)):  # the first failing sample, alone, names its j
+                try:
+                    kernel(drawn[i : i + 1], *params)
+                except NumericalError as exc:
+                    raise NumericalError(
+                        f"sample {b0 + i} (seed {stream.master_seed}): {exc}"
+                    ) from exc
+            raise
+    return np.concatenate(rows)
 
 
 def _map_samples(kernel, draw, n, m, params, samples, seed, namespace, workers) -> np.ndarray:
-    """Stack kernel(draw(n, m, generator_j), *params) over samples j = 0..samples-1.
+    """Stack kernel(draw(n, m, [generator_j]), *params) over samples j = 0..samples-1.
 
     generator_j is substream j of (seed, namespace), and the rows come back
     in sample order.  `draw` is `_haar_rows` or `haar._jacobi_transmissions`
-    (see `_frame_draw`).  `kernel` and `draw` must be module-level functions
-    so that worker processes can import them.
+    (see `_frame_draw`); both, and every kernel, take a leading sample axis,
+    so each chunk draws `_stack_size` samples per call, each from its own
+    substream, and factors them in stacked calls.  `kernel` and `draw` must
+    be module-level functions so that worker processes can import them.
     """
     _check_counts(samples, workers)
     stream = SeededStream(seed, namespace)
@@ -202,7 +246,9 @@ def _map_samples(kernel, draw, n, m, params, samples, seed, namespace, workers) 
     from concurrent import futures  # only runs that use the pool pay for the import
 
     with futures.ProcessPoolExecutor(
-        max_workers=workers, initializer=_set_blas_threads, initargs=(SAMPLING_BLAS_THREADS,)
+        max_workers=min(workers, len(chunks)),
+        initializer=_set_blas_threads,
+        initargs=(SAMPLING_BLAS_THREADS,),
     ) as pool:
         return np.concatenate(list(pool.map(_sample_chunk, chunks)))
 
@@ -253,9 +299,10 @@ def _frame_rows(ks, n: int) -> int:
     return max((k for k in ks if k < n), default=0)
 
 
-def _haar_rows(n: int, m: int, generator: np.random.Generator) -> np.ndarray:
-    """The first m rows of a Haar unitary on n modes: `haar._haar_frame` transposed."""
-    return _haar_frame(n, m, generator).T
+def _haar_rows(n: int, m: int, generators) -> np.ndarray:
+    """Per generator, the first m rows of a Haar unitary on n modes:
+    `haar._haar_frame` transposed."""
+    return np.swapaxes(_haar_frame(n, m, generators), 1, 2)
 
 
 def _frame_draw(values, ks):
@@ -273,30 +320,33 @@ def _frame_draw(values, ks):
 
 
 def _entropies_from_transmissions(t, n, log_c, ks, with_s1):
-    """S2 (row 0) and, if with_s1, S1 (row 1) of every subsystem size in ks.
+    """Per sample, S2 (row 0) and, if with_s1, S1 (row 1) of every subsystem size in ks.
 
-    t holds the k' transmission eigenvalues shared by every size 0 < k < n
-    in ks, and log_c = log sinh^2(2s) (-inf at s = 0).  Each nu_i^2 =
-    1 + c T_i is formed as log1p(c T_i) = logaddexp(0, log c + log T_i), so
-    it keeps its relative accuracy at any s; no nu can round below 1.
-    k = 0 and k = n are pure states and stay exactly 0.
+    Each row of t holds the k' transmission eigenvalues of one sample, shared
+    by every size 0 < k < n in ks, and log_c = log sinh^2(2s) (-inf at
+    s = 0).  Each nu_i^2 = 1 + c T_i is formed as log1p(c T_i) =
+    logaddexp(0, log c + log T_i), so it keeps its relative accuracy at any
+    s; no nu can round below 1.  k = 0 and k = n are pure states and stay
+    exactly 0.
     """
-    out = np.zeros((2 if with_s1 else 1, len(ks)))
+    out = np.zeros((len(t), 2 if with_s1 else 1, len(ks)))
     mixed = [i for i, k in enumerate(ks) if 0 < k < n]
     log_nu2 = np.logaddexp(0.0, log_c + np.log(t))
-    out[0, mixed] = 0.5 * math.fsum(log_nu2.tolist())
+    out[:, 0, mixed] = [[0.5 * math.fsum(row)] for row in log_nu2.tolist()]
     if with_s1:
-        out[1, mixed] = math.fsum(h1(nu) for nu in np.exp(0.5 * log_nu2).tolist())
+        nus = np.exp(0.5 * log_nu2).tolist()
+        out[:, 1, mixed] = [[math.fsum(h1(nu) for nu in row)] for row in nus]
     return out
 
 
 def _entropies_for_sample(u, n, scale, ks, with_s1):
-    """S2 (row 0) and, if with_s1, S1 (row 1) of every subsystem size in ks.
+    """Per sample, S2 (row 0) and, if with_s1, S1 (row 1) of every subsystem size in ks.
 
-    u holds at least the first m = max{k < n} rows of a Haar unitary on n
-    modes, and scale = sqrt(diag sigma_0).  One QR factor R of the m modes
-    serves every k, since its leading block R[:2k, :2k] factors the
-    covariance of the first k modes.  k = 0 and k = n are pure states and
+    Each u[b] holds at least the first m = max{k < n} rows of a Haar unitary
+    on n modes, and scale = sqrt(diag sigma_0).  One QR factor R of the m
+    modes serves every k, since its leading block R[:2k, :2k] factors the
+    covariance of the first k modes; the factors and the spectra of all
+    samples come from stacked calls.  k = 0 and k = n are pure states and
     stay exactly 0.
 
     S1 sums h1 over the top min(k, n - k) symplectic eigenvalues only, and
@@ -305,7 +355,7 @@ def _entropies_for_sample(u, n, scale, ks, with_s1):
     point they round below 1 by up to about eps * e^{4 max|s_i|}, which
     passes 1 - PURITY_CLAMP from s ~ 8 on.
     """
-    out = np.zeros((2 if with_s1 else 1, len(ks)))
+    out = np.zeros((len(u), 2 if with_s1 else 1, len(ks)))
     m = _frame_rows(ks, n)
     if m == 0:
         return out
@@ -313,10 +363,11 @@ def _entropies_for_sample(u, n, scale, ks, with_s1):
     s2 = _renyi2_values(r)
     for i, k in enumerate(ks):
         if 0 < k < n:
-            out[0, i] = s2[k - 1]
+            out[:, 0, i] = s2[:, k - 1]
             if with_s1:
-                nus = _symplectic_spectrum(r[: 2 * k, : 2 * k])[: min(k, n - k)]
-                out[1, i] = math.fsum(h1(nu) for nu in _purity_clamp(nus))
+                nus = _symplectic_spectrum(r[:, : 2 * k, : 2 * k])[:, : min(k, n - k)]
+                nus = _purity_clamp(nus).tolist()
+                out[:, 1, i] = [math.fsum(h1(nu) for nu in row) for row in nus]
     return out
 
 
@@ -545,8 +596,8 @@ class DerivativeEstimate:
 
 
 def _derivative_for_sample(u, scale_plus, scale_minus, k, dh):
-    s2p = _renyi2_values(_squeezed_row_factor(u, scale_plus, k))[-1]
-    s2m = _renyi2_values(_squeezed_row_factor(u, scale_minus, k))[-1]
+    s2p = _renyi2_values(_squeezed_row_factor(u, scale_plus, k))[:, -1]
+    s2m = _renyi2_values(_squeezed_row_factor(u, scale_minus, k))[:, -1]
     return (s2p - s2m) / dh
 
 

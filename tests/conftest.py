@@ -10,7 +10,7 @@ def haar_matrix():
     """Full n x n Haar matrix (the frame at m = n) keyed by (seed, index)."""
 
     def make(n, seed=0, index=0):
-        return _haar_frame(n, n, SeededStream(seed, index).generator())
+        return _haar_frame(n, n, [SeededStream(seed, index).generator()])[0]
 
     return make
 

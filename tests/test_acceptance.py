@@ -192,7 +192,7 @@ def test_criterion_8_entropy_bounds_suite():
     n2 = 10
     sigma0 = pc.build_initial_covariance(pc.SqueezingConfig.equal(n2, 0.8))
     for j in range(1000):
-        u = PassiveUnitary(_haar_frame(n2, n2, SeededStream(808, j).generator()))
+        u = PassiveUnitary(_haar_frame(n2, n2, [SeededStream(808, j).generator()])[0])
         sigma = pc.evolve(sigma0, u)
         k = 1 + j % (n2 - 1)
         red = pc.reduce_subsystem(sigma, k)
@@ -219,7 +219,7 @@ def test_criterion_9_weingarten_engine():
     samples = 2000
     traces = np.empty(samples)
     for j in range(samples):
-        u = _haar_frame(6, 6, SeededStream(909, j).generator())
+        u = _haar_frame(6, 6, [SeededStream(909, j).generator()])[0]
         traces[j] = pc.trace_W_powers(PassiveUnitary(u), 3, 1)[0]
     stderr = traces.std(ddof=1) / math.sqrt(samples)
     mc_gap = abs(traces.mean() - float(moment))
@@ -239,7 +239,7 @@ def test_criterion_10_property_suite():
         n, s = 9, 0.7
         sigma = pc.evolve(
             pc.build_initial_covariance(pc.SqueezingConfig.equal(n, s)),
-            PassiveUnitary(_haar_frame(n, n, SeededStream(seed, 0).generator())),
+            PassiveUnitary(_haar_frame(n, n, [SeededStream(seed, 0).generator()])[0]),
         )
         for k in (2, 4):
             a = pc.renyi2_entropy(pc.reduce_subsystem(sigma, k))
@@ -249,7 +249,7 @@ def test_criterion_10_property_suite():
         # series vs direct entropy at |tanh 2s| <= 0.5
         n2, k2, s2v = 8, 3, 0.25
         t = math.tanh(2 * s2v)
-        u = PassiveUnitary(_haar_frame(n2, n2, SeededStream(seed, 1).generator()))
+        u = PassiveUnitary(_haar_frame(n2, n2, [SeededStream(seed, 1).generator()])[0])
         state = pc.evolve(pc.build_initial_covariance(pc.SqueezingConfig.equal(n2, s2v)), u)
         direct = pc.renyi2_entropy(pc.reduce_subsystem(state, k2))
         L = 40

@@ -79,9 +79,9 @@ def kernel_on_unitaries(n, k, squeezing, seed, reverse_rows=False):
     scale = np.sqrt(_initial_diagonal(squeezing.values))
     rows = []
     for j in range(4):
-        u = _haar_frame(n, n, derive_substream(SeededStream(seed, 0), j).generator())
+        u = _haar_frame(n, n, [derive_substream(SeededStream(seed, 0), j).generator()])[0]
         u = u[::-1] if reverse_rows else u
-        rows.append(_entropies_for_sample(u, n, scale, (k, n - k), True))
+        rows.append(_entropies_for_sample(u[None], n, scale, (k, n - k), True)[0])
     rows = np.array(rows)
     return rows[:, 0], rows[:, 1]
 

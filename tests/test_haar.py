@@ -14,7 +14,7 @@ from pagecurve import (
     sample_haar_unitary,
 )
 from pagecurve.gaussian import _initial_diagonal
-from pagecurve.haar import RNG_ALGORITHM, _haar_frame, _jacobi_transmissions
+from pagecurve.haar import RNG_ALGORITHM, _haar_frame, _jacobi_transmissions, _rekeyed_generator
 from pagecurve.montecarlo import _entropies_for_sample, _entropies_from_transmissions
 from pagecurve.weingarten import haar_moment_trace_product
 
@@ -56,6 +56,24 @@ def test_substream_derivation():
         derive_substream(base, -1)
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_rekeyed_generator_is_the_stream_generator(seed):
+    # re-keying one Philox restarts each stream exactly, also after the
+    # previous stream left half a 64-bit word and part of its buffer unread
+    keyed = _rekeyed_generator()
+    draws = (
+        lambda g: g.integers(0, 2**31, size=3, dtype=np.int32),  # 32-bit halves
+        lambda g: g.standard_normal(5),
+        lambda g: g.chisquare(np.arange(1, 4)),
+    )
+    for index in (0, 2**32 - 1, 2**32 + 1, 2**64 - 1):
+        stream = SeededStream(seed, index)
+        drawn, expected = keyed(stream), stream.generator()
+        for draw in draws:
+            assert np.array_equal(draw(drawn), draw(expected))
+        drawn.integers(0, 2**31, dtype=np.int32)
+
+
 def test_seed_validation():
     with pytest.raises(InputError):
         SeededStream(-1, 0)
@@ -68,7 +86,7 @@ def test_first_moment():
     n, samples = 4, 10_000
     vals = np.empty(samples)
     for j in range(samples):
-        u = _haar_frame(n, n, SeededStream(11, j).generator())
+        u = _haar_frame(n, n, [SeededStream(11, j).generator()])[0]
         vals[j] = abs(u[0, 0]) ** 2
     stderr = vals.std(ddof=1) / math.sqrt(samples)
     assert abs(vals.mean() - 1.0 / n) <= 3 * stderr
@@ -78,13 +96,13 @@ def test_left_invariance_proxy():
     # Tr(VU) and Tr(U) must be identically distributed for fixed V
     n, samples = 4, 10_000
     rng = np.random.default_rng(5)
-    v = _haar_frame(n, n, SeededStream(99, 0).generator())
+    v = _haar_frame(n, n, [SeededStream(99, 0).generator()])[0]
     plain = np.empty(samples)
     rotated = np.empty(samples)
     for j in range(samples):
-        u = _haar_frame(n, n, SeededStream(21, j).generator())
+        u = _haar_frame(n, n, [SeededStream(21, j).generator()])[0]
         plain[j] = np.trace(u).real
-        u2 = _haar_frame(n, n, SeededStream(22, j).generator())
+        u2 = _haar_frame(n, n, [SeededStream(22, j).generator()])[0]
         rotated[j] = np.trace(v @ u2).real
     assert stats.ks_2samp(plain, rotated).pvalue > 0.01
     del rng
@@ -113,10 +131,10 @@ def test_pooled_substreams_match_single_stream():
     for worker in range(10):
         gen = derive_substream(base, worker).generator()
         for _ in range(per_stream):
-            pooled.append(abs(_haar_frame(n, n, gen)[0, 0]) ** 2)
+            pooled.append(abs(_haar_frame(n, n, [gen])[0][0, 0]) ** 2)
     single_gen = SeededStream(78, 0).generator()
     single = [
-        abs(_haar_frame(n, n, single_gen)[0, 0]) ** 2 for _ in range(10 * per_stream)
+        abs(_haar_frame(n, n, [single_gen])[0][0, 0]) ** 2 for _ in range(10 * per_stream)
     ]
     assert stats.ks_2samp(np.array(pooled), np.array(single)).pvalue > 0.01
 
@@ -136,7 +154,7 @@ def full_draw_reference(n, stream, phase_fix=True):
 
 @pytest.mark.parametrize("n,m", [(1, 1), (8, 3), (50, 7), (400, 20), (12, 12)])
 def test_frame_rows_orthonormal(n, m):
-    v = _haar_frame(n, m, SeededStream(13, n).generator()).T
+    v = _haar_frame(n, m, [SeededStream(13, n).generator()])[0].T
     assert v.shape == (m, n)
     assert np.abs(v @ v.conj().T - np.eye(m)).max() <= 1e-12
 
@@ -157,7 +175,7 @@ def test_frame_entry_moments():
     base = SeededStream(41, 0)
     sq = np.empty((samples, m, n))
     for j in range(samples):
-        sq[j] = np.abs(_haar_frame(n, m, derive_substream(base, j).generator()).T) ** 2
+        sq[j] = np.abs(_haar_frame(n, m, [derive_substream(base, j).generator()])[0].T) ** 2
     fourth = sq**2
     checks = [
         (sq[:, 0, 0], 1.0 / n),
@@ -181,8 +199,8 @@ def test_frame_entropies_match_full_unitaries():
         RunConfig(n=n, squeezing=squeezing, subsystem_sizes=(k,), samples=samples, master_seed=51)
     )
     scale = np.sqrt(_initial_diagonal(squeezing.values))
-    rows = [_haar_frame(n, n, SeededStream(52, j).generator()).T for j in range(samples)]
-    full = np.array([_entropies_for_sample(u, n, scale, (k,), False)[0, 0] for u in rows])
+    rows = [_haar_frame(n, n, [SeededStream(52, j).generator()])[0].T for j in range(samples)]
+    full = np.array([_entropies_for_sample(u[None], n, scale, (k,), False)[0, 0, 0] for u in rows])
     assert stats.ks_2samp(framed[:, 0], full).pvalue > 0.01
 
 
@@ -191,13 +209,13 @@ def test_frame_entropies_match_full_unitaries():
 def test_transmissions_give_the_row_frame_entropies(n, k, s):
     # for one Haar U: S2 and S1 from the squared singular values T_i of
     # C[:k, k:], C = U U^T, equal those of the symplectic route on U's rows
-    u = _haar_frame(n, n, SeededStream(61, 100 * n + k).generator())
+    u = _haar_frame(n, n, [SeededStream(61, 100 * n + k).generator()])[0]
     t = np.linalg.svd((u @ u.T)[:k, k:], compute_uv=False) ** 2
     assert len(t) == min(k, n - k)
     log_c = 2.0 * math.log(math.sinh(2.0 * s))
-    from_t = _entropies_from_transmissions(t, n, log_c, (k,), True)
+    from_t = _entropies_from_transmissions(t[None], n, log_c, (k,), True)
     scale = np.sqrt(_initial_diagonal([s] * n))
-    from_rows = _entropies_for_sample(u, n, scale, (k,), True)
+    from_rows = _entropies_for_sample(u[None], n, scale, (k,), True)
     assert from_t == pytest.approx(from_rows, rel=1e-12)
 
 
@@ -221,8 +239,8 @@ def test_bartlett_block_gives_the_same_reduced_states(n, m, s):
     bartlett = np.linalg.qr(x1.T)[1].T
     assert np.allclose(bartlett, np.tril(bartlett))
     log_c = 2.0 * math.log(math.sinh(2.0 * s))
-    full = _entropies_from_transmissions(block_transmissions(x1, g2), n, log_c, (m,), True)
-    reduced = _entropies_from_transmissions(block_transmissions(bartlett, g2), n, log_c, (m,), True)
+    both = np.array([block_transmissions(x1, g2), block_transmissions(bartlett, g2)])
+    full, reduced = _entropies_from_transmissions(both, n, log_c, (m,), True)
     assert np.all(full > 0.0)
     assert np.all(np.abs(reduced - full) <= 1e-12 * full)
 
@@ -232,7 +250,7 @@ def test_bartlett_frame_stream_order(n, m):
     # the documented use of the stream by the Jacobi draw: the m chi-square
     # diagonal entries of the Bartlett factor B1 first, then its normals below
     # the diagonal in row-major order, then the m x (m + 1) block G2
-    drawn = _jacobi_transmissions(n, m, SeededStream(14, n).generator())
+    drawn = _jacobi_transmissions(n, m, [SeededStream(14, n).generator()])[0]
     generator = SeededStream(14, n).generator()
     b1 = np.diag(np.sqrt(generator.chisquare(n - m - np.arange(m))))
     below = iter(generator.standard_normal(m * (m - 1) // 2))
@@ -252,7 +270,7 @@ def test_jacobi_draw_matches_exact_trace_moments(n, k):
     # Jacobi draw must reproduce every exact moment E prod_i Tr W^{l_i}
     samples, kp = 8000, min(k, n - k)
     generator = SeededStream(71, 100 * n + k).generator()
-    w = 1.0 - np.array([_jacobi_transmissions(n, kp, generator) for _ in range(samples)])
+    w = 1.0 - _jacobi_transmissions(n, kp, [generator] * samples)
     for powers in TRACE_POWERS:
         values = np.prod([(w**l).sum(axis=1) + (k - kp) for l in powers], axis=0)
         exact = float(haar_moment_trace_product(powers, n, k))

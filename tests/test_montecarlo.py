@@ -33,7 +33,8 @@ from pagecurve.gaussian import (
     reduce_subsystem,
     renyi2_entropy,
 )
-from pagecurve.gaussian import _initial_diagonal, h1
+from pagecurve.errors import NumericalError
+from pagecurve.gaussian import _initial_diagonal, _reduced_sigma_from_unitary, h1
 from pagecurve.haar import (
     SeededStream,
     _jacobi_transmissions,
@@ -41,11 +42,15 @@ from pagecurve.haar import (
     sample_haar_unitary,
 )
 from pagecurve.montecarlo import (
+    _CHUNK,
     Experiment,
+    _derivative_for_sample,
     _entropies_for_sample,
+    _entropies_from_transmissions,
     _frame_draw,
     _haar_rows,
     _map_samples,
+    _stack_size,
     stream_namespace,
 )
 
@@ -112,6 +117,13 @@ class TestDeterminism:
         a, _ = sample_entropies(config)
         b, _ = sample_entropies(RunConfig(**{**config.__dict__, "workers": 2}))
         assert pool_starts == [2]
+        assert np.array_equal(a, b)
+
+    def test_pool_sized_by_the_work(self, pool_starts):
+        # 600 samples are three chunks, so eight workers start three processes
+        a, _ = sample_entropies(small_config(samples=POOLED_SAMPLES))
+        b, _ = sample_entropies(small_config(samples=POOLED_SAMPLES, workers=8))
+        assert pool_starts == [3]
         assert np.array_equal(a, b)
 
     def test_seed_changes_results(self):
@@ -194,7 +206,8 @@ class TestJacobiDraw:
         s2, s1 = sample_entropies(config, with_s1=True)
         c = math.sinh(2 * s) ** 2
         for j in range(4):
-            t = _jacobi_transmissions(n, kp, derive_substream(SeededStream(6, 0), j).generator())
+            generator = derive_substream(SeededStream(6, 0), j).generator()
+            t = _jacobi_transmissions(n, kp, [generator])[0]
             assert t.shape == (kp,)
             assert s2[j] == pytest.approx([0.5 * math.fsum(np.log1p(c * t))] * 2, rel=1e-13)
             expected_s1 = math.fsum(h1(math.sqrt(1 + c * x)) for x in t)
@@ -262,6 +275,54 @@ class TestJacobiDraw:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out.splitlines()[-1] == "False"
+
+
+RAMP8 = (0.3, 0.5, 0.9, 0.1, 0.7, 1.1, 0.2, 0.6)
+
+
+def stacked_pairs():
+    """(draw, kernel, n, m, params) for every draw and kernel the sampler pairs."""
+    scale = np.sqrt(_initial_diagonal(RAMP8))
+    minus = np.sqrt(_initial_diagonal((0.25,) + RAMP8[1:]))
+    log_c = 2.0 * math.log(math.sinh(1.8))
+    return {
+        "rows-entropies": (_haar_rows, _entropies_for_sample, 8, 7,
+                           (8, scale, tuple(range(9)), True)),
+        "rows-s2": (_haar_rows, _entropies_for_sample, 8, 5, (8, scale, (0, 2, 5, 8), False)),
+        "jacobi-entropies": (_jacobi_transmissions, _entropies_from_transmissions, 20, 5,
+                             (20, log_c, (0, 5, 15, 20), True)),
+        "rows-derivative": (_haar_rows, _derivative_for_sample, 8, 3, (scale, minus, 3, 0.03)),
+        "rows-covariance": (_haar_rows, _reduced_sigma_from_unitary, 8, 3,
+                            (_initial_diagonal(RAMP8), 3)),
+    }
+
+
+class TestStackedCalls:
+    @pytest.mark.parametrize("pair", sorted(stacked_pairs()))
+    def test_matches_the_per_sample_reference(self, pair):
+        # 263 samples: a full chunk and a ragged one, each ending in a
+        # ragged stacked call; every sample equals its draw and kernel alone
+        draw, kernel, n, m, params = stacked_pairs()[pair]
+        step = _stack_size(draw, n, m)
+        assert 1 < step < _CHUNK and _CHUNK % step and (263 - _CHUNK) % step
+        stream = SeededStream(5, stream_namespace(Experiment.ENTROPY, 3))
+        stacked = _map_samples(kernel, draw, n, m, params, 263, 5, stream.stream_index, 1)
+        for j in range(263):
+            alone = draw(n, m, [derive_substream(stream, j).generator()])
+            assert np.array_equal(stacked[j], kernel(alone, *params)[0]), j
+
+    def test_numerical_error_names_the_global_sample(self):
+        # one mode squeezed at s = 16: the other nus are exactly 1 but round
+        # to about 1 - 1.4e-9 in some samples, below 1 - PURITY_CLAMP; at
+        # seed 7 sample 60 is the first, in the middle of the first stacked call
+        values = (16.0,) + (0.0,) * 7
+        config = RunConfig(n=8, squeezing=SqueezingConfig(values), subsystem_sizes=tuple(range(9)),
+                           samples=263, master_seed=7)
+        draw, m = _frame_draw(values, config.subsystem_sizes)
+        assert 60 % _stack_size(draw, 8, m) != 0
+        sample_entropies(RunConfig(**{**config.__dict__, "samples": 60}), with_s1=True)
+        with pytest.raises(NumericalError, match=r"^sample 60 \(seed 7\): symplectic eigenvalue"):
+            sample_entropies(config, with_s1=True)
 
 
 class TestAgainstPrediction:
