@@ -420,3 +420,15 @@ def test_log_cosh_stable():
     assert log_cosh(0.0) == 0.0
     assert log_cosh(700.0) == pytest.approx(700.0 - math.log(2.0), rel=1e-15)
     assert log_cosh(1.5) == pytest.approx(LOG_COSH_15, abs=1e-14)
+
+
+def test_log_cosh_relative_error():
+    # within 2 ulp of 40-digit mpmath from x = 1e-300 to 400, either sign;
+    # a result below the smallest normal double (|x| < ~1.5e-154) can only
+    # be within one unit of 2^-1074
+    xs = [10.0**e for e in range(-300, 3)] + [i / 16 for i in range(1, 6401)]
+    for x in xs:
+        with mp.workdps(40):
+            exact = float(mp.log1p(mp.sinh(mp.mpf(x)) ** 2) / 2)
+        for value in (log_cosh(x), log_cosh(-x)):
+            assert abs(value - exact) <= 2 * 2.0**-52 * exact + 2.0**-1074, x

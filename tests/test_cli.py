@@ -98,6 +98,16 @@ class TestPageCurve:
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert float(rows[4].split(",")[2]) == analytic.log_cosh(5.0)
 
+    def test_small_squeezing_keeps_its_digits(self, capsys):
+        # at s = 1e-8 and r = 1/2: density log cosh s = s^2/2, max entropy
+        # 2 log cosh 2s = 4 s^2 and total 4 density - log cosh(2s)/4
+        assert main(["page-curve", "--modes", "4", "--squeeze", "1e-8", "--analytic-only"]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[1 + 2].split(",")
+        assert row[:2] == ["0.5", "2"]
+        expected = {2: 5.0e-17, 3: 1.5e-16, 4: 4.0e-16}
+        for column, value in expected.items():
+            assert float(row[column]) == pytest.approx(value, rel=1e-15)
+
     def test_lambda_once_tanh_rounds_to_one(self, capsys):
         # tanh^2(2s) rounds to 1 from s ~ 9.5, where 1 - tanh^2 used to reach log1p(-1)
         assert main(["page-curve", "--modes", "6", "--squeeze", "10", "--analytic-only"]) == 0
