@@ -5,7 +5,7 @@ identifier "philox4x64"), keyed by the pair (master_seed, stream_index).
 Identical keys reproduce identical byte streams on any machine and for any
 worker layout; distinct stream indices give statistically independent streams.
 
-Both draws below take a sequence of generators, one per sample, and return
+Both draws below take an iterable of generators, one per sample, and return
 a stack with a leading sample axis: each sample reads only its own stream,
 in the order its docstring gives, and one stacked LAPACK call (numpy runs
 the same routine on each matrix of the stack) factors every sample, so a

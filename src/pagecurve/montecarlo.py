@@ -205,8 +205,8 @@ def _sample_chunk(args):
     step = _stack_size(draw, n, m)
     rows = []
     for b0 in range(j0, j1, step):
-        substreams = (derive_substream(stream, j) for j in range(b0, min(b0 + step, j1)))
-        drawn = draw(n, m, map(keyed, substreams))
+        generators = (keyed(derive_substream(stream, j)) for j in range(b0, min(b0 + step, j1)))
+        drawn = draw(n, m, generators)
         try:
             rows.append(kernel(drawn, *params))
         except NumericalError:
