@@ -84,10 +84,8 @@ def test_seed_validation():
 def test_first_moment():
     # E |U_11|^2 = 1/n for Haar sampling
     n, samples = 4, 10_000
-    vals = np.empty(samples)
-    for j in range(samples):
-        u = _haar_frame(n, n, [SeededStream(11, j).generator()])[0]
-        vals[j] = abs(u[0, 0]) ** 2
+    u = _haar_frame(n, n, (SeededStream(11, j).generator() for j in range(samples)))
+    vals = np.abs(u[:, 0, 0]) ** 2
     stderr = vals.std(ddof=1) / math.sqrt(samples)
     assert abs(vals.mean() - 1.0 / n) <= 3 * stderr
 
@@ -97,13 +95,10 @@ def test_left_invariance_proxy():
     n, samples = 4, 10_000
     rng = np.random.default_rng(5)
     v = _haar_frame(n, n, [SeededStream(99, 0).generator()])[0]
-    plain = np.empty(samples)
-    rotated = np.empty(samples)
-    for j in range(samples):
-        u = _haar_frame(n, n, [SeededStream(21, j).generator()])[0]
-        plain[j] = np.trace(u).real
-        u2 = _haar_frame(n, n, [SeededStream(22, j).generator()])[0]
-        rotated[j] = np.trace(v @ u2).real
+    u = _haar_frame(n, n, (SeededStream(21, j).generator() for j in range(samples)))
+    u2 = _haar_frame(n, n, (SeededStream(22, j).generator() for j in range(samples)))
+    plain = np.trace(u, axis1=1, axis2=2).real
+    rotated = np.trace(v @ u2, axis1=1, axis2=2).real
     assert stats.ks_2samp(plain, rotated).pvalue > 0.01
     del rng
 
@@ -130,13 +125,10 @@ def test_pooled_substreams_match_single_stream():
     pooled = []
     for worker in range(10):
         gen = derive_substream(base, worker).generator()
-        for _ in range(per_stream):
-            pooled.append(abs(_haar_frame(n, n, [gen])[0][0, 0]) ** 2)
+        pooled.extend(np.abs(_haar_frame(n, n, [gen] * per_stream)[:, 0, 0]) ** 2)
     single_gen = SeededStream(78, 0).generator()
-    single = [
-        abs(_haar_frame(n, n, [single_gen])[0][0, 0]) ** 2 for _ in range(10 * per_stream)
-    ]
-    assert stats.ks_2samp(np.array(pooled), np.array(single)).pvalue > 0.01
+    single = np.abs(_haar_frame(n, n, [single_gen] * (10 * per_stream))[:, 0, 0]) ** 2
+    assert stats.ks_2samp(np.array(pooled), single).pvalue > 0.01
 
 
 def full_draw_reference(n, stream, phase_fix=True):
@@ -173,9 +165,8 @@ def test_frame_entry_moments():
     # E |V_ij|^2 = 1/n and E |V_ij|^4 = 2 / (n (n + 1))
     n, m, samples = 8, 3, 20_000
     base = SeededStream(41, 0)
-    sq = np.empty((samples, m, n))
-    for j in range(samples):
-        sq[j] = np.abs(_haar_frame(n, m, [derive_substream(base, j).generator()])[0].T) ** 2
+    frames = _haar_frame(n, m, (derive_substream(base, j).generator() for j in range(samples)))
+    sq = np.abs(np.swapaxes(frames, 1, 2)) ** 2
     fourth = sq**2
     checks = [
         (sq[:, 0, 0], 1.0 / n),
