@@ -17,9 +17,10 @@ list of integers (--modes of variance and typicality, --powers, --ladder,
 both are usage errors checked before any work starts.
 
 Only the sampling commands (page-curve, variance, typicality,
-conjecture-probe) take --workers; weingarten and verify have no worker pool
-to size.  `page-curve --samples` is 0 for an analytic-only curve or a
-positive count.
+conjecture-probe) take --workers, the number of processes that sample, this
+one included, at most one per 256-sample chunk; the others are forked for
+the call.  weingarten and verify have no worker count to set.
+`page-curve --samples` is 0 for an analytic-only curve or a positive count.
 
 Each handler imports the engine modules its command runs, so a request
 compiles only those, and `import pagecurve.cli` loads none of them:
@@ -145,8 +146,8 @@ def _load(name: str):
 
     A request then compiles only the modules its command runs.  Before numpy
     first loads through `montecarlo` or `verify`, OPENBLAS_NUM_THREADS
-    defaults to the sampler's thread count, so neither this process nor its
-    forked workers start an OpenBLAS pool that the sampler shrinks at once.
+    defaults to the sampler's thread count, so neither this process nor the
+    children the sampler forks start an OpenBLAS pool that it shrinks at once.
     A value the user set is kept; the sampler still pins its count around
     every draw.
     """
@@ -167,7 +168,8 @@ def _add_sampling(sub):
         "--workers",
         type=int,
         default=os.cpu_count() or 1,
-        help="worker processes for sampling (default: hardware parallelism)",
+        help="processes that sample, this one included; at most one per 256-sample "
+        "chunk (default: hardware parallelism)",
     )
 
 

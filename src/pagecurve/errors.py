@@ -27,9 +27,14 @@ class TruncationError(NumericalError):
 
     Carries the tail bound that *was* achieved and the term count at which it
     stopped, so callers can decide whether the partial result is still useful.
+    `__reduce__` lets it cross a pipe from a forked sampling process whole,
+    though no sampler kernel raises it today.
     """
 
     def __init__(self, message, achieved_bound, terms):
         super().__init__(message)
         self.achieved_bound = achieved_bound
         self.terms = terms
+
+    def __reduce__(self):
+        return type(self), (*self.args, self.achieved_bound, self.terms)

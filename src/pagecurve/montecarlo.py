@@ -6,10 +6,11 @@ stream `haar.derive_substream(SeededStream(master_seed, namespace), j)`, that
 is (master_seed, namespace * 2^32 + j), and applies a kernel.
 Each experiment and ladder point owns its namespace through one injective
 rule, `stream_namespace`, so no two of them share a stream.  Samples run in
-fixed chunks of `_CHUNK`, inline or on a process pool of at most one worker
-per chunk, and the kernel's rows come back in global sample order.  Neither
-the keys nor the assembly depend on the worker count, so results are
-bit-identical for any number of workers.
+fixed chunks of `_CHUNK` on at most one process per chunk: this one, and
+children it forks for the call, which sample their share of the chunks
+while it samples its own (`_fork_join`).  The kernel's rows come back in
+global sample order.  Neither the keys nor the assembly depend on the
+worker count, so results are bit-identical for any number of workers.
 
 Within a chunk, samples go through the draw and the kernel in stacks: every
 draw and kernel takes a leading sample axis, so one LAPACK call (QR, SVD or
@@ -61,13 +62,14 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import analytic
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, PageCurveError
 from .gaussian import (
     SqueezingConfig,
     _initial_diagonal,
@@ -142,11 +144,12 @@ def _openblas_thread_controls():
 def _set_blas_threads(counts) -> list[int]:
     """Set each OpenBLAS to its entry of `counts` (an int sets all); return the old counts.
 
-    Sampling runs on one BLAS thread, inline and in every worker, because
-    the thread count changes the last bits of the Haar QR (n >= ~100), and
-    because forked workers that each keep the parent's threads oversubscribe
-    the cores: at n=400 on 2 cores, 512 draws took 31 s on 2 such workers
-    against 9 s with one BLAS thread each.
+    Sampling runs on one BLAS thread, in the calling process and in the
+    children it forks, which inherit the count, because the thread count
+    changes the last bits of the Haar QR (n >= ~100), and because sampling
+    processes that each keep several threads oversubscribe the cores: at
+    n=400 on 2 cores, 512 draws took 31 s on 2 such processes against 9 s
+    with one BLAS thread each.
     """
     controls = _openblas_thread_controls()
     if isinstance(counts, int):
@@ -199,6 +202,80 @@ def _stack_size(draw, n: int, m: int) -> int:
     return max(1, _STACK_ENTRIES // max(entries, 1))
 
 
+def _sample_share(chunks) -> list:
+    """Each chunk's rows in turn; the first chunk that raises ends the list with its exception."""
+    share = []
+    for chunk in chunks:
+        try:
+            share.append(_sample_chunk(chunk))
+        except Exception as exc:  # carried to `_map_samples`, which raises it in chunk order
+            share.append(exc)
+            break
+    return share
+
+
+def _fork_join(chunks, processes: int) -> list:
+    """Per chunk, its rows or the exception that stopped its process (None for the chunks after).
+
+    This process samples chunks 0::processes while each of processes - 1
+    children, forked here, samples chunks w::processes, pickles its share
+    into a pipe and leaves through `os._exit`, so it runs none of this
+    process's clean-up.  numpy.random is loaded before the forks, so no
+    child imports it for itself.  A child that exits without a report
+    stands in its first chunk as a `PageCurveError` giving its exit status.
+    Every child is reaped before this returns; on an interrupt, the ones
+    still running are killed first.
+    """
+    import pickle  # numpy has loaded it; importing it ahead of numpy raised peak RSS 0.2 MB
+
+    import numpy.random  # noqa: F401  (loaded once here, not once per child)
+
+    children = []  # (pid, read end of its pipe) of child w = 1, 2, ...
+    running = set()
+    try:
+        for w in range(1, processes):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read)
+                    report = pickle.dumps(_sample_share(chunks[w::processes]))
+                    with os.fdopen(write, "wb") as pipe:
+                        pipe.write(report)
+                    status = 0
+                finally:
+                    os._exit(status)
+            running.add(pid)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        shares = [_sample_share(chunks[0::processes])]
+        for w, (pid, pipe) in enumerate(children, 1):
+            report = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            running.discard(pid)
+            if code == 0:
+                shares.append(pickle.loads(report))
+            else:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                shares.append([PageCurveError(
+                    f"sampling process {pid} (chunks {w}::{processes}) {how} before it reported"
+                )])
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if pid in running:
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    results = [None] * len(chunks)
+    for w, share in enumerate(shares):
+        for i, rows in zip(range(w, len(chunks), processes), share):
+            results[i] = rows
+    return results
+
+
 def _sample_chunk(args):
     kernel, draw, n, m, params, stream, j0, j1 = args
     keyed = _rekeyed_generator()
@@ -228,8 +305,13 @@ def _map_samples(kernel, draw, n, m, params, samples, seed, namespace, workers) 
     in sample order.  `draw` is `_haar_rows` or `haar._jacobi_transmissions`
     (see `_frame_draw`); both, and every kernel, take a leading sample axis,
     so each chunk draws `_stack_size` samples per call, each from its own
-    substream, and factors them in stacked calls.  `kernel` and `draw` must
-    be module-level functions so that worker processes can import them.
+    substream, and factors them in stacked calls.
+
+    The chunks run on min(workers, chunks) processes, this one included
+    (`_fork_join`), or all in this one where `os.fork` does not exist.  The
+    BLAS thread count is set once, before any fork, so the children inherit
+    it.  Of the chunks that fail, the lowest-indexed one's exception is
+    raised, so the error, like the rows, does not depend on the worker count.
     """
     _check_counts(samples, workers)
     stream = SeededStream(seed, namespace)
@@ -237,20 +319,16 @@ def _map_samples(kernel, draw, n, m, params, samples, seed, namespace, workers) 
         (kernel, draw, n, m, params, stream, j0, min(j0 + _CHUNK, samples))
         for j0 in range(0, samples, _CHUNK)
     ]
-    if workers == 1 or len(chunks) == 1:
-        previous = _set_blas_threads(SAMPLING_BLAS_THREADS)
-        try:
-            return np.concatenate([_sample_chunk(c) for c in chunks])
-        finally:
-            _set_blas_threads(previous)
-    from concurrent import futures  # only runs that use the pool pay for the import
-
-    with futures.ProcessPoolExecutor(
-        max_workers=min(workers, len(chunks)),
-        initializer=_set_blas_threads,
-        initargs=(SAMPLING_BLAS_THREADS,),
-    ) as pool:
-        return np.concatenate(list(pool.map(_sample_chunk, chunks)))
+    processes = min(workers, len(chunks)) if hasattr(os, "fork") else 1
+    previous = _set_blas_threads(SAMPLING_BLAS_THREADS)
+    try:
+        results = _fork_join(chunks, processes)
+    finally:
+        _set_blas_threads(previous)
+    for rows in results:
+        if not isinstance(rows, np.ndarray):
+            raise rows
+    return np.concatenate(results)
 
 
 @dataclass(frozen=True)

@@ -9,4 +9,4 @@ __all__ = ["RNG_ALGORITHM", "SAMPLER", "SAMPLING_BLAS_THREADS"]
 
 RNG_ALGORITHM = "philox4x64"  # numpy's counter-based Philox generator
 SAMPLER = "haar-row-frame-jacobi"  # names the two draws, their selection rule and the stream keys
-SAMPLING_BLAS_THREADS = 1  # OpenBLAS threads the sampler runs on, inline and in every worker
+SAMPLING_BLAS_THREADS = 1  # OpenBLAS threads of every sampling process

@@ -213,7 +213,7 @@ def suite_montecarlo(seed: int = 7, samples: int = 500) -> list[CheckResult]:
     )
 
     # a fixed count spanning three 256-sample chunks, so that workers=2
-    # really runs on the process pool whatever `samples` is
+    # really forks a second sampling process whatever `samples` is
     small = montecarlo.RunConfig(
         n=8,
         squeezing=SqueezingConfig.equal(8, 0.5),

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import mpmath as mp
@@ -227,6 +228,12 @@ class TestDensitySeries:
             density_series_info(3.0, 0.5)
         assert 1e-3 < err.value.achieved_bound < 1e-2
         assert err.value.terms == 10_000
+
+    def test_truncation_error_survives_pickling(self):
+        # a forked sampling process reports its exception through a pickle
+        back = pickle.loads(pickle.dumps(TruncationError("m", 1e-3, 5)))
+        assert type(back) is TruncationError
+        assert (str(back), back.achieved_bound, back.terms) == ("m", 1e-3, 5)
 
     def test_info_reports_bound(self):
         info = density_series_info(0.5, Fraction(1, 4))

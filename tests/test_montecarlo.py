@@ -1,8 +1,9 @@
 import math
 import os
+import signal
 import subprocess
 import sys
-from concurrent import futures
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from pagecurve.gaussian import (
     reduce_subsystem,
     renyi2_entropy,
 )
-from pagecurve.errors import NumericalError
+from pagecurve.errors import NumericalError, PageCurveError
 from pagecurve.gaussian import _initial_diagonal, _reduced_sigma_from_unitary, h1
 from pagecurve.haar import (
     SeededStream,
@@ -50,6 +51,7 @@ from pagecurve.montecarlo import (
     _frame_draw,
     _haar_rows,
     _map_samples,
+    _sample_chunk,
     _stack_size,
     stream_namespace,
 )
@@ -62,16 +64,31 @@ POOLED_SAMPLES = 600
 
 @pytest.fixture
 def pool_starts(monkeypatch):
-    """Worker counts of the process pools started during the test."""
-    starts = []
+    """Sampling processes (1 + its forks) of each `_map_samples` call that forked."""
+    starts, forks = [], []
+    fork, map_samples = os.fork, montecarlo._map_samples
 
-    class CountingPool(futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            starts.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
 
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", CountingPool)
+    def counting_map(*args):
+        before = len(forks)
+        try:
+            return map_samples(*args)
+        finally:
+            if len(forks) > before:
+                starts.append(1 + len(forks) - before)
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(montecarlo, "_map_samples", counting_map)
     return starts
+
+
+def assert_no_children():
+    """Every process a sampling call forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def small_config(**overrides):
@@ -124,6 +141,15 @@ class TestDeterminism:
         a, _ = sample_entropies(small_config(samples=POOLED_SAMPLES))
         b, _ = sample_entropies(small_config(samples=POOLED_SAMPLES, workers=8))
         assert pool_starts == [3]
+        assert np.array_equal(a, b)
+        assert_no_children()
+
+    def test_without_fork_every_chunk_runs_here(self, pool_starts, monkeypatch):
+        # where os.fork does not exist, two workers sample in this process alone
+        a, _ = sample_entropies(small_config(samples=POOLED_SAMPLES))
+        monkeypatch.delattr(os, "fork")
+        b, _ = sample_entropies(small_config(samples=POOLED_SAMPLES, workers=2))
+        assert pool_starts == []
         assert np.array_equal(a, b)
 
     def test_seed_changes_results(self):
@@ -263,18 +289,19 @@ class TestJacobiDraw:
         assert np.all(s1 <= bound * (1 + 1e-13))
 
     def test_inline_runs_do_not_import_the_pool(self):
-        # a fresh interpreter: sampling on one worker never loads
-        # concurrent.futures, which only the pool needs
+        # a fresh interpreter: sampling, on one worker or on forked ones,
+        # loads neither concurrent.futures nor multiprocessing
         env = dict(os.environ, PYTHONPATH=str(Path(pagecurve.__file__).parents[1]))
         code = (
             "import sys\n"
             "from pagecurve import montecarlo\n"
             "montecarlo.typicality_probe([8, 100], 'sqrt', 0.5, 0.1, 300, 0)\n"
-            "print('concurrent.futures' in sys.modules)\n"
+            f"montecarlo.typicality_probe([8], 'sqrt', 0.5, 0.1, {POOLED_SAMPLES}, 0, workers=2)\n"
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"
         )
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
-        assert out.splitlines()[-1] == "False"
+        assert out.splitlines()[-1] == "[]"
 
 
 RAMP8 = (0.3, 0.5, 0.9, 0.1, 0.7, 1.1, 0.2, 0.6)
@@ -323,6 +350,52 @@ class TestStackedCalls:
         sample_entropies(RunConfig(**{**config.__dict__, "samples": 60}), with_s1=True)
         with pytest.raises(NumericalError, match=r"^sample 60 \(seed 7\): symplectic eigenvalue"):
             sample_entropies(config, with_s1=True)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_first_failing_chunk_wins_at_any_worker_count(self, workers):
+        # at s = 15.95 seed 172 first fails at sample 274, in chunk 1, and
+        # again at 549, in chunk 2.  On two processes this one samples chunks
+        # 0 and 2 and meets 549 first, but chunk 1's error is the one raised
+        values = (15.95,) + (0.0,) * 7
+        ks = tuple(range(9))
+        draw, m = _frame_draw(values, ks)
+        params = (8, np.sqrt(_initial_diagonal(values)), ks, True)
+        chunk_2 = (_entropies_for_sample, draw, 8, m, params, SeededStream(172, 0), 512, 768)
+        with pytest.raises(NumericalError, match=r"^sample 549 "):
+            _sample_chunk(chunk_2)
+        config = RunConfig(n=8, squeezing=SqueezingConfig(values), subsystem_sizes=ks,
+                           samples=3 * _CHUNK, master_seed=172, workers=workers)
+        with pytest.raises(NumericalError, match=r"^sample 274 \(seed 172\): symplectic eigenvalue"):
+            sample_entropies(config, with_s1=True)
+        assert_no_children()
+
+    def test_killed_child_names_its_signal(self):
+        # a child that dies without a report (here by SIGKILL, as from the
+        # OOM killer) fails the call with its signal, and is reaped
+        caller = os.getpid()
+
+        def kernel(t, *params):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return _entropies_from_transmissions(t, *params)
+
+        with pytest.raises(PageCurveError, match=r"\(chunks 1::2\) was killed by signal 9 before"):
+            _map_samples(kernel, _jacobi_transmissions, 20, 5, (20, 1.0, (5,), False),
+                         POOLED_SAMPLES, 1, 0, 2)
+        assert_no_children()
+
+    def test_interrupt_kills_running_children(self):
+        # an interrupt in this process leaves no child sampling on after it
+        caller = os.getpid()
+
+        def kernel(t, *params):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        with pytest.raises(KeyboardInterrupt):
+            _map_samples(kernel, _jacobi_transmissions, 20, 5, (), POOLED_SAMPLES, 1, 0, 3)
+        assert_no_children()
 
 
 class TestAgainstPrediction:
