@@ -221,8 +221,9 @@ def _fork_join(chunks, processes: int) -> list:
     children, forked here, samples chunks w::processes, pickles its share
     into a pipe and leaves through `os._exit`, so it runs none of this
     process's clean-up.  numpy.random is loaded before the forks, so no
-    child imports it for itself.  A child that exits without a report
-    stands in its first chunk as a `PageCurveError` giving its exit status.
+    child imports it for itself.  A child that does not exit cleanly (a
+    signal, as from the OOM killer, or a nonzero status) stands in its first
+    chunk as a `PageCurveError` that gives its exit status.
     Every child is reaped before this returns; on an interrupt, the ones
     still running are killed first.
     """
