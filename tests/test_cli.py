@@ -468,3 +468,49 @@ def test_numpy_loads_only_to_sample():
         two = subprocess.run(argv, env={**env, "OPENBLAS_NUM_THREADS": "2"},
                              capture_output=True, check=True).stdout
         assert default == two and default.count(b"\n") > 1
+
+
+def test_collector_frozen_at_exit_only_as_the_program(tmp_path, capsys, monkeypatch):
+    # run as the program, main() registers gc.freeze at exit; a handler registered
+    # before it runs after it (last in, first out) and sees the frozen objects
+    env = dict(os.environ, PYTHONPATH=str(Path(pagecurve.__file__).parents[1]))
+    out = tmp_path / "record.json"
+    request = ["page-curve", "--modes", "6", "--squeeze", "0.75", "--samples", "4",
+               "--workers", "1", "--seed", "11"]
+    json_request = request + ["--format", "json", "--out", str(out)]
+    script = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "from pagecurve.cli import main\n"
+        "sys.argv = ['pagecurve', *sys.argv[1:]]\n"
+        "sys.exit(main())\n"
+    )
+
+    def program(argv):
+        return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, check=True)
+
+    def without_times(path):
+        record = json.loads(path.read_text())
+        del record["metadata"]["wall_time_s"], record["metadata"]["timings"]
+        return record
+
+    csv_run, json_run = program(request), program(json_request)
+    assert csv_run.stderr == json_run.stderr == b"frozen True\n"
+    assert json_run.stdout == b""
+    program_record = without_times(out)
+
+    # in process, main(argv) touches neither the collector nor the exit handlers
+    def refuse(*args):
+        raise AssertionError("main(argv) registered an exit handler or froze the collector")
+
+    import atexit
+    import gc
+
+    monkeypatch.setattr(atexit, "register", refuse)
+    monkeypatch.setattr(gc, "freeze", refuse)
+    assert main(request) == 0
+    assert capsys.readouterr().out.encode() == csv_run.stdout  # bytes: CSV rows end in \r\n
+    assert main(json_request) == 0
+    assert without_times(out) == program_record
+    assert gc.get_freeze_count() == 0
