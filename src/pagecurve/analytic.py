@@ -39,17 +39,19 @@ All polynomial coefficients are held as exact rationals; conversion to float
 happens only when a polynomial is finally evaluated.  The large coefficients
 (f_8 already reaches 27300) cancel catastrophically in floating point.
 
-The module needs only `math` and `fractions`, so it also holds
+The module needs only `math`, `fractions` and `typing`, so it also holds
 `SqueezingConfig`, the per-mode strengths that the CLI parses before it
-knows whether a command samples; `gaussian` re-exports it.
+knows whether a command samples; `gaussian` re-exports it.  `Record`, the
+base of the value classes that check their input, lives here too, since
+every module that defines one loads this one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InputError, TruncationError
 
@@ -73,19 +75,45 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SqueezingConfig:
-    """Per-mode squeezing strengths s_i (dimensionless)."""
+class Record:
+    """Base of an immutable value class whose `__init__` checks its input.
 
-    values: tuple[float, ...]
+    `__init__` stores the fields, in declared order, with
+    `vars(self).update(...)`.  Equality and hashing go by the fields and the
+    class, the repr names each field, and assigning or deleting an attribute
+    raises AttributeError.  The plain records are `typing.NamedTuple`s.  Either
+    kind takes microseconds to define.
+    """
 
-    def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(vars(self).values()) == tuple(vars(other).values())
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class SqueezingConfig(Record):
+    """Per-mode squeezing strengths s_i (dimensionless): field `values`, a tuple of floats."""
+
+    def __init__(self, values):
+        values = tuple(float(v) for v in values)
         if len(values) < 1:
             raise InputError("need at least one mode")
         if not all(math.isfinite(v) for v in values):
             raise InputError(f"squeezing values must be finite, got {values}")
-        object.__setattr__(self, "values", values)
+        vars(self).update(values=values)
 
     @classmethod
     def equal(cls, n: int, s: float) -> "SqueezingConfig":
@@ -235,8 +263,7 @@ SERIES_ABS_TOL = 1e-10  # the tail bound `density_series_info` must reach
 SERIES_MAX_TERMS = 10_000  # within this many terms
 
 
-@dataclass(frozen=True)
-class SeriesInfo:
+class SeriesInfo(NamedTuple):
     """Result of a truncated series evaluation: value plus the rigorous tail bound."""
 
     value: float

@@ -25,17 +25,22 @@ the call.  weingarten and verify have no worker count to set.
 Each handler imports the engine modules its command runs, so a request
 compiles only those, and `import pagecurve.cli` loads none of them:
 
-* weingarten: `weingarten` and `kernels`; not `analytic`, numpy or
-  `dataclasses`;
+* weingarten: `weingarten` and `kernels`; not `analytic` or numpy;
 * an analytic-only page-curve: `analytic`; not the exact engine or numpy;
 * the commands that sample (page-curve with --samples > 0, variance,
   typicality, conjecture-probe): `analytic` and `montecarlo`, which loads
   numpy, `gaussian` and `haar`; not the exact engine;
 * verify: every engine module.
 
-The commands that load numpy start OpenBLAS with one thread, the count the
+No command imports `dataclasses`, and only numpy imports `inspect`.  The
+commands that load numpy start OpenBLAS with one thread, the count the
 sampler runs on, unless OPENBLAS_NUM_THREADS is already set.  JSON output
 imports `json` only when it writes.
+
+Run as the program (`main()` with no argv), the CLI freezes the collector
+at exit (`gc.freeze`), so the collections during finalization skip the
+objects still alive, numpy's among them; `main(argv)` in process leaves
+the collector and the exit handlers alone.
 
 Exit codes: 0 success, 1 usage error, 2 numerical/capacity error,
 3 verification or tolerance failure.
@@ -144,7 +149,9 @@ _NUMPY_MODULES = ("montecarlo", "verify")
 def _load(name: str):
     """Import the engine module `name` when a command first needs it.
 
-    A request then compiles only the modules its command runs.  Before numpy
+    A request then compiles only the modules its command runs, and defines
+    their records as `typing.NamedTuple`s or `analytic.Record`s, which take
+    microseconds each, with no `dataclasses` import.  Before numpy
     first loads through `montecarlo` or `verify`, OPENBLAS_NUM_THREADS
     defaults to the sampler's thread count, so neither this process nor the
     children the sampler forks start an OpenBLAS pool that it shrinks at once.

@@ -28,11 +28,10 @@ a Cholesky factorization of the given covariance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import SqueezingConfig, log_cosh
+from .analytic import Record, SqueezingConfig, log_cosh
 from .errors import InputError, NumericalError
 
 __all__ = [
@@ -106,17 +105,14 @@ class PassiveUnitary:
         return f"PassiveUnitary(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class SymplecticSpectrum:
-    """Symplectic eigenvalues nu_i >= 1 of a subsystem, sorted descending."""
+class SymplecticSpectrum(Record):
+    """Symplectic eigenvalues nu_i >= 1 of a subsystem: field `values`, sorted descending."""
 
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = tuple(sorted((float(v) for v in self.values), reverse=True))
+    def __init__(self, values):
+        vals = tuple(sorted((float(v) for v in values), reverse=True))
         if vals and vals[-1] < 1.0:
             raise InputError(f"symplectic eigenvalues must be >= 1, got {vals[-1]}")
-        object.__setattr__(self, "values", vals)
+        vars(self).update(values=vals)
 
 
 def _initial_diagonal(values) -> np.ndarray:

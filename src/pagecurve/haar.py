@@ -45,10 +45,9 @@ every requested size 0 < k < n has the same k', and Haar rows otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .analytic import Record
 from .errors import InputError
 from .gaussian import PassiveUnitary
 from .provenance import RNG_ALGORITHM
@@ -58,18 +57,15 @@ __all__ = ["RNG_ALGORITHM", "SeededStream", "derive_substream", "sample_haar_uni
 _U64 = 2**64
 
 
-@dataclass(frozen=True)
-class SeededStream:
-    """Value-like handle for one reproducible random stream."""
+class SeededStream(Record):
+    """Value-like handle for one reproducible random stream (master_seed, stream_index)."""
 
-    master_seed: int
-    stream_index: int = 0
-
-    def __post_init__(self):
-        if not (0 <= self.master_seed < _U64):
-            raise InputError(f"master_seed must fit in 64 bits, got {self.master_seed}")
-        if not (0 <= self.stream_index < _U64):
-            raise InputError(f"stream_index must fit in 64 bits, got {self.stream_index}")
+    def __init__(self, master_seed: int, stream_index: int = 0):
+        if not (0 <= master_seed < _U64):
+            raise InputError(f"master_seed must fit in 64 bits, got {master_seed}")
+        if not (0 <= stream_index < _U64):
+            raise InputError(f"stream_index must fit in 64 bits, got {stream_index}")
+        vars(self).update(master_seed=master_seed, stream_index=stream_index)
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)

@@ -63,12 +63,13 @@ from __future__ import annotations
 import enum
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from . import analytic
+from .analytic import Record
 from .errors import InputError, NumericalError, PageCurveError
 from .gaussian import (
     SqueezingConfig,
@@ -332,33 +333,38 @@ def _map_samples(kernel, draw, n, m, params, samples, seed, namespace, workers) 
     return np.concatenate(results)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One Monte Carlo run: system, subsystem sizes, sample count, seeding."""
+class RunConfig(Record):
+    """One Monte Carlo run: system, subsystem sizes, sample count, seeding.
 
-    n: int
-    squeezing: SqueezingConfig
-    subsystem_sizes: tuple[int, ...]
-    samples: int
-    master_seed: int = 0
-    workers: int = 1
-    stream_namespace: int = 0  # `stream_namespace(...)`; 0 is point 0 of Experiment.ENTROPY
+    `stream_namespace` is a `stream_namespace(...)`; 0 is point 0 of
+    Experiment.ENTROPY.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "subsystem_sizes", tuple(int(k) for k in self.subsystem_sizes))
-        if self.n < 1:
-            raise InputError(f"n must be >= 1, got {self.n}")
-        if self.squeezing.n != self.n:
-            raise InputError(
-                f"squeezing has {self.squeezing.n} entries for n={self.n} modes"
-            )
-        if any(not 0 <= k <= self.n for k in self.subsystem_sizes):
-            raise InputError(f"subsystem sizes must lie in [0, {self.n}]")
-        _check_counts(self.samples, self.workers)
+    def __init__(
+        self,
+        n: int,
+        squeezing: SqueezingConfig,
+        subsystem_sizes: tuple[int, ...],
+        samples: int,
+        master_seed: int = 0,
+        workers: int = 1,
+        stream_namespace: int = 0,
+    ):
+        subsystem_sizes = tuple(int(k) for k in subsystem_sizes)
+        if n < 1:
+            raise InputError(f"n must be >= 1, got {n}")
+        if squeezing.n != n:
+            raise InputError(f"squeezing has {squeezing.n} entries for n={n} modes")
+        if any(not 0 <= k <= n for k in subsystem_sizes):
+            raise InputError(f"subsystem sizes must lie in [0, {n}]")
+        _check_counts(samples, workers)
+        vars(self).update(
+            n=n, squeezing=squeezing, subsystem_sizes=subsystem_sizes, samples=samples,
+            master_seed=master_seed, workers=workers, stream_namespace=stream_namespace,
+        )
 
 
-@dataclass(frozen=True)
-class CurveEstimate:
+class CurveEstimate(NamedTuple):
     """Per-subsystem-size entropy statistics plus full provenance."""
 
     subsystem_sizes: tuple[int, ...]
@@ -506,8 +512,7 @@ def estimate_entropy_statistics(config: RunConfig) -> CurveEstimate:
     )
 
 
-@dataclass(frozen=True)
-class ConstantEstimate:
+class ConstantEstimate(NamedTuple):
     """1/n-extrapolated order-one entropy deficit with bootstrap uncertainty."""
 
     value: float
@@ -587,8 +592,7 @@ def estimate_constant_term(
     )
 
 
-@dataclass(frozen=True)
-class TypicalityRecord:
+class TypicalityRecord(NamedTuple):
     """Empirical deviation frequencies of S2 from its sample mean at one n."""
 
     n: int
@@ -662,8 +666,7 @@ def typicality_probe(
     return out
 
 
-@dataclass(frozen=True)
-class DerivativeEstimate:
+class DerivativeEstimate(NamedTuple):
     """Common-random-number finite difference of mean S2 in one s_i^2."""
 
     derivative: float
@@ -727,8 +730,7 @@ def conjecture_probe(
     )
 
 
-@dataclass(frozen=True)
-class MeanCovarianceResult:
+class MeanCovarianceResult(NamedTuple):
     """Deviation of the sampled mean reduced covariance from its Haar average."""
 
     max_abs_deviation: float

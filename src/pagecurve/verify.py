@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ F_REFERENCE: dict[int, dict[int, int]] = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     observed: str
@@ -47,7 +46,7 @@ class CheckResult:
     seconds: float  # wall time spent on this check
 
     def as_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
 class _Checks(list):

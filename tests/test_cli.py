@@ -417,7 +417,8 @@ class TestConjectureCommand:
 
 
 WATCHED_MODULES = (
-    "numpy", "dataclasses", "pagecurve.analytic", "pagecurve.weingarten", "pagecurve.kernels",
+    "numpy", "dataclasses", "inspect", "pagecurve.analytic", "pagecurve.weingarten",
+    "pagecurve.kernels",
 )
 
 
@@ -437,8 +438,9 @@ def _modules_after(env, *requests):
 
 
 def test_numpy_loads_only_to_sample():
-    # fresh interpreters: each command imports only the engine modules it runs,
-    # and sampled digits do not depend on the OpenBLAS thread count the user asks for
+    # fresh interpreters: each command imports only the engine modules it runs, none
+    # imports `dataclasses` (nor `inspect` without numpy), and sampled digits do not
+    # depend on the OpenBLAS thread count the user asks for
     env = dict(os.environ, PYTHONPATH=str(Path(pagecurve.__file__).parents[1]))
     env.pop("OPENBLAS_NUM_THREADS", None)
     assert _modules_after(
@@ -449,13 +451,16 @@ def test_numpy_loads_only_to_sample():
     ) == {"pagecurve.weingarten", "pagecurve.kernels"}
     assert _modules_after(
         env, ["page-curve", "--modes", "16", "--squeeze", "1", "--analytic-only"],
-    ) == {"pagecurve.analytic", "dataclasses"}
+    ) == {"pagecurve.analytic"}
     assert _modules_after(
         env,
         ["typicality", "--modes", "20", "--k-rule", "sqrt", "--squeeze", "0.75",
          "--epsilon", "0.1", "--samples", "4", "--workers", "1"],
         ["page-curve", "--modes", "6", "--squeeze", "0.75", "--samples", "4", "--workers", "1"],
-    ) == {"numpy", "pagecurve.analytic", "dataclasses"}
+    ) - {"inspect"} == {"numpy", "pagecurve.analytic"}  # numpy imports inspect itself
+    assert "dataclasses" not in _modules_after(
+        env, ["verify", "--suite", "coefficients"],  # loads every engine module
+    )
 
     # the n = 100 page curve's QR changes in its last bits with the thread count
     for request in (
