@@ -28,11 +28,12 @@ a Cholesky factorization of the given covariance.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from .analytic import Record, SqueezingConfig, log_cosh
-from .errors import InputError, NumericalError
+from .errors import CapacityError, InputError, NumericalError
 
 __all__ = [
     "SqueezingConfig",
@@ -115,13 +116,30 @@ class SymplecticSpectrum(Record):
         vars(self).update(values=vals)
 
 
+_MAX_SQUEEZE = math.log(sys.float_info.max) / 2  # ~354.89; e^{2|s|} is finite up to it
+
+
 def _initial_diagonal(values) -> np.ndarray:
+    """diag(e^{2s_i}) (+) diag(e^{-2s_i}); CapacityError if some |s_i| > _MAX_SQUEEZE.
+
+    Beyond the bound e^{2|s_i|} overflows to inf, and every entropy of the
+    covariance route would come out nan, so the check runs before any draw.
+    """
+    worst = max(map(abs, values), default=0.0)
+    if worst > _MAX_SQUEEZE:
+        raise CapacityError(
+            f"squeezing |s_i| = {worst} exceeds log(DBL_MAX)/2 = {_MAX_SQUEEZE:.6f}, "
+            "beyond which e^(2|s_i|) overflows a double"
+        )
     z = np.exp(2.0 * np.asarray(values, dtype=float))
     return np.concatenate([z, 1.0 / z])
 
 
 def build_initial_covariance(config: SqueezingConfig) -> CovarianceMatrix:
-    """Product squeezed-vacuum covariance diag(e^{2s_i}) (+) diag(e^{-2s_i})."""
+    """Product squeezed-vacuum covariance diag(e^{2s_i}) (+) diag(e^{-2s_i}).
+
+    Raises CapacityError if some |s_i| exceeds log(DBL_MAX)/2 ~ 354.89.
+    """
     return CovarianceMatrix(np.diag(_initial_diagonal(config.values)))
 
 

@@ -1,6 +1,7 @@
 import ast
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pagecurve
-from pagecurve import NumericalError, analytic, kernels
+from pagecurve import NumericalError, analytic, kernels, montecarlo
 from pagecurve.cli import SCHEMA_VERSION, main
 
 PAGE_CURVE_ANALYTIC_COLUMNS = [
@@ -345,6 +346,40 @@ def test_bad_sampling_inputs_rejected_before_sampling(command, message, capsys, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["page-curve", "--modes", "4", "--samples", "3"],
+        ["conjecture-probe", "--modes", "3", "--k", "1", "--samples", "3"],
+    ],
+    ids=["page-curve", "conjecture-probe"],
+)
+def test_squeezing_beyond_the_double_range_exits_2_before_sampling(command, capsys,
+                                                                    monkeypatch):
+    # e^{2|s|} overflows from |s| > log(DBL_MAX)/2 ~ 354.89 on the Haar-row route
+    def refuse(*args):
+        raise AssertionError("sampled before checking the squeezing bound")
+
+    monkeypatch.setattr(montecarlo, "_map_samples", refuse)
+    assert main(command + ["--squeeze", "400", "--workers", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds log(DBL_MAX)/2 = 354.891356" in captured.err
+    monkeypatch.undo()
+
+    assert main(command + ["--squeeze", "354", "--workers", "1", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert all(math.isfinite(cell) for row in rows for cell in row if isinstance(cell, float))
+
+
+def test_typicality_at_squeezing_beyond_the_double_range_stays_finite(capsys):
+    # the Jacobi route works in logarithms and never forms e^{2s}
+    assert main(["typicality", "--modes", "6", "--squeeze", "400", "--epsilon", "0.1",
+                 "--samples", "3", "--workers", "1", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows and all(math.isfinite(row[5]) and row[5] > 0 for row in rows)
 
 
 @pytest.mark.parametrize(
