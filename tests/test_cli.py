@@ -1,5 +1,7 @@
 import ast
+import atexit
 import csv
+import gc
 import json
 import math
 import os
@@ -522,7 +524,6 @@ def test_collector_frozen_at_exit_only_as_the_program(tmp_path, capsys, monkeypa
         "import atexit, gc, sys\n"
         "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
         "from pagecurve.cli import main\n"
-        "sys.argv = ['pagecurve', *sys.argv[1:]]\n"
         "sys.exit(main())\n"
     )
 
@@ -543,9 +544,6 @@ def test_collector_frozen_at_exit_only_as_the_program(tmp_path, capsys, monkeypa
     # in process, main(argv) touches neither the collector nor the exit handlers
     def refuse(*args):
         raise AssertionError("main(argv) registered an exit handler or froze the collector")
-
-    import atexit
-    import gc
 
     monkeypatch.setattr(atexit, "register", refuse)
     monkeypatch.setattr(gc, "freeze", refuse)
