@@ -106,7 +106,6 @@ def test_record_contract(cls, fields, defaults, changed, bad):
     for name, value in fields.items():
         with pytest.raises(AttributeError):
             setattr(record, name, value)
-    assert repr(record) == repr(twin)
 
     if cls is verify.CheckResult:
         assert record.as_dict() == fields
