@@ -65,6 +65,7 @@ _EXPORTS = {
         "estimate_entropy_statistics",
         "mean_covariance_check",
         "sample_entropies",
+        "sample_ladder",
         "stream_namespace",
         "typicality_probe",
     ),

@@ -4,6 +4,10 @@ Subcommands: page-curve, variance, typicality, conjecture-probe, weingarten,
 verify.  Every run emits a versioned record (CSV or JSON) whose metadata
 carries the seed, the RNG algorithm, the sampler id, the wall time and the
 exact command line needed to regenerate the numeric columns byte-for-byte.
+Each command's handler only parses its options, calls the library and
+returns its columns, rows and metadata; `main` times the run from the end of
+argument parsing and builds and writes the record.  `verify` prints a report
+and writes its record only with --out.
 The sampling commands add `timings`: the seconds spent in the sampler
 (`sampling_s`) and the samples drawn per second (`samples_per_s`).  Only
 the JSON format prints metadata, so CSV output carries no timings.
@@ -13,8 +17,9 @@ kernel backend.
 `weingarten a-ell` accepts 1 <= --max <= 5 and checks the cap before it
 enumerates; `weingarten wg --type` takes cycle lengths >= 1.  Every comma
 list of integers (--modes of variance and typicality, --powers, --ladder,
---type) needs at least one entry, and `verify --samples` is at least 2;
-both are usage errors checked before any work starts.
+--type) needs at least one entry, a usage error checked before any work
+starts.  `verify --samples` is at least 50, the floor that
+`verify.run_suite` checks before any suite runs (exit 1, nothing printed).
 
 Only the sampling commands (page-curve, variance, typicality,
 conjecture-probe) take --workers, the number of processes that sample, this
@@ -108,15 +113,14 @@ def _write_record(record: dict, out: str | None, fmt: str):
         sys.stdout.write(payload)
 
 
-def _record(command, argv, columns, rows, seed, extra_metadata=None, started=None):
+def _record(command, argv, columns, rows, seed, extra_metadata, started):
     metadata = {
         "seed": seed,
         "rng_algorithm": RNG_ALGORITHM,
         "sampler": SAMPLER,
-        "wall_time_s": None if started is None else round(time.perf_counter() - started, 6),
+        "wall_time_s": round(time.perf_counter() - started, 6),
+        **extra_metadata,
     }
-    if extra_metadata:
-        metadata.update(extra_metadata)
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -267,8 +271,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_page_curve(args, argv):
-    started = time.perf_counter()
+def _cmd_page_curve(args):
     n = args.modes
     if n < 1:
         raise _UsageError(f"--modes must be >= 1, got {n}")
@@ -335,60 +338,40 @@ def _cmd_page_curve(args, argv):
         row.append("mc" if with_mc else "analytic")
         rows.append(row)
 
-    extra = {"modes": n, "squeezing": list(squeezing.values), "workers": args.workers}
+    metadata = {"modes": n, "squeezing": list(squeezing.values), "workers": args.workers}
     if with_mc:
-        extra.update(sampling)
+        metadata.update(sampling)
     if equal:
-        extra["density"] = {"rule": analytic.DENSITY_RULE}
-    record = _record("page-curve", argv, columns, rows, args.seed, extra, started)
-    _write_record(record, args.out, args.format)
-    return EXIT_OK
+        metadata["density"] = {"rule": analytic.DENSITY_RULE}
+    return "page-curve", columns, rows, metadata
 
 
-def _cmd_variance(args, argv):
-    started = time.perf_counter()
+def _cmd_variance(args):
     modes = _parse_int_list(args.modes, "--modes")
     ratio = _parse_ratio(args.ratio)
-    analytic = _load("analytic")
-    montecarlo = _load("montecarlo")
-    columns = ["n", "k", "mc_mean", "mc_variance", "analytic_variance_leading", "samples", "provenance"]
-    configs = []
-    for i, n in enumerate(modes):
+    points = []
+    for n in modes:
         k = ratio * n
         if k.denominator != 1:
             raise _UsageError(f"--ratio {args.ratio} times n={n} is not integral")
-        configs.append(montecarlo.RunConfig(
-            n=n, squeezing=analytic.SqueezingConfig.equal(n, args.squeeze), subsystem_sizes=(int(k),),
-            samples=args.samples, master_seed=args.seed, workers=args.workers,
-            stream_namespace=montecarlo.stream_namespace(montecarlo.Experiment.VARIANCE, i),
-        ))
+        points.append((n, int(k)))
+    analytic = _load("analytic")
+    montecarlo = _load("montecarlo")
     columns_s2, sampling = _timed(
-        args.samples * len(configs),
-        lambda: [montecarlo.sample_entropies(config)[0][:, 0] for config in configs],
+        args.samples * len(points), montecarlo.sample_ladder, montecarlo.Experiment.VARIANCE,
+        points, args.squeeze, args.samples, args.seed, args.workers,
     )
-    rows = []
-    for config, col in zip(configs, columns_s2):
-        rows.append(
-            [
-                config.n,
-                config.subsystem_sizes[0],
-                float(col.mean()),
-                float(col.var(ddof=1)) if args.samples > 1 else 0.0,
-                analytic.variance_series(args.squeeze, ratio),
-                args.samples,
-                "mc",
-            ]
-        )
-    record = _record(
-        "variance", argv, columns, rows, args.seed,
-        {"squeeze": args.squeeze, **sampling}, started,
-    )
-    _write_record(record, args.out, args.format)
-    return EXIT_OK
+    leading = analytic.variance_series(args.squeeze, ratio)
+    columns = ["n", "k", "mc_mean", "mc_variance", "analytic_variance_leading", "samples", "provenance"]
+    rows = [
+        [n, k, float(col.mean()), float(col.var(ddof=1)) if args.samples > 1 else 0.0,
+         leading, args.samples, "mc"]
+        for (n, k), col in zip(points, columns_s2)
+    ]
+    return "variance", columns, rows, {"squeeze": args.squeeze, **sampling}
 
 
-def _cmd_typicality(args, argv):
-    started = time.perf_counter()
+def _cmd_typicality(args):
     modes = _parse_int_list(args.modes, "--modes")
     montecarlo = _load("montecarlo")
     records, sampling = _timed(
@@ -399,21 +382,11 @@ def _cmd_typicality(args, argv):
         "n", "k", "epsilon", "strong_deviation_frequency",
         "weak_deviation_frequency", "mean_s2", "samples", "provenance",
     ]
-    rows = [
-        [t.n, t.k, t.epsilon, t.strong_deviation_frequency,
-         t.weak_deviation_frequency, t.mean_s2, t.samples, "mc"]
-        for t in records
-    ]
-    record = _record(
-        "typicality", argv, columns, rows, args.seed,
-        {"k_rule": args.k_rule, "squeeze": args.squeeze, **sampling}, started,
-    )
-    _write_record(record, args.out, args.format)
-    return EXIT_OK
+    rows = [[*t, "mc"] for t in records]
+    return "typicality", columns, rows, {"k_rule": args.k_rule, "squeeze": args.squeeze, **sampling}
 
 
-def _cmd_conjecture_probe(args, argv):
-    started = time.perf_counter()
+def _cmd_conjecture_probe(args):
     squeezing = _parse_squeeze(args.squeeze, args.modes)
     montecarlo = _load("montecarlo")
     est, sampling = _timed(
@@ -426,13 +399,10 @@ def _cmd_conjecture_probe(args, argv):
     ]
     rows = [[args.modes, args.k, args.mode_index, args.delta, est.derivative,
              est.stderr, est.negative_fraction, args.samples, "mc"]]
-    record = _record("conjecture-probe", argv, columns, rows, args.seed, sampling, started)
-    _write_record(record, args.out, args.format)
-    return EXIT_OK
+    return "conjecture-probe", columns, rows, sampling
 
 
-def _cmd_weingarten(args, argv):
-    started = time.perf_counter()
+def _cmd_weingarten(args):
     weingarten = _load("weingarten")
     if args.subop == "a-ell":
         if args.max < 1:
@@ -467,20 +437,11 @@ def _cmd_weingarten(args, argv):
         columns = ["point", "value", "provenance"]
         rows = [[f"n={n}", float(est), "exact"] for n, est in zip(ladder, estimates)]
         rows.append(["extrapolated", value, "exact"])
-    record = _record(f"weingarten {args.subop}", argv, columns, rows, args.seed, None, started)
-    _write_record(record, args.out, args.format)
-    return EXIT_OK
+    return f"weingarten {args.subop}", columns, rows, {}
 
 
-def _cmd_verify(args, argv):
-    started = time.perf_counter()
-    if args.samples is not None and args.samples < 2:  # a sample stderr needs two draws
-        raise _UsageError(f"--samples must be >= 2, got {args.samples}")
-    verify = _load("verify")
-    try:
-        results = verify.run_suite(args.suite, seed=args.seed, samples=args.samples)
-    except KeyError as exc:
-        raise _UsageError(f"unknown suite {exc}") from exc
+def _cmd_verify(args, argv, started):
+    results = _load("verify").run_suite(args.suite, seed=args.seed, samples=args.samples)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -489,26 +450,25 @@ def _cmd_verify(args, argv):
             line += f": observed {r.observed}, expected {r.expected} (tolerance {r.tolerance})"
         print(line)
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    record = _record(
-        f"verify {args.suite}", argv,
-        ["name", "passed", "observed", "expected", "tolerance", "seconds"],
-        [[r.name, r.passed, r.observed, r.expected, r.tolerance, r.seconds] for r in results],
-        args.seed,
-        {"suite": args.suite, **(_SAMPLING if args.suite in ("montecarlo", "all") else {})},
-        started,
-    )
     if args.out:
+        record = _record(
+            f"verify {args.suite}", argv,
+            ["name", "passed", "observed", "expected", "tolerance", "seconds"],
+            [[r.name, r.passed, r.observed, r.expected, r.tolerance, r.seconds] for r in results],
+            args.seed,
+            {"suite": args.suite, **(_SAMPLING if args.suite in ("montecarlo", "all") else {})},
+            started,
+        )
         _write_record(record, args.out, "json" if args.format == "csv" else args.format)
     return EXIT_VERIFICATION if failed else EXIT_OK
 
 
-_COMMANDS = {
+_COMMANDS = {  # args -> (command, columns, rows, metadata) of the run's record
     "page-curve": _cmd_page_curve,
     "variance": _cmd_variance,
     "typicality": _cmd_typicality,
     "conjecture-probe": _cmd_conjecture_probe,
     "weingarten": _cmd_weingarten,
-    "verify": _cmd_verify,
 }
 
 
@@ -528,7 +488,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.subcommand](args, argv)
+        started = time.perf_counter()
+        if args.subcommand == "verify":
+            return _cmd_verify(args, argv, started)
+        command, columns, rows, metadata = _COMMANDS[args.subcommand](args)
+        record = _record(command, argv, columns, rows, args.seed, metadata, started)
+        _write_record(record, args.out, args.format)
+        return EXIT_OK
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -293,34 +293,20 @@ def max_subsystem_entropy(n: int, k: int, s: float, order: int) -> float:
 def build_max_entangling_unitary(n: int, k: int) -> PassiveUnitary:
     """Interferometer achieving the maximal subsystem entropy for 2k <= n.
 
-    The first k rows are (e_{2i-1} + i e_{2i}) / sqrt(2); they make the
-    projected mode-overlap matrix W vanish, so every subsystem symplectic
-    eigenvalue equals cosh(2s).  The remaining rows come from modified
-    Gram-Schmidt over the standard basis with a re-orthogonalization pass.
+    The first k rows are (e_{2i} + i e_{2i+1}) / sqrt(2) (0-based); they make
+    the projected mode-overlap matrix W vanish, so every subsystem symplectic
+    eigenvalue equals cosh(2s).  Rows k + i are (e_{2i} - i e_{2i+1}) / sqrt(2)
+    and rows j >= 2k are e_j, which completes the rows to a unitary.
     """
     if k < 0 or n < 1:
         raise InputError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
     if 2 * k > n:
         raise InputError(f"construction needs 2k <= n, got k={k}, n={n}")
     rows = np.zeros((n, n), dtype=complex)
+    rows[2 * k :, 2 * k :] = np.eye(n - 2 * k)
+    pair = np.array([[1.0, 1.0j], [1.0, -1.0j]]) / math.sqrt(2.0)
     for i in range(k):
-        rows[i, 2 * i] = 1.0 / math.sqrt(2.0)
-        rows[i, 2 * i + 1] = 1.0j / math.sqrt(2.0)
-    have = k
-    for cand in range(n):
-        if have == n:
-            break
-        v = np.zeros(n, dtype=complex)
-        v[cand] = 1.0
-        for _ in range(2):  # re-orthogonalize to keep orthogonality near eps
-            for i in range(have):
-                v -= rows[i] * np.vdot(rows[i], v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            rows[have] = v / norm
-            have += 1
-    if have != n:
-        raise NumericalError("Gram-Schmidt completion failed")  # unreachable
+        rows[[i, k + i], 2 * i : 2 * i + 2] = pair
     return PassiveUnitary(rows)
 
 

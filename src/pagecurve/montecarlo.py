@@ -38,9 +38,10 @@ picks one from the squeezing values and the requested subsystem sizes alone:
   (the `haar` docstring gives the law), so S2 = (1/2) sum log(1 + c T_i)
   and S1 = sum h1(nu_i) with c = sinh^2(2s), computed in logarithms so
   that no large factor is ever rounded and no symplectic eigensolve or
-  purity clamp is needed.  `sample_entropies` uses it for every such run,
-  and with it `typicality_probe`, `estimate_constant_term`, the CLI
-  `variance` command and the single-size checks of `verify`.
+  purity clamp is needed.  `sample_entropies` uses it for every such run:
+  the single-size checks of `verify`, and every point of `sample_ladder`,
+  the one ladder loop that `typicality_probe`, `estimate_constant_term` and
+  the CLI `variance` command sample through.
 * otherwise: the first m rows of a Haar unitary, `haar._haar_frame(n, m)`
   transposed, at O(n m^2), with m the largest size below n.  The full page
   curve needs m = n - 1, which costs the same as a full unitary; unequal
@@ -102,6 +103,7 @@ __all__ = [
     "DerivativeEstimate",
     "MeanCovarianceResult",
     "sample_entropies",
+    "sample_ladder",
     "estimate_entropy_statistics",
     "estimate_constant_term",
     "typicality_probe",
@@ -112,6 +114,7 @@ __all__ = [
 _CHUNK = 256  # fixed chunk size; independent of worker count by design
 _STACK_ENTRIES = 2**12  # matrix entries of the samples stacked into one LAPACK call
 _POINT_BITS = 16
+_BOOTSTRAP_RESAMPLES = 1000  # of `estimate_constant_term`
 _BLAS_PREFIXES = ("openblas", "scipy_openblas")  # with "64_" for 64-bit integer builds
 
 
@@ -150,7 +153,10 @@ def _set_blas_threads(counts) -> list[int]:
     changes the last bits of the Haar QR (n >= ~100), and because sampling
     processes that each keep several threads oversubscribe the cores: at
     n=400 on 2 cores, 512 draws took 31 s on 2 such processes against 9 s
-    with one BLAS thread each.
+    with one BLAS thread each.  With OPENBLAS_NUM_THREADS unset, the CPU a
+    process spends beyond its wall time just after `import numpy` is
+    OpenBLAS's own idle thread, not this call; the CLI sets the variable
+    before numpy loads.
     """
     controls = _openblas_thread_controls()
     if isinstance(counts, int):
@@ -489,6 +495,26 @@ def sample_entropies(
     return rows[:, 0], rows[:, 1] if with_s1 else None
 
 
+def sample_ladder(
+    experiment: Experiment, points, s: float, samples: int, seed: int, workers: int = 1
+) -> list[np.ndarray]:
+    """The S2 samples of each (n, k) point of a ladder at equal squeezing s.
+
+    Point i draws on `stream_namespace(experiment, i)`, and every point is
+    checked before the first draw.  Each point has one size, so every sample
+    draws the min(k, n - k) Jacobi transmissions at O(k^3) whatever n (see
+    `_frame_draw`).
+    """
+    configs = [
+        RunConfig(
+            n=n, squeezing=SqueezingConfig.equal(n, s), subsystem_sizes=(k,), samples=samples,
+            master_seed=seed, workers=workers, stream_namespace=stream_namespace(experiment, i),
+        )
+        for i, (n, k) in enumerate(points)
+    ]
+    return [sample_entropies(config)[0][:, 0] for config in configs]
+
+
 def estimate_entropy_statistics(config: RunConfig) -> CurveEstimate:
     """Sample Haar interferometers and aggregate the Renyi-2 subsystem entropies.
 
@@ -534,47 +560,36 @@ def _extrapolate_intercept(ns, values):
 
 
 def estimate_constant_term(
-    n_ladder,
-    s: float,
-    r,
-    samples: int,
-    seed: int,
-    workers: int = 1,
-    bootstrap_resamples: int = 1000,
+    n_ladder, s: float, r, samples: int, seed: int, workers: int = 1
 ) -> ConstantEstimate:
     """Estimate the order-one deficit lambda by ladder extrapolation.
 
     At each ladder point computes n * density(s, r) - mean(S2) and
-    extrapolates linearly in 1/n; the uncertainty is the bootstrap standard
-    deviation of the extrapolated value (resampling per ladder point).  The
-    squeezing is equal and each point has one size, so every sample, at any
-    r, draws the min(k, n - k) Jacobi transmissions at O(k^3) (see
-    `_frame_draw`).
+    extrapolates linearly in 1/n; the uncertainty is the standard deviation
+    of the extrapolated value over `_BOOTSTRAP_RESAMPLES` bootstrap
+    resamples (resampling per ladder point).  The points sample through
+    `sample_ladder`.
     """
     ladder = sorted(int(n) for n in n_ladder)
     if len(ladder) < 3:
         raise InputError(f"ladder needs at least 3 points, got {ladder}")
     rq = Fraction(r)
-    configs = []
-    for i, n in enumerate(ladder):
+    points = []
+    for n in ladder:
         k = rq * n
         if k.denominator != 1:
             raise InputError(f"r*n must be integral, got r={r}, n={n}")
-        configs.append(RunConfig(
-            n=n, squeezing=SqueezingConfig.equal(n, s), subsystem_sizes=(int(k),),
-            samples=samples, master_seed=seed, workers=workers,
-            stream_namespace=stream_namespace(Experiment.CONSTANT_TERM, i),
-        ))
+        points.append((n, int(k)))
     density = analytic.page_curve_density(s, rq)
-    per_point = [sample_entropies(config)[0][:, 0] for config in configs]
+    per_point = sample_ladder(Experiment.CONSTANT_TERM, points, s, samples, seed, workers)
     lam_hat = [n * density - float(col.mean()) for n, col in zip(ladder, per_point)]
     value = _extrapolate_intercept(ladder, lam_hat)
 
     boot_stream = derive_substream(
         SeededStream(seed, stream_namespace(Experiment.BOOTSTRAP)), 0
     ).generator()
-    boots = np.empty(bootstrap_resamples)
-    for b in range(bootstrap_resamples):
+    boots = np.empty(_BOOTSTRAP_RESAMPLES)
+    for b in range(_BOOTSTRAP_RESAMPLES):
         resampled = []
         for n, col in zip(ladder, per_point):
             idx = boot_stream.integers(0, len(col), size=len(col))
@@ -604,9 +619,7 @@ class TypicalityRecord(NamedTuple):
     samples: int
 
 
-def _resolve_k_rule(k_rule, n: int) -> int:
-    if callable(k_rule):
-        return int(k_rule(n))
+def _resolve_k_rule(k_rule: str, n: int) -> int:
     if k_rule == "sqrt":
         return math.isqrt(n - 1) + 1 if n > 1 else 1  # ceil(sqrt(n))
     if isinstance(k_rule, str) and k_rule.startswith("ratio:"):
@@ -617,52 +630,34 @@ def _resolve_k_rule(k_rule, n: int) -> int:
         if not 0 <= ratio <= 1:
             raise InputError(f"ratio must be in [0, 1], got {ratio}")
         return round(ratio * n)
-    raise InputError(f"unknown k rule {k_rule!r} (use 'sqrt', 'ratio:<x>', or a callable)")
+    raise InputError(f"unknown k rule {k_rule!r} (use 'sqrt' or 'ratio:<x>')")
 
 
 def typicality_probe(
-    n_list, k_rule, s: float, epsilon: float, samples: int, seed: int, workers: int = 1
+    n_list, k_rule: str, s: float, epsilon: float, samples: int, seed: int, workers: int = 1
 ) -> list[TypicalityRecord]:
     """Frequencies of absolute and relative entropy deviations at each n.
 
-    The squeezing is equal and each n has one size, so every sample, for
-    any rule, draws the min(k, n - k) Jacobi transmissions at O(k^3)
-    instead of a k x n row frame at O(n k^2); see `_frame_draw`.
+    `k_rule` is 'sqrt' (k = ceil(sqrt n)) or 'ratio:<x>' (k = round(x n)).
+    The points sample through `sample_ladder`, so for either rule a sample
+    draws the min(k, n - k) Jacobi transmissions at O(k^3) instead of a
+    k x n row frame at O(n k^2).
     """
     if not 0 < epsilon < math.inf:
         raise InputError(f"epsilon must be positive and finite, got {epsilon}")
-    configs = []
-    for i, n in enumerate(int(n) for n in n_list):
-        k = _resolve_k_rule(k_rule, n)
-        if not 0 <= k <= n:
-            raise InputError(f"k rule produced k={k} outside [0, {n}]")
-        configs.append(RunConfig(
-            n=n, squeezing=SqueezingConfig.equal(n, s), subsystem_sizes=(k,),
-            samples=samples, master_seed=seed, workers=workers,
-            stream_namespace=stream_namespace(Experiment.TYPICALITY, i),
-        ))
+    points = [(n, _resolve_k_rule(k_rule, n)) for n in map(int, n_list)]
     out = []
-    for config in configs:
-        col = sample_entropies(config)[0][:, 0]
+    for (n, k), col in zip(
+        points, sample_ladder(Experiment.TYPICALITY, points, s, samples, seed, workers)
+    ):
         mean = float(col.mean())
         strong = float(np.mean(np.abs(col - mean) >= epsilon))
-        if abs(mean) < 1e-12:
-            # relative deviation is meaningless at zero mean (vacuum, k=0);
-            # fall back to the absolute criterion
-            weak = float(np.mean(np.abs(col - mean) >= epsilon))
-        else:
+        # relative deviation is meaningless at zero mean (vacuum, k=0);
+        # fall back to the absolute criterion
+        weak = strong
+        if abs(mean) >= 1e-12:
             weak = float(np.mean(np.abs(col / mean - 1.0) >= epsilon))
-        out.append(
-            TypicalityRecord(
-                n=config.n,
-                k=config.subsystem_sizes[0],
-                epsilon=epsilon,
-                strong_deviation_frequency=strong,
-                weak_deviation_frequency=weak,
-                mean_s2=mean,
-                samples=samples,
-            )
-        )
+        out.append(TypicalityRecord(n, k, epsilon, strong, weak, mean, samples))
     return out
 
 
