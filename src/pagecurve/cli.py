@@ -23,8 +23,9 @@ starts.  `verify --samples` is at least 50, the floor that
 
 Only the sampling commands (page-curve, variance, typicality,
 conjecture-probe) take --workers, the number of processes that sample, this
-one included, at most one per 256-sample chunk; the others are forked for
-the call.  weingarten and verify have no worker count to set.
+one included, at most one per 256 samples; the others are forked for the
+call, and each process samples one contiguous range.  Their records carry
+`workers`.  weingarten and verify have no worker count to set.
 `page-curve --samples` is 0 for an analytic-only curve or a positive count.
 
 Each handler imports the engine modules its command runs, so a request
@@ -134,8 +135,8 @@ def _record(command, argv, columns, rows, seed, extra_metadata, started):
 _SAMPLING = {"blas_threads": SAMPLING_BLAS_THREADS}  # metadata of sampling commands
 
 
-def _timed(samples: int, call, *args):
-    """call(*args) and the sampling metadata of the `samples` draws it makes.
+def _timed(samples: int, workers: int, call, *args):
+    """call(*args) and the sampling metadata of the `samples` draws it makes on `workers`.
 
     The timer spans only the call into the sampler, so the record's
     `timings` leave out start-up, argument parsing and output.
@@ -144,7 +145,7 @@ def _timed(samples: int, call, *args):
     result = call(*args)
     elapsed = time.perf_counter() - start
     timings = {"sampling_s": round(elapsed, 6), "samples_per_s": round(samples / elapsed, 3)}
-    return result, {**_SAMPLING, "timings": timings}
+    return result, {**_SAMPLING, "workers": workers, "timings": timings}
 
 
 _NUMPY_MODULES = ("montecarlo", "verify")
@@ -179,8 +180,8 @@ def _add_sampling(sub):
         "--workers",
         type=int,
         default=os.cpu_count() or 1,
-        help="processes that sample, this one included; at most one per 256-sample "
-        "chunk (default: hardware parallelism)",
+        help="processes that sample, this one included; at most one per 256 "
+        "samples (default: hardware parallelism)",
     )
 
 
@@ -306,7 +307,9 @@ def _cmd_page_curve(args):
             master_seed=args.seed,
             workers=args.workers,
         )
-        estimate, sampling = _timed(args.samples, montecarlo.estimate_entropy_statistics, config)
+        estimate, sampling = _timed(
+            args.samples, args.workers, montecarlo.estimate_entropy_statistics, config
+        )
 
     columns = ["r", "k", "analytic_density", "analytic_total", "max_entropy"]
     if with_mc:
@@ -338,7 +341,7 @@ def _cmd_page_curve(args):
         row.append("mc" if with_mc else "analytic")
         rows.append(row)
 
-    metadata = {"modes": n, "squeezing": list(squeezing.values), "workers": args.workers}
+    metadata = {"modes": n, "squeezing": list(squeezing.values)}
     if with_mc:
         metadata.update(sampling)
     if equal:
@@ -358,7 +361,8 @@ def _cmd_variance(args):
     analytic = _load("analytic")
     montecarlo = _load("montecarlo")
     columns_s2, sampling = _timed(
-        args.samples * len(points), montecarlo.sample_ladder, montecarlo.Experiment.VARIANCE,
+        args.samples * len(points), args.workers,
+        montecarlo.sample_ladder, montecarlo.Experiment.VARIANCE,
         points, args.squeeze, args.samples, args.seed, args.workers,
     )
     leading = analytic.variance_series(args.squeeze, ratio)
@@ -375,7 +379,7 @@ def _cmd_typicality(args):
     modes = _parse_int_list(args.modes, "--modes")
     montecarlo = _load("montecarlo")
     records, sampling = _timed(
-        args.samples * len(modes), montecarlo.typicality_probe,
+        args.samples * len(modes), args.workers, montecarlo.typicality_probe,
         modes, args.k_rule, args.squeeze, args.epsilon, args.samples, args.seed, args.workers,
     )
     columns = [
@@ -390,7 +394,7 @@ def _cmd_conjecture_probe(args):
     squeezing = _parse_squeeze(args.squeeze, args.modes)
     montecarlo = _load("montecarlo")
     est, sampling = _timed(
-        args.samples, montecarlo.conjecture_probe,
+        args.samples, args.workers, montecarlo.conjecture_probe,
         squeezing, args.mode_index, args.delta, args.samples, args.seed, args.k, args.workers,
     )
     columns = [
@@ -459,7 +463,7 @@ def _cmd_verify(args, argv, started):
             {"suite": args.suite, **(_SAMPLING if args.suite in ("montecarlo", "all") else {})},
             started,
         )
-        _write_record(record, args.out, "json" if args.format == "csv" else args.format)
+        _write_record(record, args.out, args.format)
     return EXIT_VERIFICATION if failed else EXIT_OK
 
 

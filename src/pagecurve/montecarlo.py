@@ -5,19 +5,20 @@ the sample and worker counts before any draw, keys sample j by the Philox
 stream `haar.derive_substream(SeededStream(master_seed, namespace), j)`, that
 is (master_seed, namespace * 2^32 + j), and applies a kernel.
 Each experiment and ladder point owns its namespace through one injective
-rule, `stream_namespace`, so no two of them share a stream.  Samples run in
-fixed chunks of `_CHUNK` on at most one process per chunk: this one, and
-children it forks for the call, which sample their share of the chunks
-while it samples its own (`_fork_join`).  The kernel's rows come back in
-global sample order.  Neither the keys nor the assembly depend on the
-worker count, so results are bit-identical for any number of workers.
+rule, `stream_namespace`, so no two of them share a stream.  The samples
+are split into contiguous ranges of near-equal size, one per process, with
+at most one process per `_SHARE` samples: this one, and children it forks
+for the call, which sample their ranges while it samples the first
+(`_fork_join`).  The kernel's rows come back in global sample order.
+Neither the keys nor the order depend on the worker count, so results are
+bit-identical for any number of workers.
 
-Within a chunk, samples go through the draw and the kernel in stacks: every
+Within a range, samples go through the draw and the kernel in stacks: every
 draw and kernel takes a leading sample axis, so one LAPACK call (QR, SVD or
 eigvalsh, which numpy runs matrix by matrix with the same routine) serves a
 whole stack instead of one sample, and the numpy call overhead that
 dominated small factorizations is paid once per stack.  Each sample is
-still drawn from its own substream, through one Philox per chunk re-keyed
+still drawn from its own substream, through one Philox per range re-keyed
 to each substream (`haar._rekeyed_generator`), which gives exactly the
 stream a new generator would; a sample's rows are therefore bit-identical
 to drawing and evaluating it alone.  One module constant, `_STACK_ENTRIES`,
@@ -111,7 +112,7 @@ __all__ = [
     "mean_covariance_check",
 ]
 
-_CHUNK = 256  # fixed chunk size; independent of worker count by design
+_SHARE = 256  # samples per sampling process before one more is forked
 _STACK_ENTRIES = 2**12  # matrix entries of the samples stacked into one LAPACK call
 _POINT_BITS = 16
 _BOOTSTRAP_RESAMPLES = 1000  # of `estimate_constant_term`
@@ -209,66 +210,58 @@ def _stack_size(draw, n: int, m: int) -> int:
     return max(1, _STACK_ENTRIES // max(entries, 1))
 
 
-def _sample_share(chunks) -> list:
-    """Each chunk's rows in turn; the first chunk that raises ends the list with its exception."""
-    share = []
-    for chunk in chunks:
-        try:
-            share.append(_sample_chunk(chunk))
-        except Exception as exc:  # carried to `_map_samples`, which raises it in chunk order
-            share.append(exc)
-            break
-    return share
+def _fork_join(sample, ranges) -> list:
+    """sample(j0, j1) on its own process for each (j0, j1) of `ranges`; the results in order.
 
-
-def _fork_join(chunks, processes: int) -> list:
-    """Per chunk, its rows or the exception that stopped its process (None for the chunks after).
-
-    This process samples chunks 0::processes while each of processes - 1
-    children, forked here, samples chunks w::processes, pickles its share
-    into a pipe and leaves through `os._exit`, so it runs none of this
-    process's clean-up.  numpy.random is loaded before the forks, so no
-    child imports it for itself.  A child that does not exit cleanly (a
-    signal, as from the OOM killer, or a nonzero status) stands in its first
-    chunk as a `PageCurveError` that gives its exit status.
-    Every child is reaped before this returns; on an interrupt, the ones
-    still running are killed first.
+    This process samples the first range while each of len(ranges) - 1
+    children, forked here, samples its own, pickles its rows, or the
+    exception that stopped it, into a pipe and leaves through `os._exit`, so
+    it runs none of this process's clean-up.  numpy.random is loaded before
+    the forks, so no child imports it for itself.  The first range that fails
+    raises: its exception, or, for a child that does not exit cleanly (a
+    signal, as from the OOM killer, or a nonzero status), a `PageCurveError`
+    that names its samples and exit status.  Every child is reaped before
+    this returns or raises; the ones still running then are killed first.
     """
     import pickle  # numpy has loaded it; importing it ahead of numpy raised peak RSS 0.2 MB
 
     import numpy.random  # noqa: F401  (loaded once here, not once per child)
 
-    children = []  # (pid, read end of its pipe) of child w = 1, 2, ...
+    children = []  # (pid, read end of its pipe) of the child of each range after the first
     running = set()
     try:
-        for w in range(1, processes):
+        for j0, j1 in ranges[1:]:
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
                 status = 1
                 try:
                     os.close(read)
-                    report = pickle.dumps(_sample_share(chunks[w::processes]))
+                    try:
+                        report = sample(j0, j1)
+                    except Exception as exc:  # raised in range order by the caller
+                        report = exc
                     with os.fdopen(write, "wb") as pipe:
-                        pipe.write(report)
+                        pipe.write(pickle.dumps(report))
                     status = 0
                 finally:
                     os._exit(status)
             running.add(pid)
             os.close(write)
             children.append((pid, os.fdopen(read, "rb")))
-        shares = [_sample_share(chunks[0::processes])]
-        for w, (pid, pipe) in enumerate(children, 1):
+        results = [sample(*ranges[0])]
+        for (pid, pipe), (j0, j1) in zip(children, ranges[1:]):
             report = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             running.discard(pid)
-            if code == 0:
-                shares.append(pickle.loads(report))
-            else:
+            if code != 0:
                 how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                shares.append([PageCurveError(
-                    f"sampling process {pid} (chunks {w}::{processes}) {how} before it reported"
-                )])
+                raise PageCurveError(
+                    f"sampling process {pid} (samples {j0} to {j1 - 1}) {how} before it reported"
+                )
+            results.append(pickle.loads(report))
+            if isinstance(results[-1], Exception):
+                raise results[-1]
     finally:
         for pid, pipe in children:
             pipe.close()
@@ -277,15 +270,10 @@ def _fork_join(chunks, processes: int) -> list:
 
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    results = [None] * len(chunks)
-    for w, share in enumerate(shares):
-        for i, rows in zip(range(w, len(chunks), processes), share):
-            results[i] = rows
     return results
 
 
-def _sample_chunk(args):
-    kernel, draw, n, m, params, stream, j0, j1 = args
+def _sample_range(kernel, draw, n, m, params, stream, j0, j1):
     keyed = _rekeyed_generator()
     step = _stack_size(draw, n, m)
     rows = []
@@ -312,31 +300,29 @@ def _map_samples(kernel, draw, n, m, params, samples, seed, namespace, workers) 
     generator_j is substream j of (seed, namespace), and the rows come back
     in sample order.  `draw` is `_haar_rows` or `haar._jacobi_transmissions`
     (see `_frame_draw`); both, and every kernel, take a leading sample axis,
-    so each chunk draws `_stack_size` samples per call, each from its own
+    so each range draws `_stack_size` samples per call, each from its own
     substream, and factors them in stacked calls.
 
-    The chunks run on min(workers, chunks) processes, this one included
+    The samples run on P = min(workers, ceil(samples / _SHARE)) processes,
+    this one included, each on one contiguous range of near-equal size
     (`_fork_join`), or all in this one where `os.fork` does not exist.  The
     BLAS thread count is set once, before any fork, so the children inherit
-    it.  Of the chunks that fail, the lowest-indexed one's exception is
-    raised, so the error, like the rows, does not depend on the worker count.
+    it.  Of the ranges that fail, the lowest one's exception is raised, so
+    the error, like the rows, does not depend on the worker count.
     """
     _check_counts(samples, workers)
     stream = SeededStream(seed, namespace)
-    chunks = [
-        (kernel, draw, n, m, params, stream, j0, min(j0 + _CHUNK, samples))
-        for j0 in range(0, samples, _CHUNK)
-    ]
-    processes = min(workers, len(chunks)) if hasattr(os, "fork") else 1
+    processes = min(workers, -(-samples // _SHARE)) if hasattr(os, "fork") else 1
+    bounds = [samples * w // processes for w in range(processes + 1)]
     previous = _set_blas_threads(SAMPLING_BLAS_THREADS)
     try:
-        results = _fork_join(chunks, processes)
+        shares = _fork_join(
+            lambda j0, j1: _sample_range(kernel, draw, n, m, params, stream, j0, j1),
+            list(zip(bounds, bounds[1:])),
+        )
     finally:
         _set_blas_threads(previous)
-    for rows in results:
-        if not isinstance(rows, np.ndarray):
-            raise rows
-    return np.concatenate(results)
+    return np.concatenate(shares)
 
 
 class RunConfig(Record):
@@ -673,6 +659,8 @@ class DerivativeEstimate(NamedTuple):
 
 
 def _derivative_for_sample(u, scale_plus, scale_minus, k, dh):
+    if k == u.shape[-1]:  # k = n is a pure state, whose S2 is 0 at any squeezing
+        return np.zeros(len(u))
     s2p = _renyi2_values(_squeezed_row_factor(u, scale_plus, k))[:, -1]
     s2m = _renyi2_values(_squeezed_row_factor(u, scale_minus, k))[:, -1]
     return (s2p - s2m) / dh

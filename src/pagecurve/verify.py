@@ -218,8 +218,8 @@ def suite_montecarlo(seed: int = 7, samples: int = 500) -> list[CheckResult]:
         "5 sigma",
     )
 
-    # a fixed count spanning three 256-sample chunks, so that workers=2
-    # really forks a second sampling process whatever `samples` is
+    # a fixed count over 256 samples, so that workers=2 really forks a
+    # second sampling process whatever `samples` is
     small = montecarlo.RunConfig(
         n=8,
         squeezing=SqueezingConfig.equal(8, 0.5),

@@ -234,7 +234,8 @@ class TestWeingartenCommand:
 class TestVerifyCommand:
     def test_coefficients_suite_passes(self, capsys, tmp_path):
         out = tmp_path / "report.json"
-        assert main(["verify", "--suite", "coefficients", "--out", str(out)]) == 0
+        argv = ["verify", "--suite", "coefficients", "--format", "json", "--out", str(out)]
+        assert main(argv) == 0
         text = capsys.readouterr().out
         assert "[PASS]" in text and "[FAIL]" not in text
         report = json.loads(out.read_text())
@@ -243,6 +244,15 @@ class TestVerifyCommand:
         seconds = [row[-1] for row in report["rows"]]
         assert all(isinstance(x, float) and x >= 0.0 for x in seconds)
         assert sum(seconds) <= report["metadata"]["wall_time_s"]
+
+    def test_out_is_csv_by_default(self, capsys, tmp_path):
+        # like every other command's record, --out follows --format, csv by default
+        out = tmp_path / "report.csv"
+        assert main(["verify", "--suite", "coefficients", "--out", str(out)]) == 0
+        capsys.readouterr()
+        lines = out.read_text().splitlines()
+        assert lines[0] == "name,passed,observed,expected,tolerance,seconds"
+        assert len(lines) > 1 and all(",True," in line for line in lines[1:])
 
     def test_unknown_suite_usage(self):
         assert main(["verify", "--suite", "bogus"]) == 1
@@ -451,8 +461,8 @@ def assert_sampling_timings(metadata, samples):
 
 RECORD_KEYS = ["schema_version", "command", "command_line", "columns", "rows", "metadata"]
 BASE_METADATA = {"seed", "rng_algorithm", "sampler", "wall_time_s"}
-SAMPLING_METADATA = BASE_METADATA | {"blas_threads", "timings"}
-PAGE_CURVE_METADATA = BASE_METADATA | {"modes", "squeezing", "workers", "density"}
+SAMPLING_METADATA = BASE_METADATA | {"blas_threads", "workers", "timings"}
+PAGE_CURVE_METADATA = BASE_METADATA | {"modes", "squeezing", "density"}
 
 
 @pytest.mark.parametrize(

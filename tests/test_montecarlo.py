@@ -43,7 +43,7 @@ from pagecurve.haar import (
     sample_haar_unitary,
 )
 from pagecurve.montecarlo import (
-    _CHUNK,
+    _SHARE,
     Experiment,
     _derivative_for_sample,
     _entropies_for_sample,
@@ -51,14 +51,14 @@ from pagecurve.montecarlo import (
     _frame_draw,
     _haar_rows,
     _map_samples,
-    _sample_chunk,
+    _sample_range,
     _stack_size,
     stream_namespace,
 )
 
 COSH_15 = 2.352409615243247325767668
 
-# more samples than one 256-sample chunk, so that workers=2 uses the pool
+# more samples than one 256-sample share, so that workers=2 forks a second process
 POOLED_SAMPLES = 600
 
 
@@ -136,11 +136,14 @@ class TestDeterminism:
         assert pool_starts == [2]
         assert np.array_equal(a, b)
 
-    def test_pool_sized_by_the_work(self, pool_starts):
-        # 600 samples are three chunks, so eight workers start three processes
-        a, _ = sample_entropies(small_config(samples=POOLED_SAMPLES))
-        b, _ = sample_entropies(small_config(samples=POOLED_SAMPLES, workers=8))
-        assert pool_starts == [3]
+    @pytest.mark.parametrize("samples, workers", [(600, 8), (257, 2), (769, 3)])
+    def test_pool_sized_by_the_work(self, pool_starts, samples, workers):
+        # one process per 256 samples begun, at most `workers`, each on a
+        # near-equal range: 200 x 3, 128 + 129 and 256 + 256 + 257 samples
+        processes = min(workers, -(-samples // _SHARE))
+        a, _ = sample_entropies(small_config(samples=samples))
+        b, _ = sample_entropies(small_config(samples=samples, workers=workers))
+        assert pool_starts == [processes]
         assert np.array_equal(a, b)
         assert_no_children()
 
@@ -327,11 +330,11 @@ def stacked_pairs():
 class TestStackedCalls:
     @pytest.mark.parametrize("pair", sorted(stacked_pairs()))
     def test_matches_the_per_sample_reference(self, pair):
-        # 263 samples: a full chunk and a ragged one, each ending in a
-        # ragged stacked call; every sample equals its draw and kernel alone
+        # 263 samples in one process, ending in a ragged stacked call; every
+        # sample equals its draw and kernel alone
         draw, kernel, n, m, params = stacked_pairs()[pair]
         step = _stack_size(draw, n, m)
-        assert 1 < step < _CHUNK and _CHUNK % step and (263 - _CHUNK) % step
+        assert 1 < step < 263 and 263 % step
         stream = SeededStream(5, stream_namespace(Experiment.ENTROPY, 3))
         stacked = _map_samples(kernel, draw, n, m, params, 263, 5, stream.stream_index, 1)
         for j in range(263):
@@ -353,18 +356,18 @@ class TestStackedCalls:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_first_failing_chunk_wins_at_any_worker_count(self, workers):
-        # at s = 15.95 seed 172 first fails at sample 274, in chunk 1, and
-        # again at 549, in chunk 2.  On two processes this one samples chunks
-        # 0 and 2 and meets 549 first, but chunk 1's error is the one raised
+        # at s = 15.95 seed 172 first fails at sample 274 and again at 549.
+        # On three processes the ranges are 0-255, 256-511 and 512-767: the
+        # third child fails too, at 549, but the second one's error is raised
         values = (15.95,) + (0.0,) * 7
         ks = tuple(range(9))
         draw, m = _frame_draw(values, ks)
         params = (8, np.sqrt(_initial_diagonal(values)), ks, True)
-        chunk_2 = (_entropies_for_sample, draw, 8, m, params, SeededStream(172, 0), 512, 768)
+        stream = SeededStream(172, 0)
         with pytest.raises(NumericalError, match=r"^sample 549 "):
-            _sample_chunk(chunk_2)
+            _sample_range(_entropies_for_sample, draw, 8, m, params, stream, 512, 768)
         config = RunConfig(n=8, squeezing=SqueezingConfig(values), subsystem_sizes=ks,
-                           samples=3 * _CHUNK, master_seed=172, workers=workers)
+                           samples=3 * _SHARE, master_seed=172, workers=workers)
         with pytest.raises(NumericalError, match=r"^sample 274 \(seed 172\): symplectic eigenvalue"):
             sample_entropies(config, with_s1=True)
         assert_no_children()
@@ -379,7 +382,9 @@ class TestStackedCalls:
                 os.kill(os.getpid(), signal.SIGKILL)
             return _entropies_from_transmissions(t, *params)
 
-        with pytest.raises(PageCurveError, match=r"\(chunks 1::2\) was killed by signal 9 before"):
+        with pytest.raises(
+            PageCurveError, match=r"\(samples 300 to 599\) was killed by signal 9 before"
+        ):
             _map_samples(kernel, _jacobi_transmissions, 20, 5, (20, 1.0, (5,), False),
                          POOLED_SAMPLES, 1, 0, 2)
         assert_no_children()
@@ -522,6 +527,10 @@ class TestConjectureProbe:
     def test_positive_mean_derivative(self):
         est = conjecture_probe(SqueezingConfig.equal(10, 0.5), 0, 1e-3, 1500, 19, k=5)
         assert est.derivative - 3 * est.stderr > 0
+        # k = n is a pure state, whose S2 is 0 at any squeezing: no rounding noise
+        values = (0.5, 0.2, 0.9, 0.1, 0.4, 0.7)
+        pure = conjecture_probe(SqueezingConfig(values), 2, 1e-3, 1000, 0, k=6)
+        assert (pure.derivative, pure.stderr, pure.negative_fraction) == (0.0, 0.0, 0.0)
 
     def test_single_state_counterexamples_exist(self):
         # a 50:50 beamsplitter on modes with s_1 < s_2 leaves the subsystem
