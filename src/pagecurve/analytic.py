@@ -59,7 +59,6 @@ __all__ = [
     "DENSITY_RULE",
     "SqueezingConfig",
     "RationalPolynomial",
-    "VARIANCE_OMEGA",
     "alpha_coefficient",
     "f_polynomial",
     "g_exact",
@@ -444,18 +443,16 @@ def page_curve_prediction(n: int, s: float, k: int) -> float:
     return n * page_curve_density(s, r) - page_constant_lambda(s, r)
 
 
-# (d, omega_d) of the asymptotic variance sum_d omega_d (tanh^2(2s) r(1-r))^d.
-# Only omega_2 = 1/2 is known in closed form; weingarten.omega2_extrapolation
-# reproduces it from exact finite-n moments.
-VARIANCE_OMEGA = ((2, Fraction(1, 2)),)
-
-
 def variance_series(s: float, r) -> float:
-    """Partial variance sum over the known coefficients VARIANCE_OMEGA:
-    sum_d omega_d tanh(2s)^(2d) (r(1-r))^d."""
+    """Partial sum omega_2 tanh(2s)^4 (r(1-r))^2 of the asymptotic variance
+    sum_d omega_d (tanh^2(2s) r(1-r))^d.
+
+    Only omega_2 = 1/2 is known in closed form; weingarten.omega2_extrapolation
+    reproduces it from exact finite-n moments.
+    """
     rr = _share_product(r)
     t2 = math.tanh(2.0 * s) ** 2
-    return sum(float(c) * t2**d * rr**d for d, c in VARIANCE_OMEGA)
+    return 0.5 * t2**2 * rr**2
 
 
 def unequal_small_s_prediction(squeezing_values, r) -> float:

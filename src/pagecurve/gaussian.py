@@ -328,28 +328,31 @@ def trace_W_powers(u: PassiveUnitary, k: int, max_power: int) -> list[float]:
     return out
 
 
-def _reduced_sigma_from_unitary(u: np.ndarray, diag: np.ndarray, k: int) -> np.ndarray:
-    """Reduced covariances of eta(U) diag eta(U)^T for a stack of U, without
-    forming the full states.
+def _reduced_sigma_from_unitary(frame: np.ndarray, diag: np.ndarray, k: int) -> np.ndarray:
+    """Reduced covariances of the first k modes of eta(U) diag eta(U)^T for a
+    stack of Haar frames, without forming the full states.
 
-    Only the 2k needed rows of each eta(U) are materialized, so the cost is
-    O(k n^2) per U instead of O(n^3).
+    Each frame is n x m, m >= k, with the first m rows of U as its columns
+    (`haar._haar_frame`).  Only the 2k needed rows of each eta(U) are
+    materialized, so the cost is O(k n^2) per U instead of O(n^3).
     """
-    uk = u[:, :k]
+    uk = np.swapaxes(frame[:, :, :k], 1, 2)
     rows = np.block([[uk.real, uk.imag], [-uk.imag, uk.real]])
     return (rows * diag) @ np.swapaxes(rows, 1, 2)
 
 
-def _squeezed_row_factor(u: np.ndarray, scale: np.ndarray, m: int) -> np.ndarray:
-    """For a stack of U, the R with R_k^T R_k the reduced covariance of the
-    first k <= m modes.
+def _squeezed_row_factor(frame: np.ndarray, scale: np.ndarray, m: int) -> np.ndarray:
+    """For a stack of Haar frames, the R with R_k^T R_k the reduced covariance
+    of the first k <= m modes.
 
-    The rows of eta(U) for x_1, p_1, ..., x_m, p_m, scaled column-wise by
-    scale = sqrt(diag sigma_0), form a 2m x 2n matrix F with F F^T the reduced
-    covariance of the first m modes; R is the triangular factor of F^T = QR,
-    from one stacked QR.
+    Each frame is n x m' with m' >= m, the first m' rows of U as its columns
+    (`haar._haar_frame`).  The rows of eta(U) for x_1, p_1, ..., x_m, p_m,
+    scaled column-wise by scale = sqrt(diag sigma_0), form a 2m x 2n matrix
+    F with F F^T the reduced covariance of the first m modes; R is the
+    triangular factor of F^T = QR, from one stacked QR.  Unscaled, column 2i
+    of F^T is (Re u_i, Im u_i) and column 2i + 1 is (-Im u_i, Re u_i).
     """
-    uk = u[:, :m]
-    x_rows, p_rows = np.concatenate([uk.real, uk.imag], 2), np.concatenate([-uk.imag, uk.real], 2)
-    rows = np.stack([x_rows, p_rows], axis=2)
-    return np.linalg.qr(np.swapaxes(rows.reshape(len(u), 2 * m, -1) * scale, 1, 2), mode="r")
+    uk = frame[:, :, :m]
+    x_cols, p_cols = np.concatenate([uk.real, uk.imag], 1), np.concatenate([-uk.imag, uk.real], 1)
+    cols = np.stack([x_cols, p_cols], axis=3).reshape(len(frame), -1, 2 * m)
+    return np.linalg.qr(cols * scale[:, None], mode="r")

@@ -40,7 +40,7 @@ so no stream changes.
   exact Weingarten engine.
 
 `montecarlo._frame_draw` picks the Jacobi draw for equal squeezing when
-every requested size 0 < k < n has the same k', and Haar rows otherwise.
+every requested size 0 < k < n has the same k', and `_haar_frame` otherwise.
 """
 
 from __future__ import annotations
@@ -72,14 +72,16 @@ class SeededStream(Record):
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def derive_substream(stream: SeededStream, worker: int) -> SeededStream:
-    """Worker substream via the fixed mixing index' = index * 2^32 + worker (mod 2^64).
+def derive_substream(stream: SeededStream, index: int) -> SeededStream:
+    """Substream `index` of a stream: stream_index' = stream_index * 2^32 + index (mod 2^64).
 
-    For a fixed parent stream the mapping is injective over workers < 2^32.
+    The Monte Carlo keys sample j by substream j of its namespace, and the
+    bootstrap by substream 0 of its own.  For a fixed parent stream the
+    mapping is injective over indices < 2^32.
     """
-    if worker < 0:
-        raise InputError(f"worker must be nonnegative, got {worker}")
-    mixed = (stream.stream_index * 2**32 + worker) % _U64
+    if index < 0:
+        raise InputError(f"index must be nonnegative, got {index}")
+    mixed = (stream.stream_index * 2**32 + index) % _U64
     return SeededStream(stream.master_seed, mixed)
 
 

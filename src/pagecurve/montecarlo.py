@@ -28,8 +28,9 @@ about 650 MB); it is fixed, not an option, because the stacking never
 changes a result.  A `NumericalError` in a stack is re-raised for the first
 failing sample, evaluated alone, under its global index j.
 
-The sampler (id `SAMPLER`) has two draws, and one predicate, `_frame_draw`,
-picks one from the squeezing values and the requested subsystem sizes alone:
+The sampler (id `SAMPLER`) has two draws.  `_frame_draw` picks one from the
+squeezing values and the requested subsystem sizes alone, and returns the
+whole plan: the draw, its size m, the kernel and the kernel's squeezing.
 
 * equal squeezing s, where every requested size 0 < k < n has the same
   k' = min(k, n - k): `haar._jacobi_transmissions(n, k')`, the k'
@@ -43,14 +44,14 @@ picks one from the squeezing values and the requested subsystem sizes alone:
   the single-size checks of `verify`, and every point of `sample_ladder`,
   the one ladder loop that `typicality_probe`, `estimate_constant_term` and
   the CLI `variance` command sample through.
-* otherwise: the first m rows of a Haar unitary, `haar._haar_frame(n, m)`
-  transposed, at O(n m^2), with m the largest size below n.  The full page
-  curve needs m = n - 1, which costs the same as a full unitary; unequal
-  squeezing, and equal squeezing with several k' (no CLI command asks for
-  one below the full curve), take this draw too.  `conjecture_probe`
-  (unequal scales on its two sides) and `mean_covariance_check` (it checks
-  the Haar average of the covariance, that is, the n-mode draw itself)
-  always use it.
+* otherwise: the Haar frame `haar._haar_frame(n, m)`, whose m orthonormal
+  columns are the first m rows of a Haar U, transposed, at O(n m^2), with m
+  the largest size below n.  The full page curve needs m = n - 1, which
+  costs the same as a full unitary; unequal squeezing, and equal squeezing
+  with several k' (no CLI command asks for one below the full curve), take
+  this draw too.  `conjecture_probe` (the same S2 kernel at unequal scales
+  on its two sides) and `mean_covariance_check` (it checks the Haar average
+  of the covariance, that is, the n-mode draw itself) always use it.
 
 Each draw gives every entropy it serves its exact law; the joint law across
 sizes with different k' is the Haar one only on the row-frame draw.
@@ -178,6 +179,7 @@ class Experiment(enum.IntEnum):
     VARIANCE = 4  # the CLI `variance` command
     CONJECTURE = 5
     MEAN_COVARIANCE = 6
+    VERIFY = 7  # the unitaries `verify` draws itself: point 0 Tr W, point 1 complements
 
 
 def stream_namespace(experiment: Experiment, point: int = 0) -> int:
@@ -204,7 +206,7 @@ def _stack_size(draw, n: int, m: int) -> int:
     """Samples per stacked call: as many as keep within `_STACK_ENTRIES`, at least one.
 
     A sample's size is the largest matrix its draw factors: kp x (2 kp + 1)
-    for the Jacobi draw, n x m for Haar rows.
+    for the Jacobi draw, n x m for the Haar frame.
     """
     entries = m * (2 * m + 1) if draw is _jacobi_transmissions else n * m
     return max(1, _STACK_ENTRIES // max(entries, 1))
@@ -298,10 +300,10 @@ def _map_samples(kernel, draw, n, m, params, samples, seed, namespace, workers) 
     """Stack kernel(draw(n, m, [generator_j]), *params) over samples j = 0..samples-1.
 
     generator_j is substream j of (seed, namespace), and the rows come back
-    in sample order.  `draw` is `_haar_rows` or `haar._jacobi_transmissions`
-    (see `_frame_draw`); both, and every kernel, take a leading sample axis,
-    so each range draws `_stack_size` samples per call, each from its own
-    substream, and factors them in stacked calls.
+    in sample order.  `draw` is `haar._haar_frame` or
+    `haar._jacobi_transmissions` (see `_frame_draw`); both, and every kernel,
+    take a leading sample axis, so each range draws `_stack_size` samples per
+    call, each from its own substream, and factors them in stacked calls.
 
     The samples run on P = min(workers, ceil(samples / _SHARE)) processes,
     this one included, each on one contiguous range of near-equal size
@@ -376,24 +378,23 @@ def _frame_rows(ks, n: int) -> int:
     return max((k for k in ks if k < n), default=0)
 
 
-def _haar_rows(n: int, m: int, generators) -> np.ndarray:
-    """Per generator, the first m rows of a Haar unitary on n modes:
-    `haar._haar_frame` transposed."""
-    return np.swapaxes(_haar_frame(n, m, generators), 1, 2)
-
-
 def _frame_draw(values, ks):
-    """(draw, m) for the entropies of sizes ks of len(values) modes.
+    """(draw, m, kernel, squeeze): the sampling plan for the entropies of
+    sizes ks of len(values) modes.
 
-    The Jacobi draw of m = k' transmissions when the squeezing is equal and
-    every size 0 < k < n has the same k' = min(k, n - k); else the first
-    m = max{k < n} rows of a Haar unitary.
+    The Jacobi draw of m = k' transmissions, with log sinh^2(2s), when the
+    squeezing is equal and every size 0 < k < n has the same
+    k' = min(k, n - k); else the Haar frame of the first m = max{k < n} rows
+    of U, with sqrt(diag sigma_0).
     """
     n = len(values)
     weights = {min(k, n - k) for k in ks if 0 < k < n}
     if len(weights) == 1 and len(set(values)) == 1:
-        return _jacobi_transmissions, weights.pop()
-    return _haar_rows, _frame_rows(ks, n)
+        a = abs(2.0 * values[0])  # log sinh^2(2s), finite where sinh^2 overflows
+        log_c = 2.0 * (analytic.log_cosh(a) + math.log(math.tanh(a))) if a else -math.inf
+        return _jacobi_transmissions, weights.pop(), _entropies_from_transmissions, log_c
+    scale = np.sqrt(_initial_diagonal(values))
+    return _haar_frame, _frame_rows(ks, n), _entropies_for_sample, scale
 
 
 def _entropies_from_transmissions(t, n, log_c, ks, with_s1):
@@ -416,15 +417,15 @@ def _entropies_from_transmissions(t, n, log_c, ks, with_s1):
     return out
 
 
-def _entropies_for_sample(u, n, scale, ks, with_s1):
+def _entropies_for_sample(frame, n, scale, ks, with_s1):
     """Per sample, S2 (row 0) and, if with_s1, S1 (row 1) of every subsystem size in ks.
 
-    Each u[b] holds at least the first m = max{k < n} rows of a Haar unitary
-    on n modes, and scale = sqrt(diag sigma_0).  One QR factor R of the m
-    modes serves every k, since its leading block R[:2k, :2k] factors the
-    covariance of the first k modes; the factors and the spectra of all
-    samples come from stacked calls.  k = 0 and k = n are pure states and
-    stay exactly 0.
+    Each frame[b] is an n-mode Haar frame whose columns hold at least the
+    first m = max{k < n} rows of U, and scale = sqrt(diag sigma_0).  One QR
+    factor R of the m modes serves every k, since its leading block
+    R[:2k, :2k] factors the covariance of the first k modes; the factors and
+    the spectra of all samples come from stacked calls.  k = 0 and k = n are
+    pure states and stay exactly 0.
 
     S1 sums h1 over the top min(k, n - k) symplectic eigenvalues only, and
     only those are checked against the uncertainty bound.  The state is pure,
@@ -432,11 +433,11 @@ def _entropies_for_sample(u, n, scale, ks, with_s1):
     point they round below 1 by up to about eps * e^{4 max|s_i|}, which
     passes 1 - PURITY_CLAMP from s ~ 8 on.
     """
-    out = np.zeros((len(u), 2 if with_s1 else 1, len(ks)))
+    out = np.zeros((len(frame), 2 if with_s1 else 1, len(ks)))
     m = _frame_rows(ks, n)
-    if m == 0:
+    if m == 0:  # only pure states; the factor of an empty frame cannot be shaped
         return out
-    r = _squeezed_row_factor(u, scale, m)
+    r = _squeezed_row_factor(frame, scale, m)
     s2 = _renyi2_values(r)
     for i, k in enumerate(ks):
         if 0 < k < n:
@@ -457,26 +458,13 @@ def sample_entropies(
     in global sample order; s1 is None unless `with_s1`.  The arrays do not
     depend on `config.workers`.  Equal squeezing whose sizes 0 < k < n share
     one k' = min(k, n - k) draws the k' Jacobi transmissions; anything else
-    draws Haar rows (see `_frame_draw`).
+    draws the Haar frame (see `_frame_draw`).
     """
-    n, ks, values = config.n, config.subsystem_sizes, config.squeezing.values
-    draw, m = _frame_draw(values, ks)
-    if draw is _jacobi_transmissions:
-        a = abs(2.0 * values[0])  # log sinh^2(2s), finite where sinh^2 overflows
-        squeeze = 2.0 * (analytic.log_cosh(a) + math.log(math.tanh(a))) if a else -math.inf
-        kernel = _entropies_from_transmissions
-    else:
-        squeeze, kernel = np.sqrt(_initial_diagonal(values)), _entropies_for_sample
+    n, ks = config.n, config.subsystem_sizes
+    draw, m, kernel, squeeze = _frame_draw(config.squeezing.values, ks)
     rows = _map_samples(
-        kernel,
-        draw,
-        n,
-        m,
-        (n, squeeze, ks, with_s1),
-        config.samples,
-        config.master_seed,
-        config.stream_namespace,
-        config.workers,
+        kernel, draw, n, m, (n, squeeze, ks, with_s1), config.samples, config.master_seed,
+        config.stream_namespace, config.workers,
     )
     return rows[:, 0], rows[:, 1] if with_s1 else None
 
@@ -658,11 +646,10 @@ class DerivativeEstimate(NamedTuple):
     samples: int
 
 
-def _derivative_for_sample(u, scale_plus, scale_minus, k, dh):
-    if k == u.shape[-1]:  # k = n is a pure state, whose S2 is 0 at any squeezing
-        return np.zeros(len(u))
-    s2p = _renyi2_values(_squeezed_row_factor(u, scale_plus, k))[:, -1]
-    s2m = _renyi2_values(_squeezed_row_factor(u, scale_minus, k))[:, -1]
+def _derivative_for_sample(frame, n, scale_plus, scale_minus, k, dh):
+    """Per sample, (S2 at scale_plus - S2 at scale_minus) / dh of the first k modes."""
+    s2p, s2m = (_entropies_for_sample(frame, n, scale, (k,), False)[:, 0, 0]
+                for scale in (scale_plus, scale_minus))
     return (s2p - s2m) / dh
 
 
@@ -697,10 +684,10 @@ def conjecture_probe(
     plus[mode_index] = sign * math.sqrt(h_plus)
     minus[mode_index] = sign * math.sqrt(h_minus)
     scales = [np.sqrt(_initial_diagonal(values)) for values in (plus, minus)]
-    params = (*scales, k, h_plus - h_minus)
+    params = (config.n, *scales, k, h_plus - h_minus)
     diffs = _map_samples(
-        _derivative_for_sample, _haar_rows, config.n, k, params, samples, seed,
-        stream_namespace(Experiment.CONJECTURE), workers,
+        _derivative_for_sample, _haar_frame, config.n, _frame_rows((k,), config.n), params,
+        samples, seed, stream_namespace(Experiment.CONJECTURE), workers,
     )
     std = float(diffs.std(ddof=1)) if samples > 1 else 0.0
     return DerivativeEstimate(
@@ -725,20 +712,19 @@ class MeanCovarianceResult(NamedTuple):
 
 
 def mean_covariance_check(
-    n: int, config: SqueezingConfig, k: int, samples: int, seed: int, workers: int = 1
+    config: SqueezingConfig, k: int, samples: int, seed: int, workers: int = 1
 ) -> MeanCovarianceResult:
     """Compare the sampled mean reduced covariance with (Tr B / n) I.
 
     B = (Z + Z^-1)/2, so the Haar-average covariance is (1/n) sum_i cosh(2 s_i)
     times the identity on the subsystem.
     """
-    if config.n != n:
-        raise InputError(f"squeezing has {config.n} entries for n={n}")
+    n = config.n
     if not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= {n}, got k={k}")
     params = (_initial_diagonal(config.values), k)
     reds = _map_samples(
-        _reduced_sigma_from_unitary, _haar_rows, n, k, params, samples, seed,
+        _reduced_sigma_from_unitary, _haar_frame, n, k, params, samples, seed,
         stream_namespace(Experiment.MEAN_COVARIANCE), workers,
     )
     mean = reds.mean(axis=0)

@@ -81,7 +81,7 @@ def kernel_on_unitaries(n, k, squeezing, seed, reverse_rows=False):
     for j in range(4):
         u = _haar_frame(n, n, [derive_substream(SeededStream(seed, 0), j).generator()])[0]
         u = u[::-1] if reverse_rows else u
-        rows.append(_entropies_for_sample(u[None], n, scale, (k, n - k), True)[0])
+        rows.append(_entropies_for_sample(u.T[None], n, scale, (k, n - k), True)[0])
     rows = np.array(rows)
     return rows[:, 0], rows[:, 1]
 

@@ -190,8 +190,8 @@ def test_frame_entropies_match_full_unitaries():
         RunConfig(n=n, squeezing=squeezing, subsystem_sizes=(k,), samples=samples, master_seed=51)
     )
     scale = np.sqrt(_initial_diagonal(squeezing.values))
-    rows = [_haar_frame(n, n, [SeededStream(52, j).generator()])[0].T for j in range(samples)]
-    full = np.array([_entropies_for_sample(u[None], n, scale, (k,), False)[0, 0, 0] for u in rows])
+    frames = [_haar_frame(n, n, [SeededStream(52, j).generator()]) for j in range(samples)]
+    full = np.array([_entropies_for_sample(f, n, scale, (k,), False)[0, 0, 0] for f in frames])
     assert stats.ks_2samp(framed[:, 0], full).pvalue > 0.01
 
 
@@ -206,7 +206,7 @@ def test_transmissions_give_the_row_frame_entropies(n, k, s):
     log_c = 2.0 * math.log(math.sinh(2.0 * s))
     from_t = _entropies_from_transmissions(t[None], n, log_c, (k,), True)
     scale = np.sqrt(_initial_diagonal([s] * n))
-    from_rows = _entropies_for_sample(u[None], n, scale, (k,), True)
+    from_rows = _entropies_for_sample(u.T[None], n, scale, (k,), True)
     assert from_t == pytest.approx(from_rows, rel=1e-12)
 
 

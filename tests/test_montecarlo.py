@@ -38,6 +38,7 @@ from pagecurve.errors import NumericalError, PageCurveError
 from pagecurve.gaussian import _initial_diagonal, _reduced_sigma_from_unitary, h1
 from pagecurve.haar import (
     SeededStream,
+    _haar_frame,
     _jacobi_transmissions,
     derive_substream,
     sample_haar_unitary,
@@ -49,7 +50,6 @@ from pagecurve.montecarlo import (
     _entropies_for_sample,
     _entropies_from_transmissions,
     _frame_draw,
-    _haar_rows,
     _map_samples,
     _sample_range,
     _stack_size,
@@ -215,15 +215,15 @@ def two_moments(x):
 class TestJacobiDraw:
     def test_selection_rule(self):
         equal = SqueezingConfig.equal(10, 0.5).values
-        assert _frame_draw(equal, (4,)) == (_jacobi_transmissions, 4)
-        assert _frame_draw(equal, (7,)) == (_jacobi_transmissions, 3)   # k > n/2
-        assert _frame_draw(equal, (5,)) == (_jacobi_transmissions, 5)   # 2k = n
-        assert _frame_draw(equal, (0, 3, 7, 10)) == (_jacobi_transmissions, 3)
-        assert _frame_draw(equal, (2, 4)) == (_haar_rows, 4)   # two k' fall back
-        assert _frame_draw(equal, tuple(range(11))) == (_haar_rows, 9)   # the full page curve
-        assert _frame_draw(equal, (0, 10)) == (_haar_rows, 0)   # no mixed size at all
+        assert _frame_draw(equal, (4,))[:2] == (_jacobi_transmissions, 4)
+        assert _frame_draw(equal, (7,))[:2] == (_jacobi_transmissions, 3)   # k > n/2
+        assert _frame_draw(equal, (5,))[:2] == (_jacobi_transmissions, 5)   # 2k = n
+        assert _frame_draw(equal, (0, 3, 7, 10))[:2] == (_jacobi_transmissions, 3)
+        assert _frame_draw(equal, (2, 4))[:2] == (_haar_frame, 4)   # two k' fall back
+        assert _frame_draw(equal, tuple(range(11)))[:2] == (_haar_frame, 9)   # the full page curve
+        assert _frame_draw(equal, (0, 10))[:2] == (_haar_frame, 0)   # no mixed size at all
         unequal = (0.6,) + equal[1:]
-        assert _frame_draw(unequal, (4,)) == (_haar_rows, 4)
+        assert _frame_draw(unequal, (4,))[:2] == (_haar_frame, 4)
 
     def test_sample_j_is_the_jacobi_draw_of_substream_j(self):
         # the entropies of sample j come from the transmissions that
@@ -267,7 +267,7 @@ class TestJacobiDraw:
                            samples=samples, master_seed=15)
         jacobi = sample_entropies(config, with_s1=True)
         params = (n, np.sqrt(_initial_diagonal(config.squeezing.values)), (k,), True)
-        rows = _map_samples(_entropies_for_sample, _haar_rows, n, k, params, samples, 16, 0, 1)
+        rows = _map_samples(_entropies_for_sample, _haar_frame, n, k, params, samples, 16, 0, 1)
         for drawn, row_frame in zip(jacobi, (rows[:, 0, 0], rows[:, 1, 0])):
             m_j, v_j, se_m_j, se_v_j = two_moments(drawn[:, 0])
             m_f, v_f, se_m_f, se_v_f = two_moments(row_frame)
@@ -316,13 +316,14 @@ def stacked_pairs():
     minus = np.sqrt(_initial_diagonal((0.25,) + RAMP8[1:]))
     log_c = 2.0 * math.log(math.sinh(1.8))
     return {
-        "rows-entropies": (_haar_rows, _entropies_for_sample, 8, 7,
+        "rows-entropies": (_haar_frame, _entropies_for_sample, 8, 7,
                            (8, scale, tuple(range(9)), True)),
-        "rows-s2": (_haar_rows, _entropies_for_sample, 8, 5, (8, scale, (0, 2, 5, 8), False)),
+        "rows-s2": (_haar_frame, _entropies_for_sample, 8, 5, (8, scale, (0, 2, 5, 8), False)),
         "jacobi-entropies": (_jacobi_transmissions, _entropies_from_transmissions, 20, 5,
                              (20, log_c, (0, 5, 15, 20), True)),
-        "rows-derivative": (_haar_rows, _derivative_for_sample, 8, 3, (scale, minus, 3, 0.03)),
-        "rows-covariance": (_haar_rows, _reduced_sigma_from_unitary, 8, 3,
+        "rows-derivative": (_haar_frame, _derivative_for_sample, 8, 3,
+                            (8, scale, minus, 3, 0.03)),
+        "rows-covariance": (_haar_frame, _reduced_sigma_from_unitary, 8, 3,
                             (_initial_diagonal(RAMP8), 3)),
     }
 
@@ -348,7 +349,7 @@ class TestStackedCalls:
         values = (16.0,) + (0.0,) * 7
         config = RunConfig(n=8, squeezing=SqueezingConfig(values), subsystem_sizes=tuple(range(9)),
                            samples=263, master_seed=7)
-        draw, m = _frame_draw(values, config.subsystem_sizes)
+        draw, m, *_ = _frame_draw(values, config.subsystem_sizes)
         assert 60 % _stack_size(draw, 8, m) != 0
         sample_entropies(RunConfig(**{**config.__dict__, "samples": 60}), with_s1=True)
         with pytest.raises(NumericalError, match=r"^sample 60 \(seed 7\): symplectic eigenvalue"):
@@ -361,7 +362,7 @@ class TestStackedCalls:
         # third child fails too, at 549, but the second one's error is raised
         values = (15.95,) + (0.0,) * 7
         ks = tuple(range(9))
-        draw, m = _frame_draw(values, ks)
+        draw, m, *_ = _frame_draw(values, ks)
         params = (8, np.sqrt(_initial_diagonal(values)), ks, True)
         stream = SeededStream(172, 0)
         with pytest.raises(NumericalError, match=r"^sample 549 "):
@@ -524,13 +525,22 @@ class TestConjectureProbe:
         assert abs(est.derivative - 0.5) <= 3 * est.stderr + 2.0 / n
         assert est.negative_fraction == 0.0
 
-    def test_positive_mean_derivative(self):
+    def test_positive_mean_derivative(self, monkeypatch):
         est = conjecture_probe(SqueezingConfig.equal(10, 0.5), 0, 1e-3, 1500, 19, k=5)
         assert est.derivative - 3 * est.stderr > 0
-        # k = n is a pure state, whose S2 is 0 at any squeezing: no rounding noise
+        # k = n is a pure state, whose S2 is 0 at any squeezing: no rounding
+        # noise, and no row of U is drawn for it
+        columns = []
+
+        def recording(n, m, generators):
+            columns.append(m)
+            return _haar_frame(n, m, generators)
+
+        monkeypatch.setattr(montecarlo, "_haar_frame", recording)
         values = (0.5, 0.2, 0.9, 0.1, 0.4, 0.7)
         pure = conjecture_probe(SqueezingConfig(values), 2, 1e-3, 1000, 0, k=6)
         assert (pure.derivative, pure.stderr, pure.negative_fraction) == (0.0, 0.0, 0.0)
+        assert set(columns) == {0}
 
     def test_single_state_counterexamples_exist(self):
         # a 50:50 beamsplitter on modes with s_1 < s_2 leaves the subsystem
@@ -591,20 +601,20 @@ class TestConjectureProbe:
 class TestMeanCovariance:
     def test_vacuum_exact(self):
         # vacuum reduced covariance is the identity up to rounding
-        res = mean_covariance_check(6, SqueezingConfig.equal(6, 0.0), 2, 20, 0)
+        res = mean_covariance_check(SqueezingConfig.equal(6, 0.0), 2, 20, 0)
         assert res.max_abs_deviation <= 1e-14
         assert res.max_sigma_units == 0.0
 
     def test_haar_average_is_isotropic(self):
-        res = mean_covariance_check(8, SqueezingConfig.equal(8, 0.75), 3, 10_000, 3)
+        res = mean_covariance_check(SqueezingConfig.equal(8, 0.75), 3, 10_000, 3)
         assert res.target_diagonal == pytest.approx(COSH_15, abs=1e-12)
         # entrywise: diagonal near cosh(2s), off-diagonal near zero
         assert res.max_sigma_units <= 3.5
         assert res.max_abs_deviation <= 3.5 * float(res.stderr.max())
 
     def test_worker_invariance(self, pool_starts):
-        a = mean_covariance_check(6, SqueezingConfig.equal(6, 0.4), 2, POOLED_SAMPLES, 5, workers=1)
-        b = mean_covariance_check(6, SqueezingConfig.equal(6, 0.4), 2, POOLED_SAMPLES, 5, workers=2)
+        a = mean_covariance_check(SqueezingConfig.equal(6, 0.4), 2, POOLED_SAMPLES, 5, workers=1)
+        b = mean_covariance_check(SqueezingConfig.equal(6, 0.4), 2, POOLED_SAMPLES, 5, workers=2)
         assert pool_starts == [2]
         assert np.array_equal(a.mean, b.mean)
 
@@ -669,7 +679,7 @@ class TestStreamKeys:
                 "--workers", "1",
             ]),
             Experiment.CONJECTURE: lambda: conjecture_probe(sq, 0, 1e-3, 3, 0, k=2),
-            Experiment.MEAN_COVARIANCE: lambda: mean_covariance_check(4, sq, 2, 3, 0),
+            Experiment.MEAN_COVARIANCE: lambda: mean_covariance_check(sq, 2, 3, 0),
         }
         ladders = (Experiment.CONSTANT_TERM, Experiment.TYPICALITY, Experiment.VARIANCE)
         for experiment, run in runs.items():
@@ -683,3 +693,22 @@ class TestStreamKeys:
             assert bootstrap == ([stream_namespace(Experiment.BOOTSTRAP) << 32]
                                  if experiment == Experiment.CONSTANT_TERM else [])
         capsys.readouterr()
+
+    def test_verify_draws_in_its_own_block(self, monkeypatch):
+        # the unitaries the verify suites draw themselves, Tr W at point 0 and
+        # the complement checks at point 1, share no key with the suites'
+        # `estimate_entropy_statistics` runs on point 0 of Experiment.ENTROPY
+        from pagecurve import verify
+
+        keys = []
+
+        def recording(n, stream):
+            keys.append(stream.stream_index)
+            return sample_haar_unitary(n, stream)
+
+        monkeypatch.setattr(verify, "sample_haar_unitary", recording)
+        verify.suite_weingarten(seed=3, samples=50)
+        verify.suite_montecarlo(seed=3, samples=50)
+        assert len(keys) == 100
+        assert {key >> 48 for key in keys} == {Experiment.VERIFY}
+        assert {(key >> 32) & 0xFFFF for key in keys} == {0, 1}
