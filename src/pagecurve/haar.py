@@ -7,22 +7,22 @@ worker layout; distinct stream indices give statistically independent streams.
 
 Both draws below take an iterable of generators, one per sample, and return
 a stack with a leading sample axis: each sample reads only its own stream,
-in the order its docstring gives, and one stacked LAPACK call (numpy runs
-the same routine on each matrix of the stack) factors every sample, so a
-sample's value does not depend on the stack it is drawn in.  The Monte
-Carlo draws many substreams in a row from `_rekeyed_generator`, which
-re-keys one Philox to each (master_seed, stream_index) in place of building
-a new one: the re-keyed stream is the one `SeededStream.generator()` gives,
-so no stream changes.
+in the order its docstring gives, and is evaluated elementwise or by one
+stacked LAPACK call (numpy runs the same routine on each matrix of the
+stack), so a sample's value does not depend on the stack it is drawn in.
+The Monte Carlo draws many substreams in a row from `_rekeyed_generator`,
+which re-keys one Philox to each (master_seed, stream_index) in place of
+building a new one: the re-keyed stream is the one
+`SeededStream.generator()` gives, so no stream changes.
 
 * `_haar_frame(n, m)` orthonormalizes an n x m complex Ginibre block Z, with
   Mezzadri's phase fix, which gives the first m columns of a Haar unitary at
   O(n m^2).  Since U^T is Haar whenever U is, its transpose is an m x n
   block of orthonormal rows with the law of the first m rows of U.
   `sample_haar_unitary` is the case m = n.
-* `_jacobi_transmissions(n, k')` draws, at O(k'^3) whatever n, what an
-  equally squeezed subsystem of k modes needs of U, with k' = min(k, n - k).
-  At equal squeezing every entropy of the first k modes depends on U only
+* `_jacobi_bidiagonal(n, k')` draws, at O(k') whatever n, what an equally
+  squeezed subsystem of k modes needs of U, with k' = min(k, n - k).  At
+  equal squeezing every entropy of the first k modes depends on U only
   through C = U U^T, a matrix of the circular orthogonal ensemble: the k
   symplectic eigenvalues are sqrt(1 + sinh^2(2s) T_i) for the k' squared
   singular values T_i of the block C[:k, k:], and 1 for the other k - k'.
@@ -30,14 +30,19 @@ so no stream changes.
   with k and n - k channels, so the T_i are its transmission eigenvalues,
   and their joint law is the real (beta = 1) Jacobi ensemble, with density
   proportional to prod_{i<j} |T_i - T_j| prod_i T_i^{(n - 2k' - 1)/2} on
-  [0, 1] (Beenakker, Rev. Mod. Phys. 69, 731 (1997)).  That is the real
-  MANOVA law: the eigenvalues of W1 (W1 + W2)^-1 for independent k' x k'
-  real Wisharts W1 of n - k' and W2 of k' + 1 degrees of freedom (Edelman &
-  Sutton, Found. Comput. Math. 8, 259 (2008)).  W1 comes from its Bartlett
-  factor and W2 from a Gaussian block; the function's docstring gives the
-  order in which they use the stream.  A tier-1 test checks the draw's
-  moments E prod Tr W^l, with W = C[:k, :k] conj(C[:k, :k]), against the
-  exact Weingarten engine.
+  [0, 1] (Beenakker, Rev. Mod. Phys. 69, 731 (1997)).  The Edelman-Sutton
+  beta-Jacobi matrix model (Found. Comput. Math. 8, 259 (2008)) gives a
+  k' x k' upper bidiagonal B with independent Beta-distributed angles whose
+  squared singular values have the density
+  prod |T_i - T_j|^beta prod T_i^{beta(a+1)/2 - 1} (1 - T_i)^{beta(b+1)/2 - 1};
+  beta = 1, a = n - 2k' and b = 1 give the law above, with no (1 - T)
+  factor.  The draw returns B's squared diagonal and superdiagonal, 2k'
+  numbers per sample from 2k' - 1 Beta variates of one `beta` call, in the
+  order the function's docstring gives.  S2 = (1/2) log det(I + c B^T B)
+  needs no T_i (`montecarlo._renyi2_from_bidiagonal`);
+  `_bidiagonal_transmissions` gives them, by a stacked SVD, where S1 needs
+  them.  A tier-1 test checks the draw's moments E prod Tr W^l, with
+  W = C[:k, :k] conj(C[:k, :k]), against the exact Weingarten engine.
 
 `montecarlo._frame_draw` picks the Jacobi draw for equal squeezing when
 every requested size 0 < k < n has the same k', and `_haar_frame` otherwise.
@@ -127,30 +132,42 @@ def _haar_frame(n: int, m: int, generators) -> np.ndarray:
     return q * (d / np.abs(d))[:, None, :]
 
 
-def _jacobi_transmissions(n: int, kp: int, generators) -> np.ndarray:
-    """Stack, one row per generator, of the kp transmission eigenvalues T_i of
-    kp = min(k, n - k) of n Haar modes.
+def _jacobi_bidiagonal(n: int, kp: int, generators) -> np.ndarray:
+    """Stack, one (2, kp) entry per generator, of the squared diagonal (row 0)
+    and squared superdiagonal (row 1, last entry 0) of a kp x kp upper
+    bidiagonal B whose squared singular values are the kp = min(k, n - k)
+    transmission eigenvalues T_i of k of n Haar modes.
 
-    Needs 0 < 2 kp <= n.  The T_i are the eigenvalues of W1 (W1 + W2)^-1 for
-    independent real Wisharts W1 = B1 B1^T of n - kp and W2 = G2 G2^T of
-    kp + 1 degrees of freedom (see the module docstring).  Each generator is
-    used in a fixed order: the kp diagonal entries B1_ii = sqrt(chi^2_{n-kp-i})
-    for i = 0..kp-1, then the kp(kp - 1)/2 standard normals below the
-    diagonal of B1 in row-major order, then the kp x (kp + 1) block G2 in
-    row-major order.
-    With X = [B1^T; G2^T] = QR, the T_i are the squared singular values of
-    the top kp x kp block of Q; one stacked QR and one stacked SVD serve
-    every generator.  The cost is O(kp^3) per row, whatever n.
+    Needs 0 < 2 kp <= n.  B is the Edelman-Sutton beta = 1 Jacobi model with
+    a = n - 2 kp and b = 1 (see the module docstring).  Each generator makes
+    one `beta` call, whose 2 kp - 1 variates are, in this order,
+    c_i^2 ~ Beta((a + i)/2, (b + i)/2) for i = 1..kp, then
+    c'_i^2 ~ Beta(i/2, (a + b + 1 + i)/2) for i = 1..kp-1.  With
+    s^2 = 1 - c^2, B's squared diagonal is
+    (c_kp^2, c_{kp-1}^2 s'_{kp-1}^2, ..., c_1^2 s'_1^2) and its squared
+    superdiagonal (s_kp^2 c'_{kp-1}^2, ..., s_2^2 c'_1^2); the signs of B's
+    entries change none of its singular values.  The cost is O(kp) per
+    generator, whatever n.
     """
-    dof = n - kp - np.arange(kp)
-    below = np.tri(kp, kp, -1, dtype=bool)
-    blocks = []
-    for generator in generators:
-        b1 = np.diag(np.sqrt(generator.chisquare(dof)))
-        b1[below] = generator.standard_normal(kp * (kp - 1) // 2)
-        blocks.append(np.hstack([b1, generator.standard_normal((kp, kp + 1))]))
-    q = np.linalg.qr(np.swapaxes(blocks, 1, 2))[0]
-    return np.linalg.svd(q[:, :kp], compute_uv=False) ** 2
+    i = np.arange(1, kp + 1)
+    a, b = n - 2 * kp, 1
+    alpha = np.concatenate([(a + i) / 2, i[:-1] / 2])
+    beta = np.concatenate([(b + i) / 2, (a + b + 1 + i[:-1]) / 2])
+    x = np.array([generator.beta(alpha, beta) for generator in generators])
+    c2 = x[:, kp - 1 :: -1]  # c_kp^2, ..., c_1^2
+    cp2 = np.pad(x[:, : kp - 1 : -1], ((0, 0), (0, 1)))  # c'_{kp-1}^2, ..., c'_1^2, 0
+    return np.stack([c2 * (1.0 - np.roll(cp2, 1, axis=1)), (1.0 - c2) * cp2], axis=1)
+
+
+def _bidiagonal_transmissions(b2) -> np.ndarray:
+    """The T_i of each `_jacobi_bidiagonal` sample: the squared singular
+    values of its dense kp x kp B, from one stacked SVD."""
+    kp = b2.shape[2]
+    i = np.arange(kp)
+    b = np.zeros((len(b2), kp, kp))
+    b[:, i, i] = np.sqrt(b2[:, 0])
+    b[:, i[:-1], i[1:]] = np.sqrt(b2[:, 1, :-1])
+    return np.linalg.svd(b, compute_uv=False) ** 2
 
 
 def sample_haar_unitary(n: int, stream: SeededStream) -> PassiveUnitary:

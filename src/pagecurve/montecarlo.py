@@ -14,16 +14,16 @@ Neither the keys nor the order depend on the worker count, so results are
 bit-identical for any number of workers.
 
 Within a range, samples go through the draw and the kernel in stacks: every
-draw and kernel takes a leading sample axis, so one LAPACK call (QR, SVD or
-eigvalsh, which numpy runs matrix by matrix with the same routine) serves a
-whole stack instead of one sample, and the numpy call overhead that
-dominated small factorizations is paid once per stack.  Each sample is
-still drawn from its own substream, through one Philox per range re-keyed
-to each substream (`haar._rekeyed_generator`), which gives exactly the
-stream a new generator would; a sample's rows are therefore bit-identical
-to drawing and evaluating it alone.  One module constant, `_STACK_ENTRIES`,
-caps the matrix entries of the samples in one stack, so memory stays flat
-as n grows (without it, a 256-sample stack of 400 Haar rows would hold
+draw and kernel takes a leading sample axis, so one numpy call (elementwise,
+or a LAPACK QR, SVD or eigvalsh, which numpy runs matrix by matrix with the
+same routine) serves a whole stack instead of one sample, and the numpy
+call overhead that dominated small factorizations is paid once per stack.
+Each sample is still drawn from its own substream, through one Philox per
+range re-keyed to each substream (`haar._rekeyed_generator`), which gives
+exactly the stream a new generator would; a sample's rows are therefore
+bit-identical to drawing and evaluating it alone.  One module constant,
+`_STACK_ENTRIES`, caps the drawn entries of the samples in one stack, so
+memory stays flat as n grows (without it, a 256-sample stack of 400 Haar rows would hold
 about 650 MB); it is fixed, not an option, because the stacking never
 changes a result.  A `NumericalError` in a stack is re-raised for the first
 failing sample, evaluated alone, under its global index j.
@@ -33,17 +33,23 @@ squeezing values and the requested subsystem sizes alone, and returns the
 whole plan: the draw, its size m, the kernel and the kernel's squeezing.
 
 * equal squeezing s, where every requested size 0 < k < n has the same
-  k' = min(k, n - k): `haar._jacobi_transmissions(n, k')`, the k'
-  transmission eigenvalues T_i of the real (beta = 1) Jacobi ensemble, at
-  O(k'^3) whatever n.  At equal squeezing the k modes have the symplectic
-  eigenvalues nu_i = sqrt(1 + sinh^2(2s) T_i) and k - k' more equal to 1
-  (the `haar` docstring gives the law), so S2 = (1/2) sum log(1 + c T_i)
-  and S1 = sum h1(nu_i) with c = sinh^2(2s), computed in logarithms so
-  that no large factor is ever rounded and no symplectic eigensolve or
-  purity clamp is needed.  `sample_entropies` uses it for every such run:
-  the single-size checks of `verify`, and every point of `sample_ladder`,
-  the one ladder loop that `typicality_probe`, `estimate_constant_term` and
-  the CLI `variance` command sample through.
+  k' = min(k, n - k): `haar._jacobi_bidiagonal(n, k')`, the k' x k' upper
+  bidiagonal B of the Edelman-Sutton beta = 1 Jacobi model with
+  a = n - 2k' and b = 1, drawn from 2k' - 1 Beta variates of one `beta`
+  call per substream (the `haar` docstring gives the law and the stream
+  order).  The squared singular values of B are the k' transmission
+  eigenvalues T_i of the real Jacobi ensemble; the k modes have the
+  symplectic eigenvalues nu_i = sqrt(1 + c T_i), c = sinh^2(2s), and
+  k - k' more equal to 1.  So S2 = (1/2) log det(I + c B^T B), a
+  tridiagonal determinant that `_renyi2_from_bidiagonal` evaluates by an
+  O(k') pivot recurrence vectorized over the stack, with no LAPACK call and
+  no large factor ever rounded; only S1 = sum h1(nu_i) takes the T_i, from
+  one stacked SVD of the dense B, in logarithms, with no symplectic
+  eigensolve or purity clamp.  A sample costs O(k') whatever n (O(k'^3)
+  with S1).  `sample_entropies` uses it for every such run: the single-size
+  checks of `verify`, and every point of `sample_ladder`, the one ladder
+  loop that `typicality_probe`, `estimate_constant_term` and the CLI
+  `variance` command sample through.
 * otherwise: the Haar frame `haar._haar_frame(n, m)`, whose m orthonormal
   columns are the first m rows of a Haar U, transposed, at O(n m^2), with m
   the largest size below n.  The full page curve needs m = n - 1, which
@@ -86,8 +92,9 @@ from .gaussian import (
 )
 from .haar import (
     SeededStream,
+    _bidiagonal_transmissions,
     _haar_frame,
-    _jacobi_transmissions,
+    _jacobi_bidiagonal,
     _rekeyed_generator,
     derive_substream,
 )
@@ -147,8 +154,9 @@ def _openblas_thread_controls():
     return controls
 
 
-def _set_blas_threads(counts) -> list[int]:
-    """Set each OpenBLAS to its entry of `counts` (an int sets all); return the old counts.
+def _set_blas_threads(controls, counts) -> list[int]:
+    """Set each OpenBLAS of `controls` to its entry of `counts` (an int sets
+    all); return the old counts.
 
     Sampling runs on one BLAS thread, in the calling process and in the
     children it forks, which inherit the count, because the thread count
@@ -158,9 +166,9 @@ def _set_blas_threads(counts) -> list[int]:
     with one BLAS thread each.  With OPENBLAS_NUM_THREADS unset, the CPU a
     process spends beyond its wall time just after `import numpy` is
     OpenBLAS's own idle thread, not this call; the CLI sets the variable
-    before numpy loads.
+    before numpy loads.  The caller probes the controls once
+    (`_openblas_thread_controls`) and passes the same ones to the restore.
     """
-    controls = _openblas_thread_controls()
     if isinstance(counts, int):
         counts = [counts] * len(controls)
     previous = [get() for get, _ in controls]
@@ -205,10 +213,10 @@ def _check_counts(samples: int, workers: int):
 def _stack_size(draw, n: int, m: int) -> int:
     """Samples per stacked call: as many as keep within `_STACK_ENTRIES`, at least one.
 
-    A sample's size is the largest matrix its draw factors: kp x (2 kp + 1)
-    for the Jacobi draw, n x m for the Haar frame.
+    A sample's size is the entries its draw returns: 2 kp for the Jacobi
+    draw, n x m for the Haar frame.
     """
-    entries = m * (2 * m + 1) if draw is _jacobi_transmissions else n * m
+    entries = 2 * m if draw is _jacobi_bidiagonal else n * m
     return max(1, _STACK_ENTRIES // max(entries, 1))
 
 
@@ -301,7 +309,7 @@ def _map_samples(kernel, draw, n, m, params, samples, seed, namespace, workers) 
 
     generator_j is substream j of (seed, namespace), and the rows come back
     in sample order.  `draw` is `haar._haar_frame` or
-    `haar._jacobi_transmissions` (see `_frame_draw`); both, and every kernel,
+    `haar._jacobi_bidiagonal` (see `_frame_draw`); both, and every kernel,
     take a leading sample axis, so each range draws `_stack_size` samples per
     call, each from its own substream, and factors them in stacked calls.
 
@@ -316,14 +324,15 @@ def _map_samples(kernel, draw, n, m, params, samples, seed, namespace, workers) 
     stream = SeededStream(seed, namespace)
     processes = min(workers, -(-samples // _SHARE)) if hasattr(os, "fork") else 1
     bounds = [samples * w // processes for w in range(processes + 1)]
-    previous = _set_blas_threads(SAMPLING_BLAS_THREADS)
+    controls = _openblas_thread_controls()
+    previous = _set_blas_threads(controls, SAMPLING_BLAS_THREADS)
     try:
         shares = _fork_join(
             lambda j0, j1: _sample_range(kernel, draw, n, m, params, stream, j0, j1),
             list(zip(bounds, bounds[1:])),
         )
     finally:
-        _set_blas_threads(previous)
+        _set_blas_threads(controls, previous)
     return np.concatenate(shares)
 
 
@@ -382,8 +391,8 @@ def _frame_draw(values, ks):
     """(draw, m, kernel, squeeze): the sampling plan for the entropies of
     sizes ks of len(values) modes.
 
-    The Jacobi draw of m = k' transmissions, with log sinh^2(2s), when the
-    squeezing is equal and every size 0 < k < n has the same
+    The Jacobi draw of a k' x k' bidiagonal B (m = k'), with log sinh^2(2s),
+    when the squeezing is equal and every size 0 < k < n has the same
     k' = min(k, n - k); else the Haar frame of the first m = max{k < n} rows
     of U, with sqrt(diag sigma_0).
     """
@@ -392,26 +401,62 @@ def _frame_draw(values, ks):
     if len(weights) == 1 and len(set(values)) == 1:
         a = abs(2.0 * values[0])  # log sinh^2(2s), finite where sinh^2 overflows
         log_c = 2.0 * (analytic.log_cosh(a) + math.log(math.tanh(a))) if a else -math.inf
-        return _jacobi_transmissions, weights.pop(), _entropies_from_transmissions, log_c
+        return _jacobi_bidiagonal, weights.pop(), _entropies_from_bidiagonal, log_c
     scale = np.sqrt(_initial_diagonal(values))
     return _haar_frame, _frame_rows(ks, n), _entropies_for_sample, scale
 
 
-def _entropies_from_transmissions(t, n, log_c, ks, with_s1):
+def _renyi2_from_bidiagonal(b2, log_c) -> np.ndarray:
+    """Per sample, S2 = (1/2) log det(I + c B^T B), c = e^log_c, of the
+    bidiagonal B whose squared diagonal d^2 and superdiagonal e^2 are b2[j].
+
+    I + c B^T B is tridiagonal, and its LDL^T pivots follow in O(k') steps,
+    each vectorized over the stack, in a form whose every term is positive.
+    For c <= 1 the pivots are p_i = 1 + m_i with m_i = c d_i^2 + rho_i,
+    rho_1 = 0 and rho_i = c e_{i-1}^2 (1 + rho_{i-1}) / p_{i-1}, and the log
+    det is sum log1p(m_i), accurate at small s.  For c > 1 the pivots of
+    B^T B + I/c are q_i = d_i^2 + u_i with u_1 = 1/c and
+    u_i = 1/c + e_{i-1}^2 u_{i-1} / q_{i-1}, and the log det is
+    k' log c + sum log q_i, which stays finite where c overflows.  No LAPACK
+    call is made.
+    """
+    d2, e2 = b2[:, 0], b2[:, 1]
+    terms = np.empty_like(d2)
+    if log_c <= 0.0:
+        c = math.exp(log_c)
+        rho = np.zeros(len(b2))
+        for i in range(d2.shape[1]):
+            terms[:, i] = c * d2[:, i] + rho
+            rho = c * e2[:, i] * (1.0 + rho) / (1.0 + terms[:, i])
+        terms, shift = np.log1p(terms), 0.0
+    else:
+        w = math.exp(-log_c)
+        u = np.full(len(b2), w)
+        for i in range(d2.shape[1]):
+            terms[:, i] = d2[:, i] + u
+            u = w + e2[:, i] * u / terms[:, i]
+        terms, shift = np.log(terms), d2.shape[1] * log_c
+    return np.array([0.5 * math.fsum([shift, *row]) for row in terms.tolist()])
+
+
+def _entropies_from_bidiagonal(b2, n, log_c, ks, with_s1):
     """Per sample, S2 (row 0) and, if with_s1, S1 (row 1) of every subsystem size in ks.
 
-    Each row of t holds the k' transmission eigenvalues of one sample, shared
-    by every size 0 < k < n in ks, and log_c = log sinh^2(2s) (-inf at
-    s = 0).  Each nu_i^2 = 1 + c T_i is formed as log1p(c T_i) =
-    logaddexp(0, log c + log T_i), so it keeps its relative accuracy at any
-    s; no nu can round below 1.  k = 0 and k = n are pure states and stay
-    exactly 0.
+    Each b2[j] holds the squared diagonal and superdiagonal of the k' x k'
+    bidiagonal B of one sample (`haar._jacobi_bidiagonal`), whose squared
+    singular values are the k' transmission eigenvalues T_i shared by every
+    size 0 < k < n in ks, and log_c = log sinh^2(2s) (-inf at s = 0).  S2
+    comes from `_renyi2_from_bidiagonal`, with no LAPACK call.  Only S1 needs
+    the T_i, from one stacked SVD; each nu_i^2 = 1 + c T_i is formed as
+    log1p(c T_i) = logaddexp(0, log c + log T_i), so it keeps its relative
+    accuracy at any s and no nu can round below 1.  k = 0 and k = n are pure
+    states and stay exactly 0.
     """
-    out = np.zeros((len(t), 2 if with_s1 else 1, len(ks)))
+    out = np.zeros((len(b2), 2 if with_s1 else 1, len(ks)))
     mixed = [i for i, k in enumerate(ks) if 0 < k < n]
-    log_nu2 = np.logaddexp(0.0, log_c + np.log(t))
-    out[:, 0, mixed] = [[0.5 * math.fsum(row)] for row in log_nu2.tolist()]
+    out[:, 0, mixed] = _renyi2_from_bidiagonal(b2, log_c)[:, None]
     if with_s1:
+        log_nu2 = np.logaddexp(0.0, log_c + np.log(_bidiagonal_transmissions(b2)))
         nus = np.exp(0.5 * log_nu2).tolist()
         out[:, 1, mixed] = [[math.fsum(h1(nu) for nu in row)] for row in nus]
     return out
@@ -457,8 +502,9 @@ def sample_entropies(
     Returns (s2, s1), each of shape (samples, len(subsystem_sizes)) with rows
     in global sample order; s1 is None unless `with_s1`.  The arrays do not
     depend on `config.workers`.  Equal squeezing whose sizes 0 < k < n share
-    one k' = min(k, n - k) draws the k' Jacobi transmissions; anything else
-    draws the Haar frame (see `_frame_draw`).
+    one k' = min(k, n - k) draws the k' x k' bidiagonal Jacobi model, and
+    without `with_s1` makes no LAPACK call; anything else draws the Haar
+    frame (see `_frame_draw`).
     """
     n, ks = config.n, config.subsystem_sizes
     draw, m, kernel, squeeze = _frame_draw(config.squeezing.values, ks)
@@ -476,8 +522,8 @@ def sample_ladder(
 
     Point i draws on `stream_namespace(experiment, i)`, and every point is
     checked before the first draw.  Each point has one size, so every sample
-    draws the min(k, n - k) Jacobi transmissions at O(k^3) whatever n (see
-    `_frame_draw`).
+    draws the bidiagonal Jacobi model of the min(k, n - k) transmissions, at
+    O(k) whatever n (see `_frame_draw`).
     """
     configs = [
         RunConfig(
@@ -614,8 +660,8 @@ def typicality_probe(
 
     `k_rule` is 'sqrt' (k = ceil(sqrt n)) or 'ratio:<x>' (k = round(x n)).
     The points sample through `sample_ladder`, so for either rule a sample
-    draws the min(k, n - k) Jacobi transmissions at O(k^3) instead of a
-    k x n row frame at O(n k^2).
+    draws the bidiagonal Jacobi model of the min(k, n - k) transmissions at
+    O(k) instead of a k x n row frame at O(n k^2).
     """
     if not 0 < epsilon < math.inf:
         raise InputError(f"epsilon must be positive and finite, got {epsilon}")

@@ -14,8 +14,14 @@ from pagecurve import (
     sample_haar_unitary,
 )
 from pagecurve.gaussian import _initial_diagonal
-from pagecurve.haar import RNG_ALGORITHM, _haar_frame, _jacobi_transmissions, _rekeyed_generator
-from pagecurve.montecarlo import _entropies_for_sample, _entropies_from_transmissions
+from pagecurve.haar import (
+    RNG_ALGORITHM,
+    _bidiagonal_transmissions,
+    _haar_frame,
+    _jacobi_bidiagonal,
+    _rekeyed_generator,
+)
+from pagecurve.montecarlo import _entropies_for_sample, _entropies_from_bidiagonal
 from pagecurve.weingarten import haar_moment_trace_product
 
 # every `powers` with q = 2 * sum(powers) <= 6, the exact engine's cap
@@ -181,9 +187,9 @@ def test_frame_entry_moments():
 
 
 def test_frame_entropies_match_full_unitaries():
-    # per-sample S2 of k = 10 of n = 100 modes: the sampler's draws (10
-    # Jacobi transmissions at equal squeezing) against the first 10 rows of
-    # full Haar unitaries
+    # per-sample S2 of k = 10 of n = 100 modes: the sampler's draws (the
+    # 10 x 10 bidiagonal Jacobi model at equal squeezing) against the first
+    # 10 rows of full Haar unitaries
     n, k, samples = 100, 10, 500
     squeezing = SqueezingConfig.equal(n, 0.75)
     framed, _ = sample_entropies(
@@ -199,22 +205,38 @@ def test_frame_entropies_match_full_unitaries():
 @pytest.mark.parametrize("s", [0.75, 3.0, 6.0])
 def test_transmissions_give_the_row_frame_entropies(n, k, s):
     # for one Haar U: S2 and S1 from the squared singular values T_i of
-    # C[:k, k:], C = U U^T, equal those of the symplectic route on U's rows
+    # C[:k, k:], C = U U^T, as the diagonal B = diag(sqrt T_i), equal those
+    # of the symplectic route on U's rows
     u = _haar_frame(n, n, [SeededStream(61, 100 * n + k).generator()])[0]
     t = np.linalg.svd((u @ u.T)[:k, k:], compute_uv=False) ** 2
     assert len(t) == min(k, n - k)
     log_c = 2.0 * math.log(math.sinh(2.0 * s))
-    from_t = _entropies_from_transmissions(t[None], n, log_c, (k,), True)
+    from_t = _entropies_from_bidiagonal(np.stack([t, 0.0 * t])[None], n, log_c, (k,), True)
     scale = np.sqrt(_initial_diagonal([s] * n))
     from_rows = _entropies_for_sample(u.T[None], n, scale, (k,), True)
     assert from_t == pytest.approx(from_rows, rel=1e-12)
 
 
-def block_transmissions(x1, g2):
-    """Eigenvalues of W1 (W1 + W2)^-1, W1 = x1 x1^T and W2 = g2 g2^T, via QR."""
-    kp = x1.shape[0]
-    q, _ = np.linalg.qr(np.vstack([x1.T, g2.T]))
-    return np.linalg.svd(q[: x1.shape[1]], compute_uv=False)[:kp] ** 2
+def householder_bidiagonal(a):
+    """Squared diagonal and superdiagonal (last entry 0) of the upper
+    bidiagonal U^T a V of a square a, by Golub-Kahan Householder steps."""
+    a = np.array(a, dtype=float)
+    m = len(a)
+    for j in range(m):
+        for left in (True, False):
+            x = a[j:, j] if left else a[j, j + 1 :]
+            if len(x) < 2:
+                continue
+            v = x.copy()
+            v[0] += math.copysign(np.linalg.norm(x), x[0])
+            v /= np.linalg.norm(v)
+            if left:
+                a[j:] -= 2.0 * np.outer(v, v @ a[j:])
+            else:
+                a[:, j + 1 :] -= 2.0 * np.outer(a[:, j + 1 :] @ v, v)
+    d, e = np.diag(a), np.diag(a, 1)
+    assert np.abs(a - np.diag(d) - np.diag(e, 1)).max() <= 1e-13
+    return np.stack([d**2, np.append(e**2, 0.0)])
 
 
 @pytest.mark.parametrize("n,m", [(40, 5), (50, 12), (24, 11), (100, 10), (400, 20)])
@@ -223,36 +245,48 @@ def test_bartlett_block_gives_the_same_reduced_states(n, m, s):
     # X1 = L Q1 with L the lower-triangular (Bartlett) factor of the m x (n - m)
     # Gaussian block X1: W1 = X1 X1^T = L L^T, so for this very X1 the m x m
     # block L gives the transmissions, and so S2 and S1 of the m modes, that
-    # the n - m columns of X1 give
+    # the n - m columns of X1 give.  The T_i of X1 enter the sampler's kernel
+    # as a diagonal B; those of L as the bidiagonal form of its m x m
+    # transmission block, so S2 takes the pivot recurrence through a full
+    # superdiagonal
     generator = SeededStream(61, n + m).generator()
     x1 = generator.standard_normal((m, n - m))
     g2 = generator.standard_normal((m, m + 1))
     bartlett = np.linalg.qr(x1.T)[1].T
     assert np.allclose(bartlett, np.tril(bartlett))
+    t = np.linalg.svd(np.linalg.qr(np.vstack([x1.T, g2.T]))[0][: n - m], compute_uv=False) ** 2
+    q = np.linalg.qr(np.vstack([bartlett.T, g2.T]))[0]
+    reduced_b2 = householder_bidiagonal(q[:m])
+    assert np.all(reduced_b2[1, :-1] > 0.0)
     log_c = 2.0 * math.log(math.sinh(2.0 * s))
-    both = np.array([block_transmissions(x1, g2), block_transmissions(bartlett, g2)])
-    full, reduced = _entropies_from_transmissions(both, n, log_c, (m,), True)
+    both = np.array([np.stack([t, 0.0 * t]), reduced_b2])
+    full, reduced = _entropies_from_bidiagonal(both, n, log_c, (m,), True)
     assert np.all(full > 0.0)
     assert np.all(np.abs(reduced - full) <= 1e-12 * full)
 
 
 @pytest.mark.parametrize("n,m", [(3, 1), (9, 4), (400, 20)])
-def test_bartlett_frame_stream_order(n, m):
-    # the documented use of the stream by the Jacobi draw: the m chi-square
-    # diagonal entries of the Bartlett factor B1 first, then its normals below
-    # the diagonal in row-major order, then the m x (m + 1) block G2
-    drawn = _jacobi_transmissions(n, m, [SeededStream(14, n).generator()])[0]
+def test_bidiagonal_stream_order(n, m):
+    # the documented use of the stream by the Jacobi draw, one Beta variate
+    # each: c_i^2 ~ Beta((a + i)/2, (b + i)/2) for i = 1..m, then
+    # c'_i^2 ~ Beta(i/2, (a + b + 1 + i)/2) for i = 1..m-1, with a = n - 2m
+    # and b = 1; B has diagonal (c_m, c_{m-1} s'_{m-1}, ..., c_1 s'_1) and
+    # superdiagonal (-s_m c'_{m-1}, ..., -s_2 c'_1)
+    used = SeededStream(14, n).generator()
+    drawn = _jacobi_bidiagonal(n, m, [used])[0]
     generator = SeededStream(14, n).generator()
-    b1 = np.diag(np.sqrt(generator.chisquare(n - m - np.arange(m))))
-    below = iter(generator.standard_normal(m * (m - 1) // 2))
-    for row in range(m):
-        for col in range(row):
-            b1[row, col] = next(below)
-    g2 = generator.standard_normal((m, m + 1))
-    q, _ = np.linalg.qr(np.vstack([b1.T, g2.T]))
-    assert drawn.shape == (m,)
-    assert np.array_equal(drawn, np.linalg.svd(q[:m], compute_uv=False) ** 2)
-    assert np.all((drawn > 0.0) & (drawn < 1.0))
+    a, b = n - 2 * m, 1
+    c2 = [None] + [generator.beta((a + i) / 2, (b + i) / 2) for i in range(1, m + 1)]
+    cp2 = [None] + [generator.beta(i / 2, (a + b + 1 + i) / 2) for i in range(1, m)]
+    assert used.random() == generator.random()  # nothing more was drawn
+    d2 = [c2[m]] + [c2[i] * (1.0 - cp2[i]) for i in range(m - 1, 0, -1)]
+    e2 = [(1.0 - c2[i + 1]) * cp2[i] for i in range(m - 1, 0, -1)] + [0.0]
+    assert drawn.shape == (2, m)
+    assert np.array_equal(drawn, [d2, e2])
+    signed = np.diag(np.sqrt(d2)) - np.diag(np.sqrt(e2[:-1]), 1)
+    t = _bidiagonal_transmissions(drawn[None])[0]
+    assert t == pytest.approx(np.linalg.svd(signed, compute_uv=False) ** 2, rel=1e-12)
+    assert np.all((t > 0.0) & (t < 1.0))
 
 
 @pytest.mark.parametrize("n,k", [(6, 1), (8, 2), (9, 4), (12, 5), (8, 5), (10, 7)])
@@ -261,7 +295,7 @@ def test_jacobi_draw_matches_exact_trace_moments(n, k):
     # Jacobi draw must reproduce every exact moment E prod_i Tr W^{l_i}
     samples, kp = 8000, min(k, n - k)
     generator = SeededStream(71, 100 * n + k).generator()
-    w = 1.0 - _jacobi_transmissions(n, kp, [generator] * samples)
+    w = 1.0 - _bidiagonal_transmissions(_jacobi_bidiagonal(n, kp, [generator] * samples))
     for powers in TRACE_POWERS:
         values = np.prod([(w**l).sum(axis=1) + (k - kp) for l in powers], axis=0)
         exact = float(haar_moment_trace_product(powers, n, k))

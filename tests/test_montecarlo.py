@@ -24,6 +24,7 @@ from pagecurve import (
     page_constant_lambda,
     page_curve_prediction,
     sample_entropies,
+    sample_ladder,
     typicality_probe,
     variance_series,
 )
@@ -38,8 +39,9 @@ from pagecurve.errors import NumericalError, PageCurveError
 from pagecurve.gaussian import _initial_diagonal, _reduced_sigma_from_unitary, h1
 from pagecurve.haar import (
     SeededStream,
+    _bidiagonal_transmissions,
     _haar_frame,
-    _jacobi_transmissions,
+    _jacobi_bidiagonal,
     derive_substream,
     sample_haar_unitary,
 )
@@ -48,9 +50,10 @@ from pagecurve.montecarlo import (
     Experiment,
     _derivative_for_sample,
     _entropies_for_sample,
-    _entropies_from_transmissions,
+    _entropies_from_bidiagonal,
     _frame_draw,
     _map_samples,
+    _renyi2_from_bidiagonal,
     _sample_range,
     _stack_size,
     stream_namespace,
@@ -125,7 +128,7 @@ class TestDeterminism:
         # at n = 400 the thread count of a multi-threaded BLAS would change
         # the last bits of the 400 x 20 QR; every sampling process runs on one
         # thread.  Unequal squeezing keeps the n-mode draw (equal squeezing
-        # would draw 20 Jacobi transmissions)
+        # would draw the 20 x 20 bidiagonal Jacobi model)
         values = (0.8,) + (0.75,) * 399
         config = RunConfig(
             n=400, squeezing=SqueezingConfig(values), subsystem_sizes=(20,),
@@ -154,6 +157,24 @@ class TestDeterminism:
         b, _ = sample_entropies(small_config(samples=POOLED_SAMPLES, workers=2))
         assert pool_starts == []
         assert np.array_equal(a, b)
+
+    def test_blas_threads_probed_once_and_restored(self, monkeypatch):
+        # one probe of the OpenBLAS controls serves the set and the restore of
+        # a `_map_samples` call; its kernels run on one BLAS thread
+        probe = montecarlo._openblas_thread_controls
+        probes, seen = [], []
+        monkeypatch.setattr(montecarlo, "_openblas_thread_controls",
+                            lambda: probes.append(1) or probe())
+        before = [get() for get, _ in probe()]
+
+        def kernel(b2, *params):
+            seen.append([get() for get, _ in probe()])
+            return _entropies_from_bidiagonal(b2, *params)
+
+        _map_samples(kernel, _jacobi_bidiagonal, 20, 5, (20, 1.0, (5,), False), 30, 1, 0, 1)
+        assert probes == [1]
+        assert seen and all(counts == [1] * len(before) for counts in seen)
+        assert [get() for get, _ in probe()] == before
 
     def test_seed_changes_results(self):
         a = estimate_entropy_statistics(small_config())
@@ -215,10 +236,10 @@ def two_moments(x):
 class TestJacobiDraw:
     def test_selection_rule(self):
         equal = SqueezingConfig.equal(10, 0.5).values
-        assert _frame_draw(equal, (4,))[:2] == (_jacobi_transmissions, 4)
-        assert _frame_draw(equal, (7,))[:2] == (_jacobi_transmissions, 3)   # k > n/2
-        assert _frame_draw(equal, (5,))[:2] == (_jacobi_transmissions, 5)   # 2k = n
-        assert _frame_draw(equal, (0, 3, 7, 10))[:2] == (_jacobi_transmissions, 3)
+        assert _frame_draw(equal, (4,))[:2] == (_jacobi_bidiagonal, 4)
+        assert _frame_draw(equal, (7,))[:2] == (_jacobi_bidiagonal, 3)   # k > n/2
+        assert _frame_draw(equal, (5,))[:2] == (_jacobi_bidiagonal, 5)   # 2k = n
+        assert _frame_draw(equal, (0, 3, 7, 10))[:2] == (_jacobi_bidiagonal, 3)
         assert _frame_draw(equal, (2, 4))[:2] == (_haar_frame, 4)   # two k' fall back
         assert _frame_draw(equal, tuple(range(11)))[:2] == (_haar_frame, 9)   # the full page curve
         assert _frame_draw(equal, (0, 10))[:2] == (_haar_frame, 0)   # no mixed size at all
@@ -226,9 +247,9 @@ class TestJacobiDraw:
         assert _frame_draw(unequal, (4,))[:2] == (_haar_frame, 4)
 
     def test_sample_j_is_the_jacobi_draw_of_substream_j(self):
-        # the entropies of sample j come from the transmissions that
+        # the entropies of sample j come from the bidiagonal B that
         # substream j gives (the stream order itself is pinned by
-        # tests/test_haar.py::test_bartlett_frame_stream_order)
+        # tests/test_haar.py::test_bidiagonal_stream_order)
         n, ks, s, kp = 20, (5, 15), 0.9, 5
         config = RunConfig(n=n, squeezing=SqueezingConfig.equal(n, s), subsystem_sizes=ks,
                            samples=4, master_seed=6)
@@ -236,7 +257,7 @@ class TestJacobiDraw:
         c = math.sinh(2 * s) ** 2
         for j in range(4):
             generator = derive_substream(SeededStream(6, 0), j).generator()
-            t = _jacobi_transmissions(n, kp, [generator])[0]
+            t = _bidiagonal_transmissions(_jacobi_bidiagonal(n, kp, [generator]))[0]
             assert t.shape == (kp,)
             assert s2[j] == pytest.approx([0.5 * math.fsum(np.log1p(c * t))] * 2, rel=1e-13)
             expected_s1 = math.fsum(h1(math.sqrt(1 + c * x)) for x in t)
@@ -306,6 +327,60 @@ class TestJacobiDraw:
                              text=True, check=True).stdout
         assert out.splitlines()[-1] == "[]"
 
+    @pytest.mark.parametrize("s", [0.01, 0.75, 5.0, 12.0, 400.0])
+    def test_s2_recurrence_matches_the_singular_values(self, s):
+        # the O(k') pivot recurrence against (1/2) sum log1p(c T_i) over the
+        # SVD of the same B, on both sides of c = 1 and where c overflows
+        for n, kp in ((3, 1), (9, 4), (400, 200)):
+            streams = [derive_substream(SeededStream(8, n), j).generator() for j in range(20)]
+            b2 = _jacobi_bidiagonal(n, kp, streams)
+            log_c = _frame_draw((s,) * n, (kp,))[3]
+            log_nu2 = np.logaddexp(0.0, log_c + np.log(_bidiagonal_transmissions(b2)))
+            expected = [0.5 * math.fsum(row) for row in log_nu2.tolist()]
+            assert _renyi2_from_bidiagonal(b2, log_c) == pytest.approx(expected, rel=1e-12)
+
+    def test_single_size_s2_makes_no_linalg_call(self, monkeypatch):
+        # S2 of one size at equal squeezing is the recurrence alone; only S1
+        # factors B
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg was called")
+
+        for name in np.linalg.__all__:
+            if not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, refuse)
+        n = 400
+        for k, s in ((200, 0.75), (20, 5.0), (399, 400.0), (3, 0.0)):
+            config = RunConfig(n=n, squeezing=SqueezingConfig.equal(n, s), subsystem_sizes=(k,),
+                               samples=40, master_seed=3)
+            s2, s1 = sample_entropies(config)
+            assert s1 is None and np.all(np.isfinite(s2)) and np.all((s2 > 0.0) == (s > 0.0))
+        with pytest.raises(AssertionError, match="numpy.linalg"):
+            sample_entropies(config, with_s1=True)
+
+
+class TestExactValues:
+    # the sampler's S2 against exact finite-n values of the beta = 1 Jacobi
+    # law (de Bruijn's Pfaffian formula at 30 or more digits, rounded), at
+    # 5 sigma; each ladder point draws on its own namespace
+    SAMPLES = 40_000
+
+    def test_mean_and_variance_at_s_0_75(self):
+        exact = {(8, 4): (1.882114, 0.080905), (12, 3): (2.066202, 0.032354)}
+        cols = sample_ladder(Experiment.ENTROPY, list(exact), 0.75, self.SAMPLES, 26)
+        for (mean, var), col in zip(exact.values(), cols):
+            m, v, se_m, se_v = two_moments(col)
+            assert abs(m - mean) <= 5 * se_m
+            assert abs(v - var) <= 5 * se_v
+
+    def test_mean_at_half_the_modes_at_s_5(self):
+        # r = 1/2 at s = 5, the hard edge where the order-one deficit is far
+        # from its large-n limit
+        exact = {(8, 4): 33.85179, (16, 8): 68.14209, (24, 12): 102.49880, (32, 16): 136.88360}
+        cols = sample_ladder(Experiment.ENTROPY, list(exact), 5.0, self.SAMPLES, 26)
+        for mean, col in zip(exact.values(), cols):
+            m, _, se_m, _ = two_moments(col)
+            assert abs(m - mean) <= 5 * se_m
+
 
 RAMP8 = (0.3, 0.5, 0.9, 0.1, 0.7, 1.1, 0.2, 0.6)
 
@@ -319,8 +394,8 @@ def stacked_pairs():
         "rows-entropies": (_haar_frame, _entropies_for_sample, 8, 7,
                            (8, scale, tuple(range(9)), True)),
         "rows-s2": (_haar_frame, _entropies_for_sample, 8, 5, (8, scale, (0, 2, 5, 8), False)),
-        "jacobi-entropies": (_jacobi_transmissions, _entropies_from_transmissions, 20, 5,
-                             (20, log_c, (0, 5, 15, 20), True)),
+        "jacobi-entropies": (_jacobi_bidiagonal, _entropies_from_bidiagonal, 20, 8,
+                             (20, log_c, (0, 8, 12, 20), True)),
         "rows-derivative": (_haar_frame, _derivative_for_sample, 8, 3,
                             (8, scale, minus, 3, 0.03)),
         "rows-covariance": (_haar_frame, _reduced_sigma_from_unitary, 8, 3,
@@ -381,12 +456,12 @@ class TestStackedCalls:
         def kernel(t, *params):
             if os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return _entropies_from_transmissions(t, *params)
+            return _entropies_from_bidiagonal(t, *params)
 
         with pytest.raises(
             PageCurveError, match=r"\(samples 300 to 599\) was killed by signal 9 before"
         ):
-            _map_samples(kernel, _jacobi_transmissions, 20, 5, (20, 1.0, (5,), False),
+            _map_samples(kernel, _jacobi_bidiagonal, 20, 5, (20, 1.0, (5,), False),
                          POOLED_SAMPLES, 1, 0, 2)
         assert_no_children()
 
@@ -400,7 +475,7 @@ class TestStackedCalls:
             time.sleep(60)
 
         with pytest.raises(KeyboardInterrupt):
-            _map_samples(kernel, _jacobi_transmissions, 20, 5, (), POOLED_SAMPLES, 1, 0, 3)
+            _map_samples(kernel, _jacobi_bidiagonal, 20, 5, (), POOLED_SAMPLES, 1, 0, 3)
         assert_no_children()
 
 
