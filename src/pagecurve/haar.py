@@ -155,8 +155,10 @@ def _jacobi_bidiagonal(n: int, kp: int, generators) -> np.ndarray:
     beta = np.concatenate([(b + i) / 2, (a + b + 1 + i[:-1]) / 2])
     x = np.array([generator.beta(alpha, beta) for generator in generators])
     c2 = x[:, kp - 1 :: -1]  # c_kp^2, ..., c_1^2
-    cp2 = np.pad(x[:, : kp - 1 : -1], ((0, 0), (0, 1)))  # c'_{kp-1}^2, ..., c'_1^2, 0
-    return np.stack([c2 * (1.0 - np.roll(cp2, 1, axis=1)), (1.0 - c2) * cp2], axis=1)
+    cp2 = x[:, : kp - 1 : -1]  # c'_{kp-1}^2, ..., c'_1^2
+    d2 = c2 * np.pad(1.0 - cp2, ((0, 0), (1, 0)), constant_values=1.0)
+    e2 = np.pad((1.0 - c2[:, :-1]) * cp2, ((0, 0), (0, 1)))
+    return np.stack([d2, e2], axis=1)
 
 
 def _bidiagonal_transmissions(b2) -> np.ndarray:

@@ -453,10 +453,10 @@ class TestStackedCalls:
         # OOM killer) fails the call with its signal, and is reaped
         caller = os.getpid()
 
-        def kernel(t, *params):
+        def kernel(b2, *params):
             if os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return _entropies_from_bidiagonal(t, *params)
+            return _entropies_from_bidiagonal(b2, *params)
 
         with pytest.raises(
             PageCurveError, match=r"\(samples 300 to 599\) was killed by signal 9 before"
@@ -469,7 +469,7 @@ class TestStackedCalls:
         # an interrupt in this process leaves no child sampling on after it
         caller = os.getpid()
 
-        def kernel(t, *params):
+        def kernel(b2, *params):
             if os.getpid() == caller:
                 raise KeyboardInterrupt
             time.sleep(60)
