@@ -23,10 +23,11 @@ range re-keyed to each substream (`haar._rekeyed_generator`), which gives
 exactly the stream a new generator would; a sample's rows are therefore
 bit-identical to drawing and evaluating it alone.  One module constant,
 `_STACK_ENTRIES`, caps the drawn entries of the samples in one stack, so
-memory stays flat as n grows (without it, a 256-sample stack of 400 Haar rows would hold
-about 650 MB); it is fixed, not an option, because the stacking never
-changes a result.  A `NumericalError` in a stack is re-raised for the first
-failing sample, evaluated alone, under its global index j.
+memory stays flat as n grows (without it, a 256-sample stack of 400 Haar
+rows would hold about 650 MB); it is fixed, not an option, because the
+stacking never changes a result.  A `NumericalError` in a stack is
+re-raised for the first failing sample, evaluated alone, under its global
+index j.
 
 The sampler (id `SAMPLER`) has two draws.  `_frame_draw` picks one from the
 squeezing values and the requested subsystem sizes alone, and returns the
@@ -121,7 +122,7 @@ __all__ = [
 ]
 
 _SHARE = 256  # samples per sampling process before one more is forked
-_STACK_ENTRIES = 2**12  # matrix entries of the samples stacked into one LAPACK call
+_STACK_ENTRIES = 2**12  # drawn entries of the samples stacked into one numpy call
 _POINT_BITS = 16
 _BOOTSTRAP_RESAMPLES = 1000  # of `estimate_constant_term`
 _BLAS_PREFIXES = ("openblas", "scipy_openblas")  # with "64_" for 64-bit integer builds
