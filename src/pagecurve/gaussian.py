@@ -21,8 +21,10 @@ so S2 of the first k modes is the sum of log|R_ii| over i < 2k, and their
 nu_i are the k positive eigenvalues of the Hermitian matrix i R_k Omega R_k^T
 (Williamson's theorem; Serafini, Quantum Continuous Variables, ch. 3).  The
 Monte Carlo gets R, for every subsystem size at once, from one QR
-factorization of the squeezed rows of eta(U); the public functions get it from
-a Cholesky factorization of the given covariance.
+factorization of the squeezed rows of eta(U) (`_row_columns`), or takes S2
+at unequal squeezing from the diagonals of two such factors of a Ginibre
+block's rows (`montecarlo._renyi2_from_ginibre`); the public functions get R
+from a Cholesky factorization of the given covariance.
 """
 
 from __future__ import annotations
@@ -198,12 +200,18 @@ def _cholesky_factor(mat: np.ndarray) -> np.ndarray:
         raise NumericalError(f"covariance not positive definite: {exc}") from exc
 
 
-def _renyi2_values(r: np.ndarray) -> np.ndarray:
-    """S2 of the first 1, 2, ... modes of sigma = R^T R (interleaved order).
+def _log_diagonal(r: np.ndarray) -> np.ndarray:
+    """log|R_ii| along the last axis, over any leading sample axes."""
+    return np.log(np.abs(np.diagonal(r, axis1=-2, axis2=-1)))
 
-    r may carry leading sample axes; the values run along the last axis.
+
+def _renyi2_values(log_diagonal: np.ndarray) -> np.ndarray:
+    """S2 of the first 1, 2, ... modes of sigma = R^T R (interleaved order),
+    from log|R_ii| (`_log_diagonal`).
+
+    Leading sample axes are allowed; the values run along the last axis.
     """
-    values = np.cumsum(np.log(np.abs(np.diagonal(r, axis1=-2, axis2=-1))), axis=-1)[..., 1::2]
+    values = np.cumsum(log_diagonal, axis=-1)[..., 1::2]
     return np.where((values >= -1e-10) & (values < 0.0), 0.0, values)
 
 
@@ -251,7 +259,7 @@ def renyi2_entropy(sigma: CovarianceMatrix) -> float:
     For a covariance from `evolve` the value is accurate to about
     eps * e^{4 max|s_i|} (tested to |s_i| <= 3).
     """
-    return float(_renyi2_values(_cholesky_factor(sigma.matrix))[-1])
+    return float(_renyi2_values(_log_diagonal(_cholesky_factor(sigma.matrix)))[-1])
 
 
 def h1(x: float) -> float:
@@ -341,18 +349,28 @@ def _reduced_sigma_from_unitary(frame: np.ndarray, diag: np.ndarray, k: int) -> 
     return (rows * diag) @ np.swapaxes(rows, 1, 2)
 
 
+def _row_columns(block: np.ndarray, m: int) -> np.ndarray:
+    """F^T for a stack of n x m' blocks (m' >= m): the 2n x 2m real matrix
+    whose columns 2i and 2i + 1 are (Re u_i, Im u_i) and (-Im u_i, Re u_i)
+    for column u_i of the block, i < m.
+
+    For a Haar frame (`haar._haar_frame`), whose columns are the first m'
+    rows of U, F holds the rows of eta(U) for x_1, p_1, ..., x_m, p_m; for a
+    Ginibre block (`haar._ginibre_block`) it holds rows spanning the same
+    spaces, mode by mode.
+    """
+    uk = block[:, :, :m]
+    x_cols, p_cols = np.concatenate([uk.real, uk.imag], 1), np.concatenate([-uk.imag, uk.real], 1)
+    return np.stack([x_cols, p_cols], axis=3).reshape(len(block), -1, 2 * m)
+
+
 def _squeezed_row_factor(frame: np.ndarray, scale: np.ndarray, m: int) -> np.ndarray:
     """For a stack of Haar frames, the R with R_k^T R_k the reduced covariance
     of the first k <= m modes.
 
-    Each frame is n x m' with m' >= m, the first m' rows of U as its columns
-    (`haar._haar_frame`).  The rows of eta(U) for x_1, p_1, ..., x_m, p_m,
-    scaled column-wise by scale = sqrt(diag sigma_0), form a 2m x 2n matrix
-    F with F F^T the reduced covariance of the first m modes; R is the
-    triangular factor of F^T = QR, from one stacked QR.  Unscaled, column 2i
-    of F^T is (Re u_i, Im u_i) and column 2i + 1 is (-Im u_i, Re u_i).
+    The rows F of eta(U) for the first m modes (`_row_columns`), scaled
+    column-wise by scale = sqrt(diag sigma_0), have F F^T the reduced
+    covariance of those modes; R is the triangular factor of F^T = QR, from
+    one stacked QR.
     """
-    uk = frame[:, :, :m]
-    x_cols, p_cols = np.concatenate([uk.real, uk.imag], 1), np.concatenate([-uk.imag, uk.real], 1)
-    cols = np.stack([x_cols, p_cols], axis=3).reshape(len(frame), -1, 2 * m)
-    return np.linalg.qr(cols * scale[:, None], mode="r")
+    return np.linalg.qr(_row_columns(frame, m) * scale[:, None], mode="r")

@@ -29,39 +29,48 @@ stacking never changes a result.  A `NumericalError` in a stack is
 re-raised for the first failing sample, evaluated alone, under its global
 index j.
 
-The sampler (id `SAMPLER`) has two draws.  `_frame_draw` picks one from the
-squeezing values and the requested subsystem sizes alone, and returns the
-whole plan: the draw, its size m, the kernel and the kernel's squeezing.
+The sampler (id `SAMPLER`) has three draws.  `_frame_draw` picks one from
+the squeezing values and `with_s1` alone, and returns the whole plan: the
+draw, its size m, the kernel and the kernel's squeezing.
 
-* equal squeezing s, where every requested size 0 < k < n has the same
-  k' = min(k, n - k): `haar._jacobi_bidiagonal(n, k')`, the k' x k' upper
-  bidiagonal B of the Edelman-Sutton beta = 1 Jacobi model with
-  a = n - 2k' and b = 1, drawn from 2k' - 1 Beta variates of one `beta`
-  call per substream (the `haar` docstring gives the law and the stream
-  order).  The squared singular values of B are the k' transmission
-  eigenvalues T_i of the real Jacobi ensemble; the k modes have the
-  symplectic eigenvalues nu_i = sqrt(1 + c T_i), c = sinh^2(2s), and
-  k - k' more equal to 1.  So S2 = (1/2) log det(I + c B^T B), a
-  tridiagonal determinant that `_renyi2_from_bidiagonal` evaluates by an
-  O(k') pivot recurrence vectorized over the stack, with no LAPACK call and
-  no large factor ever rounded; only S1 = sum h1(nu_i) takes the T_i, from
-  one stacked SVD of the dense B, in logarithms, with no symplectic
-  eigensolve or purity clamp.  A sample costs O(k') whatever n (O(k'^3)
-  with S1).  `sample_entropies` uses it for every such run: the single-size
-  checks of `verify`, and every point of `sample_ladder`, the one ladder
-  loop that `typicality_probe`, `estimate_constant_term` and the CLI
-  `variance` command sample through.
-* otherwise: the Haar frame `haar._haar_frame(n, m)`, whose m orthonormal
-  columns are the first m rows of a Haar U, transposed, at O(n m^2), with m
-  the largest size below n.  The full page curve needs m = n - 1, which
-  costs the same as a full unitary; unequal squeezing, and equal squeezing
-  with several k' (no CLI command asks for one below the full curve), take
-  this draw too.  `conjecture_probe` (the same S2 kernel at unequal scales
-  on its two sides) and `mean_covariance_check` (it checks the Haar average
-  of the covariance, that is, the n-mode draw itself) always use it.
+* equal squeezing s, any sizes: `haar._jacobi_bidiagonal(n, kps)`, one
+  k' x k' upper bidiagonal B of the Edelman-Sutton beta = 1 Jacobi model
+  (a = n - 2k', b = 1) per distinct k' = min(k, n - k) of the sizes
+  0 < k < n, every B of a sample from one `beta` call in ascending k' (the
+  `haar` docstring gives the law and the stream order; a single k' draws
+  what it drew alone).  B's squared singular values are the k'
+  transmission eigenvalues T_i; the k modes have the symplectic eigenvalues
+  nu_i = sqrt(1 + c T_i), c = sinh^2(2s), and k - k' more equal to 1.  So
+  S2 = (1/2) log det(I + c B^T B), which `_renyi2_from_bidiagonal`
+  evaluates by an O(k') pivot recurrence run over every B of the stack at
+  once, with no LAPACK call and no large factor ever rounded; only
+  S1 = sum h1(nu_i) takes the T_i, from one stacked SVD per k', in
+  logarithms, with no symplectic eigensolve or purity clamp.  A sample
+  costs O(sum k') whatever n.  Every equal-squeezing run takes it: the
+  page curve, the single sizes of `verify`, and every point of
+  `sample_ladder` (`typicality_probe`, `estimate_constant_term`, the CLI
+  `variance` command).
+* unequal squeezing, S2 only: the raw complex Ginibre block Z of
+  `haar._ginibre_block(n, m)`, m the largest size below n, with the
+  interleaved real 2n x 2m form F of its columns and D = sqrt(diag
+  sigma_0).  Z's first k columns span the first k rows of the Haar U that
+  its orthonormalization gives, eta is multiplicative and the triangular
+  factor relating the two cancels from the log-determinant, so
+  S2(k) = sum_{i<2k} (log|r_ii(D F)| - log|r_ii(F)|) from two real QR
+  factors and no complex QR (`_renyi2_from_ginibre`).  The page curve and
+  `conjecture_probe` (the same S2 at unequal scales on its two sides, whose
+  difference needs only the two scaled factors) take it.
+* unequal squeezing with S1: the Haar frame `haar._haar_frame(n, m)`, whose
+  m orthonormal columns are the first m rows of a Haar U, transposed, at
+  O(n m^2); S1 needs the symplectic spectrum of the frame's own factor
+  (`_entropies_for_sample`).  `mean_covariance_check` (it checks the Haar
+  average of the covariance, that is, the n-mode draw itself) always uses
+  it.
 
-Each draw gives every entropy it serves its exact law; the joint law across
-sizes with different k' is the Haar one only on the row-frame draw.
+Each draw gives every entropy it serves its exact law.  Within a sample the
+Jacobi draw makes sizes with different k' independent, and sizes k and
+n - k equal; the Ginibre and Haar-frame draws keep the Haar joint law
+across sizes.
 
 Comparisons against asymptotic predictions should allow, besides the usual
 3-sigma statistical band, an additive 2/n for the unquantified order-one
@@ -71,6 +80,7 @@ corrections at finite mode number.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import os
 from fractions import Fraction
@@ -84,9 +94,11 @@ from .errors import InputError, NumericalError, PageCurveError
 from .gaussian import (
     SqueezingConfig,
     _initial_diagonal,
+    _log_diagonal,
     _purity_clamp,
     _reduced_sigma_from_unitary,
     _renyi2_values,
+    _row_columns,
     _squeezed_row_factor,
     _symplectic_spectrum,
     h1,
@@ -94,6 +106,7 @@ from .gaussian import (
 from .haar import (
     SeededStream,
     _bidiagonal_transmissions,
+    _ginibre_block,
     _haar_frame,
     _jacobi_bidiagonal,
     _rekeyed_generator,
@@ -214,10 +227,11 @@ def _check_counts(samples: int, workers: int):
 def _stack_size(draw, n: int, m: int) -> int:
     """Samples per stacked call: as many as keep within `_STACK_ENTRIES`, at least one.
 
-    A sample's size is the entries its draw returns: 2 kp for the Jacobi
-    draw, n x m for the Haar frame.
+    A sample's size is the entries its draw returns: 2 sum(kps) for the
+    Jacobi draw, whose m is the tuple kps, and n x m for the Ginibre block
+    and the Haar frame.
     """
-    entries = 2 * m if draw is _jacobi_bidiagonal else n * m
+    entries = 2 * sum(m) if draw is _jacobi_bidiagonal else n * m
     return max(1, _STACK_ENTRIES // max(entries, 1))
 
 
@@ -309,9 +323,9 @@ def _map_samples(kernel, draw, n, m, params, samples, seed, namespace, workers) 
     """Stack kernel(draw(n, m, [generator_j]), *params) over samples j = 0..samples-1.
 
     generator_j is substream j of (seed, namespace), and the rows come back
-    in sample order.  `draw` is `haar._haar_frame` or
-    `haar._jacobi_bidiagonal` (see `_frame_draw`); both, and every kernel,
-    take a leading sample axis, so each range draws `_stack_size` samples per
+    in sample order.  `draw` is `haar._jacobi_bidiagonal`,
+    `haar._ginibre_block` or `haar._haar_frame` (see `_frame_draw`); each,
+    and every kernel, takes a leading sample axis, so each range draws `_stack_size` samples per
     call, each from its own substream, and factors them in stacked calls.
 
     The samples run on P = min(workers, ceil(samples / _SHARE)) processes,
@@ -388,78 +402,144 @@ def _frame_rows(ks, n: int) -> int:
     return max((k for k in ks if k < n), default=0)
 
 
-def _frame_draw(values, ks):
-    """(draw, m, kernel, squeeze): the sampling plan for the entropies of
-    sizes ks of len(values) modes.
+def _transmission_counts(ks, n: int) -> tuple[int, ...]:
+    """The distinct k' = min(k, n - k) of the sizes 0 < k < n in ks, ascending."""
+    return tuple(sorted({min(k, n - k) for k in ks if 0 < k < n}))
 
-    The Jacobi draw of a k' x k' bidiagonal B (m = k'), with log sinh^2(2s),
-    when the squeezing is equal and every size 0 < k < n has the same
-    k' = min(k, n - k); else the Haar frame of the first m = max{k < n} rows
-    of U, with sqrt(diag sigma_0).
+
+def _frame_draw(values, ks, with_s1):
+    """(draw, m, kernel, squeeze): the sampling plan for the entropies of
+    sizes ks of len(values) modes, S1 too if with_s1.
+
+    Equal squeezing: the Jacobi draw of one k' x k' bidiagonal B per k' of
+    the sizes (m = the tuple of k'), with log sinh^2(2s).  Unequal
+    squeezing: the first m = max{k < n} columns of a Ginibre block for S2
+    alone, of a Haar frame with S1, with sqrt(diag sigma_0).
     """
     n = len(values)
-    weights = {min(k, n - k) for k in ks if 0 < k < n}
-    if len(weights) == 1 and len(set(values)) == 1:
+    if len(set(values)) == 1:
         a = abs(2.0 * values[0])  # log sinh^2(2s), finite where sinh^2 overflows
         log_c = 2.0 * (analytic.log_cosh(a) + math.log(math.tanh(a))) if a else -math.inf
-        return _jacobi_bidiagonal, weights.pop(), _entropies_from_bidiagonal, log_c
+        return _jacobi_bidiagonal, _transmission_counts(ks, n), _entropies_from_bidiagonal, log_c
     scale = np.sqrt(_initial_diagonal(values))
-    return _haar_frame, _frame_rows(ks, n), _entropies_for_sample, scale
+    if with_s1:
+        return _haar_frame, _frame_rows(ks, n), _entropies_for_sample, scale
+    return _ginibre_block, _frame_rows(ks, n), _renyi2_from_ginibre, scale
 
 
-def _renyi2_from_bidiagonal(b2, log_c) -> np.ndarray:
-    """Per sample, S2 = (1/2) log det(I + c B^T B), c = e^log_c, of the
-    bidiagonal B whose squared diagonal d^2 and superdiagonal e^2 are b2[j].
+def _renyi2_from_bidiagonal(b2, log_c, kps) -> np.ndarray:
+    """Per sample and per kp of kps, S2 = (1/2) log det(I + c B^T B),
+    c = e^log_c, of the kp x kp bidiagonal B whose squared diagonal d^2 and
+    superdiagonal e^2 b2[j] holds, end to end in the order of kps.
 
-    I + c B^T B is tridiagonal, and its LDL^T pivots follow in O(k') steps,
+    I + c B^T B is tridiagonal, and its LDL^T pivots follow in O(kp) steps,
     each vectorized over the stack, in a form whose every term is positive.
     For c <= 1 the pivots are p_i = 1 + m_i with m_i = c d_i^2 + rho_i,
     rho_1 = 0 and rho_i = c e_{i-1}^2 (1 + rho_{i-1}) / p_{i-1}, and the log
     det is sum log1p(m_i), accurate at small s.  For c > 1 the pivots of
     B^T B + I/c are q_i = d_i^2 + u_i with u_1 = 1/c and
     u_i = 1/c + e_{i-1}^2 u_{i-1} / q_{i-1}, and the log det is
-    k' log c + sum log q_i, which stays finite where c overflows.  No LAPACK
-    call is made.
+    kp log c + sum log q_i, which stays finite where c overflows.  Every B
+    runs in the same steps: each is padded in front to the largest kp with
+    d^2 = 1 and e^2 = 0, which keep rho at 0 and u at 1/c (also where 1/c
+    underflows to 0), so its pivots are those it has alone, and the padded
+    terms are left out of its sum.  No LAPACK call is made.
     """
-    d2, e2 = b2[:, 0], b2[:, 1]
+    width = kps[-1]
+    d2, e2 = np.ones((len(b2), len(kps), width)), np.zeros((len(b2), len(kps), width))
+    for i, (kp, end) in enumerate(zip(kps, itertools.accumulate(kps))):  # B i, padded in front
+        d2[:, i, width - kp :], e2[:, i, width - kp :] = b2[:, :, end - kp : end].swapaxes(0, 1)
     terms = np.empty_like(d2)
     if log_c <= 0.0:
         c = math.exp(log_c)
-        rho = np.zeros(len(b2))
-        for i in range(d2.shape[1]):
-            terms[:, i] = c * d2[:, i] + rho
-            rho = c * e2[:, i] * (1.0 + rho) / (1.0 + terms[:, i])
-        terms, shift = np.log1p(terms), 0.0
+        rho = np.zeros(d2.shape[:2])
+        for i in range(width):
+            terms[..., i] = c * d2[..., i] + rho
+            rho = c * e2[..., i] * (1.0 + rho) / (1.0 + terms[..., i])
+        terms, shifts = np.log1p(terms), [0.0] * len(kps)
     else:
         w = math.exp(-log_c)
-        u = np.full(len(b2), w)
-        for i in range(d2.shape[1]):
-            terms[:, i] = d2[:, i] + u
-            u = w + e2[:, i] * u / terms[:, i]
-        terms, shift = np.log(terms), d2.shape[1] * log_c
-    return np.array([0.5 * math.fsum([shift, *row]) for row in terms.tolist()])
+        u = np.full(d2.shape[:2], w)
+        for i in range(width):
+            terms[..., i] = d2[..., i] + u
+            u = w + e2[..., i] * u / terms[..., i]
+        terms, shifts = np.log(terms), [size * log_c for size in kps]
+    for i, kp in enumerate(kps):
+        terms[:, i, : width - kp] = 0.0
+    return np.array([
+        [0.5 * math.fsum([shift, *row]) for shift, row in zip(shifts, rows)]
+        for rows in terms.tolist()
+    ])
 
 
 def _entropies_from_bidiagonal(b2, n, log_c, ks, with_s1):
     """Per sample, S2 (row 0) and, if with_s1, S1 (row 1) of every subsystem size in ks.
 
-    Each b2[j] holds the squared diagonal and superdiagonal of the k' x k'
-    bidiagonal B of one sample (`haar._jacobi_bidiagonal`), whose squared
-    singular values are the k' transmission eigenvalues T_i shared by every
-    size 0 < k < n in ks, and log_c = log sinh^2(2s) (-inf at s = 0).  S2
-    comes from `_renyi2_from_bidiagonal`, with no LAPACK call.  Only S1 needs
-    the T_i, from one stacked SVD; each nu_i^2 = 1 + c T_i is formed as
+    Each b2[j] holds, end to end in ascending k', the squared diagonal and
+    superdiagonal of one sample's k' x k' bidiagonal B for each k' of the
+    sizes 0 < k < n in ks (`haar._jacobi_bidiagonal`); the squared singular
+    values of B are the k' transmission eigenvalues T_i shared by every size
+    with that k', and log_c = log sinh^2(2s) (-inf at s = 0).  S2 comes from
+    `_renyi2_from_bidiagonal`, with no LAPACK call.  Only S1 needs the T_i,
+    from one stacked SVD per k'; each nu_i^2 = 1 + c T_i is formed as
     log1p(c T_i) = logaddexp(0, log c + log T_i), so it keeps its relative
     accuracy at any s and no nu can round below 1.  k = 0 and k = n are pure
     states and stay exactly 0.
     """
     out = np.zeros((len(b2), 2 if with_s1 else 1, len(ks)))
+    kps = _transmission_counts(ks, n)
+    if not kps:
+        return out
     mixed = [i for i, k in enumerate(ks) if 0 < k < n]
-    out[:, 0, mixed] = _renyi2_from_bidiagonal(b2, log_c)[:, None]
+    column = [kps.index(min(ks[i], n - ks[i])) for i in mixed]
+    out[:, 0, mixed] = _renyi2_from_bidiagonal(b2, log_c, kps)[:, column]
     if with_s1:
-        log_nu2 = np.logaddexp(0.0, log_c + np.log(_bidiagonal_transmissions(b2)))
-        nus = np.exp(0.5 * log_nu2).tolist()
-        out[:, 1, mixed] = [[math.fsum(h1(nu) for nu in row)] for row in nus]
+        s1 = np.empty((len(b2), len(kps)))
+        for i, (kp, end) in enumerate(zip(kps, itertools.accumulate(kps))):
+            t = _bidiagonal_transmissions(b2[:, :, end - kp : end])
+            nus = np.exp(0.5 * np.logaddexp(0.0, log_c + np.log(t))).tolist()
+            s1[:, i] = [math.fsum(h1(nu) for nu in row) for row in nus]
+        out[:, 1, mixed] = s1[:, column]
+    return out
+
+
+def _log_scaled_factor(rows, scale) -> np.ndarray:
+    """log|r_ii| of the triangular factor of D F^T, D = diag(scale), for a
+    stack of F^T (`gaussian._row_columns`).
+
+    The rows of D F^T go into the stacked QR in decreasing order of scale,
+    which leaves R unchanged but keeps Householder QR accurate where the
+    scales e^{+-s_i} differ by many orders of magnitude (Cox & Higham, BIT
+    38, 1 (1998)): at max|s_i| = 8 with s_i of both signs, S2 keeps a
+    relative error near 1e-15 instead of about 1e-10.
+    """
+    order = np.argsort(-scale, kind="stable")
+    return _log_diagonal(np.linalg.qr(rows[:, order] * scale[order, None], mode="r"))
+
+
+def _renyi2_from_ginibre(block, n, scale, ks, with_s1):
+    """Per sample, S2 (row 0) of every subsystem size in ks, from Ginibre blocks.
+
+    Each block[b] is an n x m' complex Ginibre block Z (`haar._ginibre_block`),
+    m' >= m = max{k < n}, and scale = sqrt(diag sigma_0).  With F^T the
+    interleaved real form of Z's first m columns (`gaussian._row_columns`),
+    S2 of the first k modes is sum_{i<2k} (log|r_ii(D F)| - log|r_ii(F)|),
+    D = diag(scale), with r_ii the diagonals of two real QR factors, taken
+    in two stacked calls (`_log_scaled_factor` for D F): Z = V T with V the
+    Haar frame and T upper triangular, eta(Z) = eta(V) eta(T), and eta(T)'s
+    leading block cancels from the ratio of Gram determinants.  S1 needs the frame's own factor
+    (`_entropies_for_sample`), so `_frame_draw` pairs this kernel with
+    with_s1 false only.  k = 0 and k = n are pure states and stay exactly 0.
+    """
+    out = np.zeros((len(block), 1, len(ks)))
+    m = _frame_rows(ks, n)
+    if m == 0:  # only pure states; an empty block has no factor
+        return out
+    rows = _row_columns(block, m)
+    log_r = _log_scaled_factor(rows, scale) - _log_diagonal(np.linalg.qr(rows, mode="r"))
+    s2 = _renyi2_values(log_r)
+    mixed = [i for i, k in enumerate(ks) if 0 < k < n]
+    out[:, 0, mixed] = s2[:, [ks[i] - 1 for i in mixed]]
     return out
 
 
@@ -471,20 +551,21 @@ def _entropies_for_sample(frame, n, scale, ks, with_s1):
     factor R of the m modes serves every k, since its leading block
     R[:2k, :2k] factors the covariance of the first k modes; the factors and
     the spectra of all samples come from stacked calls.  k = 0 and k = n are
-    pure states and stay exactly 0.
+    pure states and stay exactly 0.  The sampler runs this kernel for S1 at
+    unequal squeezing only.
 
     S1 sums h1 over the top min(k, n - k) symplectic eigenvalues only, and
     only those are checked against the uncertainty bound.  The state is pure,
     so for k > n/2 the other k - (n - k) values are exactly 1; in floating
     point they round below 1 by up to about eps * e^{4 max|s_i|}, which
-    passes 1 - PURITY_CLAMP from s ~ 8 on.
+    passes 1 - PURITY_CLAMP from max|s_i| ~ 8 on.
     """
     out = np.zeros((len(frame), 2 if with_s1 else 1, len(ks)))
     m = _frame_rows(ks, n)
     if m == 0:  # only pure states; the factor of an empty frame cannot be shaped
         return out
     r = _squeezed_row_factor(frame, scale, m)
-    s2 = _renyi2_values(r)
+    s2 = _renyi2_values(_log_diagonal(r))
     for i, k in enumerate(ks):
         if 0 < k < n:
             out[:, 0, i] = s2[:, k - 1]
@@ -502,13 +583,17 @@ def sample_entropies(
 
     Returns (s2, s1), each of shape (samples, len(subsystem_sizes)) with rows
     in global sample order; s1 is None unless `with_s1`.  The arrays do not
-    depend on `config.workers`.  Equal squeezing whose sizes 0 < k < n share
-    one k' = min(k, n - k) draws the k' x k' bidiagonal Jacobi model, and
-    without `with_s1` makes no LAPACK call; anything else draws the Haar
-    frame (see `_frame_draw`).
+    depend on `config.workers`.  Equal squeezing draws one k' x k'
+    bidiagonal Jacobi model per distinct k' = min(k, n - k), all of a sample
+    from one `beta` call in ascending k', and without `with_s1` makes no
+    LAPACK call; the sizes of different k' are then independent within a
+    sample, each with its exact law, and k and n - k share one draw.
+    Unequal squeezing keeps the Haar joint law: S2 alone comes from the real
+    QR factors of a Ginibre block, S1 from the Haar frame (see
+    `_frame_draw`).
     """
     n, ks = config.n, config.subsystem_sizes
-    draw, m, kernel, squeeze = _frame_draw(config.squeezing.values, ks)
+    draw, m, kernel, squeeze = _frame_draw(config.squeezing.values, ks, with_s1)
     rows = _map_samples(
         kernel, draw, n, m, (n, squeeze, ks, with_s1), config.samples, config.master_seed,
         config.stream_namespace, config.workers,
@@ -523,8 +608,8 @@ def sample_ladder(
 
     Point i draws on `stream_namespace(experiment, i)`, and every point is
     checked before the first draw.  Each point has one size, so every sample
-    draws the bidiagonal Jacobi model of the min(k, n - k) transmissions, at
-    O(k) whatever n (see `_frame_draw`).
+    draws the one bidiagonal Jacobi model of its min(k, n - k)
+    transmissions, at O(k) whatever n (see `_frame_draw`).
     """
     configs = [
         RunConfig(
@@ -693,11 +778,20 @@ class DerivativeEstimate(NamedTuple):
     samples: int
 
 
-def _derivative_for_sample(frame, n, scale_plus, scale_minus, k, dh):
-    """Per sample, (S2 at scale_plus - S2 at scale_minus) / dh of the first k modes."""
-    s2p, s2m = (_entropies_for_sample(frame, n, scale, (k,), False)[:, 0, 0]
-                for scale in (scale_plus, scale_minus))
-    return (s2p - s2m) / dh
+def _derivative_for_sample(block, n, scale_plus, scale_minus, k, dh):
+    """Per sample, (S2 at scale_plus - S2 at scale_minus) / dh of the first k
+    modes, from Ginibre blocks.
+
+    Both sides share the block, so the unscaled factor of
+    `_renyi2_from_ginibre` cancels from the difference: it is
+    sum_{i<2k} (log|r_ii(D+ F)| - log|r_ii(D- F)|) / dh, from two real QR
+    factors.  k = n is a pure state, whose S2 is 0 at any squeezing.
+    """
+    if k == n:
+        return np.zeros(len(block))
+    rows = _row_columns(block, k)
+    plus, minus = (_log_scaled_factor(rows, scale) for scale in (scale_plus, scale_minus))
+    return (plus - minus).sum(axis=-1) / dh
 
 
 def conjecture_probe(
@@ -712,7 +806,8 @@ def conjecture_probe(
     """Central finite difference of the mean S2 with respect to s_i^2.
 
     Uses common random numbers (the same unitary on both sides of the
-    difference), which suppresses the variance of the estimate by orders of
+    difference, drawn as a Ginibre block; see `_derivative_for_sample`),
+    which suppresses the variance of the estimate by orders of
     magnitude.  `mode_index` is zero-based.  Near s_i = 0 the lower side is
     clamped at zero, degrading gracefully to a forward difference.
     """
@@ -733,7 +828,7 @@ def conjecture_probe(
     scales = [np.sqrt(_initial_diagonal(values)) for values in (plus, minus)]
     params = (config.n, *scales, k, h_plus - h_minus)
     diffs = _map_samples(
-        _derivative_for_sample, _haar_frame, config.n, _frame_rows((k,), config.n), params,
+        _derivative_for_sample, _ginibre_block, config.n, _frame_rows((k,), config.n), params,
         samples, seed, stream_namespace(Experiment.CONJECTURE), workers,
     )
     std = float(diffs.std(ddof=1)) if samples > 1 else 0.0

@@ -8,6 +8,6 @@ numpy.  `haar` and `montecarlo` re-export them.
 __all__ = ["RNG_ALGORITHM", "SAMPLER", "SAMPLING_BLAS_THREADS"]
 
 RNG_ALGORITHM = "philox4x64"  # numpy's counter-based Philox generator
-# names the two draws, their selection rule and the stream keys
-SAMPLER = "haar-row-frame-bidiagonal-jacobi"
+# names the three draws, their selection rule and the stream keys
+SAMPLER = "bidiagonal-jacobi-ginibre-qr-haar-frame"
 SAMPLING_BLAS_THREADS = 1  # OpenBLAS threads of every sampling process

@@ -170,7 +170,7 @@ class TestJsonRoundTrip:
         assert record["schema_version"] == SCHEMA_VERSION
         assert record["metadata"]["seed"] == 3
         assert record["metadata"]["rng_algorithm"] == "philox4x64"
-        assert record["metadata"]["sampler"] == "haar-row-frame-bidiagonal-jacobi"
+        assert record["metadata"]["sampler"] == "bidiagonal-jacobi-ginibre-qr-haar-frame"
         assert record["metadata"]["blas_threads"] == 1
         assert_sampling_timings(record["metadata"], 25)
 
@@ -367,29 +367,44 @@ def test_bad_sampling_inputs_rejected_before_sampling(command, message, capsys, 
 
 
 @pytest.mark.parametrize(
-    "command",
+    "command, beyond, within",
     [
-        ["page-curve", "--modes", "4", "--samples", "3"],
-        ["conjecture-probe", "--modes", "3", "--k", "1", "--samples", "3"],
+        (["page-curve", "--modes", "4", "--samples", "3"], "400,0.5,0.5,0.5", "354,0.5,0.5,0.5"),
+        (["conjecture-probe", "--modes", "3", "--k", "1", "--samples", "3"], "400", "354"),
     ],
     ids=["page-curve", "conjecture-probe"],
 )
-def test_squeezing_beyond_the_double_range_exits_2_before_sampling(command, capsys,
-                                                                    monkeypatch):
-    # e^{2|s|} overflows from |s| > log(DBL_MAX)/2 ~ 354.89 on the Haar-row route
+def test_squeezing_beyond_the_double_range_exits_2_before_sampling(command, beyond, within,
+                                                                    capsys, monkeypatch):
+    # e^{2|s|} overflows from |s| > log(DBL_MAX)/2 ~ 354.89 on the routes that
+    # scale by sqrt(diag sigma_0): unequal squeezing, and both sides of the
+    # probe's difference
     def refuse(*args):
         raise AssertionError("sampled before checking the squeezing bound")
 
     monkeypatch.setattr(montecarlo, "_map_samples", refuse)
-    assert main(command + ["--squeeze", "400", "--workers", "1"]) == 2
+    assert main(command + ["--squeeze", beyond, "--workers", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exceeds log(DBL_MAX)/2 = 354.891356" in captured.err
     monkeypatch.undo()
 
-    assert main(command + ["--squeeze", "354", "--workers", "1", "--format", "json"]) == 0
+    assert main(command + ["--squeeze", within, "--workers", "1", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert all(math.isfinite(cell) for row in rows for cell in row if isinstance(cell, float))
+
+
+def test_page_curve_at_equal_squeezing_beyond_the_double_range_stays_finite(capsys):
+    # equal squeezing samples on the Jacobi route, which works in logarithms
+    # and never forms e^{2s}
+    assert main(["page-curve", "--modes", "4", "--squeeze", "400", "--samples", "3",
+                 "--workers", "1", "--format", "json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    mean = record["columns"].index("mc_mean")
+    means = [row[mean] for row in record["rows"]]
+    assert all(math.isfinite(x) for row in record["rows"] for x in row if isinstance(x, float))
+    assert means[0] == means[-1] == 0.0 and all(x > 0 for x in means[1:-1])
+    assert means[1] == means[3]  # k and n - k share one draw
 
 
 def test_typicality_at_squeezing_beyond_the_double_range_stays_finite(capsys):
@@ -446,7 +461,7 @@ def test_sampling_records_name_sampler(command, capsys):
     assert main(command + ["--samples", "5", "--workers", "1", "--format", "json"]) == 0
     metadata = json.loads(capsys.readouterr().out)["metadata"]
     assert metadata["rng_algorithm"] == "philox4x64"
-    assert metadata["sampler"] == "haar-row-frame-bidiagonal-jacobi"
+    assert metadata["sampler"] == "bidiagonal-jacobi-ginibre-qr-haar-frame"
     assert metadata["blas_threads"] == 1
     assert_sampling_timings(metadata, 5)
 

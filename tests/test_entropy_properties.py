@@ -146,3 +146,14 @@ class TestSampler:
             assert np.all(s1[:, col] <= max_subsystem_entropy(n, size, s, 1))
         s2, s1 = sampled(n, k, squeezing, 11)
         assert np.all(s2 <= s1)
+        # the whole curve at equal squeezing takes the Jacobi draw, with no
+        # symplectic eigensolve and so no clamp to trip
+        ks = tuple(range(n + 1))
+        s2, s1 = sample_entropies(
+            RunConfig(n=n, squeezing=squeezing, subsystem_sizes=ks, samples=4, master_seed=k),
+            with_s1=True,
+        )
+        assert np.all(s2[:, [0, n]] == 0.0) and np.all(s1[:, [0, n]] == 0.0)
+        assert np.all(s2[:, 1:n] <= s1[:, 1:n])
+        for size in ks:
+            assert np.all(s1[:, size] <= max_subsystem_entropy(n, size, s, 1))

@@ -217,6 +217,21 @@ def test_transmissions_give_the_row_frame_entropies(n, k, s):
     assert from_t == pytest.approx(from_rows, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [9, 24])
+@pytest.mark.parametrize("s", [0.75, 6.0])
+def test_transmissions_of_several_sizes_give_the_row_frame_entropies(n, s):
+    # for one Haar U and every size k <= n/2 at once: the T_i of each
+    # C[:k, k:], as diagonal B's end to end in ascending k, through the
+    # kernel's several-k' path, against the symplectic route on U's rows
+    u = _haar_frame(n, n, [SeededStream(62, n).generator()])[0]
+    c, ks = u @ u.T, tuple(range(1, n // 2 + 1))
+    t = np.concatenate([np.linalg.svd(c[:k, k:], compute_uv=False) ** 2 for k in ks])
+    log_c = 2.0 * math.log(math.sinh(2.0 * s))
+    from_t = _entropies_from_bidiagonal(np.stack([t, 0.0 * t])[None], n, log_c, ks, True)
+    from_rows = _entropies_for_sample(u.T[None], n, np.sqrt(_initial_diagonal([s] * n)), ks, True)
+    assert from_t == pytest.approx(from_rows, rel=1e-12)
+
+
 def householder_bidiagonal(a):
     """Squared diagonal and superdiagonal (last entry 0) of the upper
     bidiagonal U^T a V of a square a, by Golub-Kahan Householder steps."""
@@ -273,7 +288,7 @@ def test_bidiagonal_stream_order(n, m):
     # and b = 1; B has diagonal (c_m, c_{m-1} s'_{m-1}, ..., c_1 s'_1) and
     # superdiagonal (-s_m c'_{m-1}, ..., -s_2 c'_1)
     used = SeededStream(14, n).generator()
-    drawn = _jacobi_bidiagonal(n, m, [used])[0]
+    drawn = _jacobi_bidiagonal(n, (m,), [used])[0]
     generator = SeededStream(14, n).generator()
     a, b = n - 2 * m, 1
     c2 = [None] + [generator.beta((a + i) / 2, (b + i) / 2) for i in range(1, m + 1)]
@@ -289,13 +304,32 @@ def test_bidiagonal_stream_order(n, m):
     assert np.all((t > 0.0) & (t < 1.0))
 
 
+def test_bidiagonal_stream_order_of_several_sizes():
+    # several k' draw from one `beta` call per sample, in ascending k', each
+    # B from its own share of the variates in the order of a single size
+    n, kps = 24, (1, 3, 7, 12)
+    used = SeededStream(15, n).generator()
+    drawn = _jacobi_bidiagonal(n, kps, [used])[0]
+    generator = SeededStream(15, n).generator()
+    assert drawn.shape == (2, sum(kps))
+    for m, end in zip(kps, np.cumsum(kps)):
+        a, b = n - 2 * m, 1
+        c2 = [None] + [generator.beta((a + i) / 2, (b + i) / 2) for i in range(1, m + 1)]
+        cp2 = [None] + [generator.beta(i / 2, (a + b + 1 + i) / 2) for i in range(1, m)]
+        d2 = [c2[m]] + [c2[i] * (1.0 - cp2[i]) for i in range(m - 1, 0, -1)]
+        e2 = [(1.0 - c2[i + 1]) * cp2[i] for i in range(m - 1, 0, -1)] + [0.0]
+        assert np.array_equal(drawn[:, end - m : end], [d2, e2]), m
+    assert used.random() == generator.random()  # nothing more was drawn
+    assert _jacobi_bidiagonal(n, (), [used]).shape == (1, 2, 0)
+
+
 @pytest.mark.parametrize("n,k", [(6, 1), (8, 2), (9, 4), (12, 5), (8, 5), (10, 7)])
 def test_jacobi_draw_matches_exact_trace_moments(n, k):
     # W = Pi C Pi conj(C) Pi has eigenvalues 1 - T_i and k - k' ones, so the
     # Jacobi draw must reproduce every exact moment E prod_i Tr W^{l_i}
     samples, kp = 8000, min(k, n - k)
     generator = SeededStream(71, 100 * n + k).generator()
-    w = 1.0 - _bidiagonal_transmissions(_jacobi_bidiagonal(n, kp, [generator] * samples))
+    w = 1.0 - _bidiagonal_transmissions(_jacobi_bidiagonal(n, (kp,), [generator] * samples))
     for powers in TRACE_POWERS:
         values = np.prod([(w**l).sum(axis=1) + (k - kp) for l in powers], axis=0)
         exact = float(haar_moment_trace_product(powers, n, k))

@@ -36,10 +36,11 @@ from pagecurve.gaussian import (
     renyi2_entropy,
 )
 from pagecurve.errors import NumericalError, PageCurveError
-from pagecurve.gaussian import _initial_diagonal, _reduced_sigma_from_unitary, h1
+from pagecurve.gaussian import _initial_diagonal, _reduced_sigma_from_unitary, _row_columns, h1
 from pagecurve.haar import (
     SeededStream,
     _bidiagonal_transmissions,
+    _ginibre_block,
     _haar_frame,
     _jacobi_bidiagonal,
     derive_substream,
@@ -54,6 +55,7 @@ from pagecurve.montecarlo import (
     _frame_draw,
     _map_samples,
     _renyi2_from_bidiagonal,
+    _renyi2_from_ginibre,
     _sample_range,
     _stack_size,
     stream_namespace,
@@ -171,7 +173,7 @@ class TestDeterminism:
             seen.append([get() for get, _ in probe()])
             return _entropies_from_bidiagonal(b2, *params)
 
-        _map_samples(kernel, _jacobi_bidiagonal, 20, 5, (20, 1.0, (5,), False), 30, 1, 0, 1)
+        _map_samples(kernel, _jacobi_bidiagonal, 20, (5,), (20, 1.0, (5,), False), 30, 1, 0, 1)
         assert probes == [1]
         assert seen and all(counts == [1] * len(before) for counts in seen)
         assert [get() for get, _ in probe()] == before
@@ -235,16 +237,24 @@ def two_moments(x):
 
 class TestJacobiDraw:
     def test_selection_rule(self):
+        # equal squeezing takes the Jacobi draw of every distinct k' whatever
+        # the sizes and with_s1; unequal squeezing takes the Ginibre block
+        # for S2 alone and the Haar frame with S1
         equal = SqueezingConfig.equal(10, 0.5).values
-        assert _frame_draw(equal, (4,))[:2] == (_jacobi_bidiagonal, 4)
-        assert _frame_draw(equal, (7,))[:2] == (_jacobi_bidiagonal, 3)   # k > n/2
-        assert _frame_draw(equal, (5,))[:2] == (_jacobi_bidiagonal, 5)   # 2k = n
-        assert _frame_draw(equal, (0, 3, 7, 10))[:2] == (_jacobi_bidiagonal, 3)
-        assert _frame_draw(equal, (2, 4))[:2] == (_haar_frame, 4)   # two k' fall back
-        assert _frame_draw(equal, tuple(range(11)))[:2] == (_haar_frame, 9)   # the full page curve
-        assert _frame_draw(equal, (0, 10))[:2] == (_haar_frame, 0)   # no mixed size at all
         unequal = (0.6,) + equal[1:]
-        assert _frame_draw(unequal, (4,))[:2] == (_haar_frame, 4)
+        for with_s1 in (False, True):
+            assert _frame_draw(equal, (4,), with_s1)[:2] == (_jacobi_bidiagonal, (4,))
+            assert _frame_draw(equal, (7,), with_s1)[:2] == (_jacobi_bidiagonal, (3,))   # k > n/2
+            assert _frame_draw(equal, (5,), with_s1)[:2] == (_jacobi_bidiagonal, (5,))   # 2k = n
+            assert _frame_draw(equal, (0, 3, 7, 10), with_s1)[:2] == (_jacobi_bidiagonal, (3,))
+            assert _frame_draw(equal, (4, 2), with_s1)[:2] == (_jacobi_bidiagonal, (2, 4))
+            full = _frame_draw(equal, tuple(range(11)), with_s1)   # the full page curve
+            assert full[:2] == (_jacobi_bidiagonal, (1, 2, 3, 4, 5))
+            assert _frame_draw(equal, (0, 10), with_s1)[:2] == (_jacobi_bidiagonal, ())
+            row_draw = _haar_frame if with_s1 else _ginibre_block
+            assert _frame_draw(unequal, (4,), with_s1)[:2] == (row_draw, 4)
+            assert _frame_draw(unequal, tuple(range(11)), with_s1)[:2] == (row_draw, 9)
+            assert _frame_draw(unequal, (0, 10), with_s1)[:2] == (row_draw, 0)
 
     def test_sample_j_is_the_jacobi_draw_of_substream_j(self):
         # the entropies of sample j come from the bidiagonal B that
@@ -257,7 +267,7 @@ class TestJacobiDraw:
         c = math.sinh(2 * s) ** 2
         for j in range(4):
             generator = derive_substream(SeededStream(6, 0), j).generator()
-            t = _bidiagonal_transmissions(_jacobi_bidiagonal(n, kp, [generator]))[0]
+            t = _bidiagonal_transmissions(_jacobi_bidiagonal(n, (kp,), [generator]))[0]
             assert t.shape == (kp,)
             assert s2[j] == pytest.approx([0.5 * math.fsum(np.log1p(c * t))] * 2, rel=1e-13)
             expected_s1 = math.fsum(h1(math.sqrt(1 + c * x)) for x in t)
@@ -333,11 +343,29 @@ class TestJacobiDraw:
         # SVD of the same B, on both sides of c = 1 and where c overflows
         for n, kp in ((3, 1), (9, 4), (400, 200)):
             streams = [derive_substream(SeededStream(8, n), j).generator() for j in range(20)]
-            b2 = _jacobi_bidiagonal(n, kp, streams)
-            log_c = _frame_draw((s,) * n, (kp,))[3]
+            b2 = _jacobi_bidiagonal(n, (kp,), streams)
+            log_c = _frame_draw((s,) * n, (kp,), False)[3]
             log_nu2 = np.logaddexp(0.0, log_c + np.log(_bidiagonal_transmissions(b2)))
             expected = [0.5 * math.fsum(row) for row in log_nu2.tolist()]
-            assert _renyi2_from_bidiagonal(b2, log_c) == pytest.approx(expected, rel=1e-12)
+            s2 = _renyi2_from_bidiagonal(b2, log_c, (kp,))
+            assert s2.shape == (20, 1)
+            assert s2[:, 0] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [0.0, 0.01, 0.75, 5.0, 400.0])
+    def test_several_sizes_run_as_each_alone(self, s):
+        # one recurrence over the bidiagonals of several k', padded in front
+        # to the largest, gives each exactly the S2 it has alone, on both
+        # sides of c = 1
+        n, kps = 30, (1, 2, 7, 15)
+        streams = [derive_substream(SeededStream(9, n), j).generator() for j in range(12)]
+        b2 = _jacobi_bidiagonal(n, kps, streams)
+        log_c = _frame_draw((s,) * n, kps, False)[3]
+        together = _renyi2_from_bidiagonal(b2, log_c, kps)
+        assert together.shape == (12, len(kps))
+        ends = np.cumsum(kps)
+        for i, (kp, end) in enumerate(zip(kps, ends)):
+            alone = _renyi2_from_bidiagonal(b2[:, :, end - kp : end], log_c, (kp,))[:, 0]
+            assert np.array_equal(together[:, i], alone), kp
 
     def test_single_size_s2_makes_no_linalg_call(self, monkeypatch):
         # S2 of one size at equal squeezing is the recurrence alone; only S1
@@ -356,6 +384,21 @@ class TestJacobiDraw:
             assert s1 is None and np.all(np.isfinite(s2)) and np.all((s2 > 0.0) == (s > 0.0))
         with pytest.raises(AssertionError, match="numpy.linalg"):
             sample_entropies(config, with_s1=True)
+
+    def test_curve_s2_makes_no_linalg_call(self, monkeypatch):
+        # nor does S2 of several sizes: the page curve at equal squeezing
+        # runs one recurrence over the bidiagonals of all its k'
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg was called")
+
+        for name in np.linalg.__all__:
+            if not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, refuse)
+        for n, s in ((24, 0.75), (9, 400.0), (40, 0.0)):
+            config = RunConfig(n=n, squeezing=SqueezingConfig.equal(n, s),
+                               subsystem_sizes=tuple(range(n + 1)), samples=40, master_seed=3)
+            s2, _ = sample_entropies(config)
+            assert np.all(np.isfinite(s2)) and np.all((s2[:, 1:n] > 0.0) == (s > 0.0))
 
 
 class TestExactValues:
@@ -381,6 +424,116 @@ class TestExactValues:
             m, _, se_m, _ = two_moments(col)
             assert abs(m - mean) <= 5 * se_m
 
+    @pytest.mark.parametrize("n,s,k,mean,var", [
+        (8, 0.75, 4, 1.882114, 0.080905),
+        (12, 0.75, 3, 2.066202, 0.032354),
+        (24, 5.0, 12, 102.49880, None),
+    ])
+    def test_full_curves_on_the_jacobi_draw(self, n, s, k, mean, var):
+        # a whole equal-squeezing curve draws one bidiagonal per k' from one
+        # `beta` call per sample; the gated size keeps its exact law, and
+        # sizes k and n - k share one draw
+        config = RunConfig(n=n, squeezing=SqueezingConfig.equal(n, s),
+                           subsystem_sizes=tuple(range(n + 1)), samples=self.SAMPLES,
+                           master_seed=28)
+        s2, _ = sample_entropies(config)
+        assert np.array_equal(s2, s2[:, ::-1])
+        m, v, se_m, se_v = two_moments(s2[:, k])
+        assert abs(m - mean) <= 5 * se_m
+        if var is not None:
+            assert abs(v - var) <= 5 * se_v
+
+
+class TestGinibreRoute:
+    # S2 at unequal squeezing from the two real R factors of the Ginibre
+    # block Z, against the row-frame kernel on Z's orthonormalization
+    @pytest.mark.parametrize("top", [0.01, 0.75, 3.0, 8.0])
+    @pytest.mark.parametrize("shape", ["ramp", "equal"])
+    def test_s2_matches_the_orthonormalized_frame(self, top, shape):
+        # the same blocks for both; at top = 0.01 S2 is of order 1e-5 while
+        # either route sums 2k logarithms of order 1, so each carries a few
+        # 2k eps absolute (up to 1.7e-14 at n = 24), hence the absolute floor
+        for n in (2, 7, 24):
+            values = np.linspace(top / 4, top, n) if shape == "ramp" else np.full(n, top)
+            scale = np.sqrt(_initial_diagonal(values))
+            ks = tuple(range(n + 1))
+
+            def streams():
+                return [derive_substream(SeededStream(12, n), j).generator() for j in range(30)]
+
+            from_z = _renyi2_from_ginibre(_ginibre_block(n, n - 1, streams()), n, scale, ks, False)
+            frame = _entropies_for_sample(_haar_frame(n, n - 1, streams()), n, scale, ks, False)
+            assert from_z.shape == frame.shape == (30, 1, n + 1)
+            assert np.all(from_z[:, 0, [0, n]] == 0.0) and np.all(from_z[:, 0, 1:n] > 0.0)
+            assert from_z == pytest.approx(frame, rel=1e-12, abs=1e-13)
+
+    def test_s2_at_both_signs_against_exact_gram_determinants(self):
+        # s_i of both signs up to |s_i| = 8 put e^{+-8} on the rows of D F^T;
+        # the scaled QR takes them in decreasing order of scale, which keeps
+        # S2 = (1/2) log det(G_D) / det(G_1) of the leading 2k columns' Gram
+        # matrices accurate (about 1e-10 off in the order the rows come in)
+        import mpmath as mp
+
+        n = 6
+        values = (8.0, -6.0, 2.0, -8.0, 0.5, 5.0)
+        scale = np.sqrt(_initial_diagonal(values))
+        generators = [derive_substream(SeededStream(13, n), j).generator() for j in range(3)]
+        z = _ginibre_block(n, n - 1, generators)
+        s2 = _renyi2_from_ginibre(z, n, scale, tuple(range(1, n)), False)[:, 0]
+        with mp.workdps(60):
+            for f, row in zip(_row_columns(z, n - 1), s2):
+                f = mp.matrix(f.tolist())
+                df = mp.diag([mp.mpf(x) for x in scale.tolist()]) * f
+                for k in range(1, n):
+                    g1, gd = (a[:, : 2 * k].T * a[:, : 2 * k] for a in (f, df))
+                    exact = float((mp.log(mp.det(gd)) - mp.log(mp.det(g1))) / 2)
+                    assert row[k - 1] == pytest.approx(exact, rel=1e-14), k
+
+    @pytest.mark.parametrize("values,mode,k,derivative,stderr", [
+        ((0.3, 0.5, 0.9, 0.1, 0.7, 1.1, 0.2, 0.6), 2, 3, 0.35028757751126977,
+         0.003893230713918619),
+        ((0.75,) * 12, 0, 6, 0.4085720288621478, 0.004159972552730576),
+    ])
+    def test_conjecture_probe_keeps_the_frame_values(self, values, mode, k, derivative, stderr):
+        # the values the Haar-frame route gave at seed 41 (400 samples,
+        # delta 1e-3): both sides now take the scaled R factors of the same
+        # Ginibre blocks, whose frame the old route drew
+        est = conjecture_probe(SqueezingConfig(values), mode, 1e-3, 400, 41, k=k)
+        assert est.derivative == pytest.approx(derivative, rel=1e-12)
+        assert est.stderr == pytest.approx(stderr, rel=1e-12)
+        assert est.negative_fraction == 0.0
+
+    def test_only_unequal_s1_reaches_the_haar_frame_route(self, monkeypatch):
+        # every equal-squeezing run, and every run of S2 alone at unequal
+        # squeezing, completes without the Haar frame, the symplectic
+        # eigensolve or the purity clamp
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached the Haar-frame route")
+
+        for name in ("_haar_frame", "_symplectic_spectrum", "_purity_clamp"):
+            monkeypatch.setattr(montecarlo, name, refuse)
+        for n, s in ((8, 0.75), (13, 5.0), (8, 12.0), (6, 0.0)):
+            for ks in ((3,), (2, 5), tuple(range(n + 1)), (0, n)):
+                config = RunConfig(n=n, squeezing=SqueezingConfig.equal(n, s),
+                                   subsystem_sizes=ks, samples=20, master_seed=5)
+                for with_s1 in (False, True):
+                    s2, s1 = sample_entropies(config, with_s1=with_s1)
+                    assert np.all(np.isfinite(s2)) and (s1 is None or np.all(np.isfinite(s1)))
+        sample_ladder(Experiment.VARIANCE, [(8, 4), (12, 3)], 0.5, 20, 1)
+        typicality_probe([8, 20], "sqrt", 0.5, 0.1, 20, 1)
+        estimate_constant_term([8, 12, 16], 0.5, Fraction(1, 2), 20, 1)
+        ramp = SqueezingConfig(RAMP8)
+        for ks in ((3,), (2, 5), tuple(range(9)), (0, 8)):
+            s2, _ = sample_entropies(RunConfig(n=8, squeezing=ramp, subsystem_sizes=ks,
+                                               samples=20, master_seed=5))
+            assert np.all(np.isfinite(s2))
+        for k in (1, 4, 8):
+            conjecture_probe(ramp, 2, 1e-3, 20, 3, k=k)
+            conjecture_probe(SqueezingConfig.equal(8, 0.5), 0, 1e-3, 20, 3, k=k)
+        with pytest.raises(AssertionError, match="Haar-frame route"):
+            sample_entropies(RunConfig(n=8, squeezing=ramp, subsystem_sizes=(3,), samples=2),
+                             with_s1=True)
+
 
 RAMP8 = (0.3, 0.5, 0.9, 0.1, 0.7, 1.1, 0.2, 0.6)
 
@@ -393,11 +546,14 @@ def stacked_pairs():
     return {
         "rows-entropies": (_haar_frame, _entropies_for_sample, 8, 7,
                            (8, scale, tuple(range(9)), True)),
-        "rows-s2": (_haar_frame, _entropies_for_sample, 8, 5, (8, scale, (0, 2, 5, 8), False)),
-        "jacobi-entropies": (_jacobi_bidiagonal, _entropies_from_bidiagonal, 20, 8,
+        "ginibre-s2": (_ginibre_block, _renyi2_from_ginibre, 8, 5,
+                       (8, scale, (0, 2, 5, 8), False)),
+        "jacobi-entropies": (_jacobi_bidiagonal, _entropies_from_bidiagonal, 20, (8,),
                              (20, log_c, (0, 8, 12, 20), True)),
-        "rows-derivative": (_haar_frame, _derivative_for_sample, 8, 3,
-                            (8, scale, minus, 3, 0.03)),
+        "jacobi-curve": (_jacobi_bidiagonal, _entropies_from_bidiagonal, 12, (1, 2, 3, 4, 5, 6),
+                         (12, log_c, tuple(range(13)), True)),
+        "ginibre-derivative": (_ginibre_block, _derivative_for_sample, 8, 3,
+                               (8, scale, minus, 3, 0.03)),
         "rows-covariance": (_haar_frame, _reduced_sigma_from_unitary, 8, 3,
                             (_initial_diagonal(RAMP8), 3)),
     }
@@ -424,7 +580,7 @@ class TestStackedCalls:
         values = (16.0,) + (0.0,) * 7
         config = RunConfig(n=8, squeezing=SqueezingConfig(values), subsystem_sizes=tuple(range(9)),
                            samples=263, master_seed=7)
-        draw, m, *_ = _frame_draw(values, config.subsystem_sizes)
+        draw, m, *_ = _frame_draw(values, config.subsystem_sizes, True)
         assert 60 % _stack_size(draw, 8, m) != 0
         sample_entropies(RunConfig(**{**config.__dict__, "samples": 60}), with_s1=True)
         with pytest.raises(NumericalError, match=r"^sample 60 \(seed 7\): symplectic eigenvalue"):
@@ -437,7 +593,7 @@ class TestStackedCalls:
         # third child fails too, at 549, but the second one's error is raised
         values = (15.95,) + (0.0,) * 7
         ks = tuple(range(9))
-        draw, m, *_ = _frame_draw(values, ks)
+        draw, m, *_ = _frame_draw(values, ks, True)
         params = (8, np.sqrt(_initial_diagonal(values)), ks, True)
         stream = SeededStream(172, 0)
         with pytest.raises(NumericalError, match=r"^sample 549 "):
@@ -461,7 +617,7 @@ class TestStackedCalls:
         with pytest.raises(
             PageCurveError, match=r"\(samples 300 to 599\) was killed by signal 9 before"
         ):
-            _map_samples(kernel, _jacobi_bidiagonal, 20, 5, (20, 1.0, (5,), False),
+            _map_samples(kernel, _jacobi_bidiagonal, 20, (5,), (20, 1.0, (5,), False),
                          POOLED_SAMPLES, 1, 0, 2)
         assert_no_children()
 
@@ -475,7 +631,7 @@ class TestStackedCalls:
             time.sleep(60)
 
         with pytest.raises(KeyboardInterrupt):
-            _map_samples(kernel, _jacobi_bidiagonal, 20, 5, (), POOLED_SAMPLES, 1, 0, 3)
+            _map_samples(kernel, _jacobi_bidiagonal, 20, (5,), (), POOLED_SAMPLES, 1, 0, 3)
         assert_no_children()
 
 
@@ -609,9 +765,9 @@ class TestConjectureProbe:
 
         def recording(n, m, generators):
             columns.append(m)
-            return _haar_frame(n, m, generators)
+            return _ginibre_block(n, m, generators)
 
-        monkeypatch.setattr(montecarlo, "_haar_frame", recording)
+        monkeypatch.setattr(montecarlo, "_ginibre_block", recording)
         values = (0.5, 0.2, 0.9, 0.1, 0.4, 0.7)
         pure = conjecture_probe(SqueezingConfig(values), 2, 1e-3, 1000, 0, k=6)
         assert (pure.derivative, pure.stderr, pure.negative_fraction) == (0.0, 0.0, 0.0)

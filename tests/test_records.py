@@ -49,12 +49,12 @@ CASES = [
     (montecarlo.CurveEstimate,
      {"subsystem_sizes": (0, 1), "mean_s2": (0.0, 0.5), "var_s2": (0.0, 0.1),
       "stderr_s2": (0.0, 0.01), "samples": 10, "master_seed": 1,
-      "rng_algorithm": "philox4x64", "sampler": "haar-row-frame-bidiagonal-jacobi", "n": 2,
+      "rng_algorithm": "philox4x64", "sampler": "bidiagonal-jacobi-ginibre-qr-haar-frame", "n": 2,
       "squeezing": (0.5, 0.5)}, {}, {"samples": 11}, []),
     (montecarlo.ConstantEstimate,
      {"value": 0.1, "stderr": 0.01, "ladder": (8, 16), "per_n": (0.12, 0.11), "samples": 10,
       "master_seed": 1, "rng_algorithm": "philox4x64",
-      "sampler": "haar-row-frame-bidiagonal-jacobi"},
+      "sampler": "bidiagonal-jacobi-ginibre-qr-haar-frame"},
      {}, {"value": 0.2}, []),
     (montecarlo.TypicalityRecord,
      {"n": 20, "k": 5, "epsilon": 0.1, "strong_deviation_frequency": 0.2,
